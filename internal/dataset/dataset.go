@@ -32,12 +32,14 @@ import (
 )
 
 // DefaultSimCacheMB is the default byte budget (in MiB) of the cross-bag
-// simulation memo. Sized so the full 91-point paper corpus fits with room
-// to spare: generating it resides ~376 MiB of entries — dominated by
-// gpusim's materialized reference streams and cpusim's LLC-bound lists
+// simulation memo. Sized for the full 91-point paper pair corpus:
+// generating it at exact fidelity resides ~376 MiB of entries — dominated
+// by gpusim's materialized reference streams and cpusim's LLC-bound lists
 // (both ~8 bytes per sampled reference, per member per slot) plus the
-// whole-run isolated results. At 512 MiB the full default corpus
-// generates with zero evictions; a tighter budget only costs
+// whole-run isolated results — and evicts nothing at 512 MiB. Nothing
+// sizes it for larger corpora: the 181-bag k=4 fast-tier corpus also
+// generates without evictions, but only because the fast tier publishes
+// summaries rather than gpusim streams. A tighter budget only costs
 // recomputation time, never accuracy (outputs are bit-identical at every
 // budget).
 const DefaultSimCacheMB = 512

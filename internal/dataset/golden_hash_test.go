@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mapc/internal/phasesum"
 )
 
 // The golden corpus-hash tests pin the *byte-exact* output of corpus
@@ -101,4 +103,40 @@ func TestCorpusGoldenHashFull(t *testing.T) {
 		t.Skip("full 91-point corpus generation; run without -short")
 	}
 	checkCorpusHash(t, DefaultConfig(), goldenFullCorpusHash, "full")
+}
+
+// Fast-tier golden hashes: smallConfig at Fidelity=Fast, recorded before
+// the phasesum sketch moved from a Go map to an open-addressed last-touch
+// table and before gpusim stopped memoizing the streams it only sketches.
+// Both changes are pure speed work; these constants pin that the analytic
+// tier's outputs did not move by one bit.
+const (
+	goldenFastPairCorpusHash = "998b448b82544ddd98e5114a5b56fd2ad90d48faa4267c61a031a0df1cba813a"
+	goldenFastK4CorpusHash   = "73bcbc0f3f2798de1cd42d7b767221d0b56151c4511f6f975993fc2ee90d76ba"
+)
+
+// TestCorpusGoldenHashFastPair pins the pair corpus at the fast tier.
+func TestCorpusGoldenHashFastPair(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Fidelity = phasesum.Fast
+	checkCorpusHash(t, cfg, goldenFastPairCorpusHash, "fast pair")
+}
+
+// TestCorpusGoldenHashFastK4 pins the k=4 corpus at the fast tier.
+func TestCorpusGoldenHashFastK4(t *testing.T) {
+	cfg := kConfig(4)
+	cfg.Fidelity = phasesum.Fast
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hashCorpusK(c); got != goldenFastK4CorpusHash {
+		t.Errorf("fast k=4 corpus hash = %s, want %s\n"+
+			"the analytic tier's outputs changed — the phasesum sketch or the "+
+			"gpusim summary path broke bit-identity", got, goldenFastK4CorpusHash)
+	}
 }

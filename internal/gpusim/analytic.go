@@ -23,50 +23,33 @@ const memoDomainSum = "gpusim/sum"
 // summaryEntry is the memoized sketch; immutable once published.
 type summaryEntry struct{ sum phasesum.Summary }
 
-// streamFor returns client w's materialized stream for slot ai — through
-// the "gpusim/stream" memo when available (the same entries the exact
-// shared path uses), cold otherwise.
-func streamFor(memo *simcache.Cache, w *trace.Workload, ai int) (streamEntry, error) {
-	count := 0
-	for pi := range w.Phases {
-		if refs := w.Phases[pi].MemRefs(); refs > 0 {
-			count += memsim.SampleRefs(refs)
-		}
-	}
-	if memo == nil {
-		return materializeStream(w, ai, make([]uint64, count))
-	}
-	key := simcache.Key{Domain: memoDomainStream, Workload: w.Fingerprint(), Slot: ai}
-	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
-		se, err := materializeStream(w, ai, make([]uint64, count))
-		if err != nil {
-			return nil, 0, err
-		}
-		return se, se.bytes(), nil
-	})
+// summarizeStream sketches client w's stream for slot ai from a transient
+// copy: the stream is materialized into a pooled scratch arena, sketched,
+// and dropped. The fast tier reads each stream exactly once, so publishing
+// it to the "gpusim/stream" memo (8 bytes per sampled reference) would
+// only crowd out entries that are read again.
+func summarizeStream(w *trace.Workload, ai int) (phasesum.Summary, error) {
+	scratch := scratchPool.Get().(*simScratch)
+	defer scratchPool.Put(scratch)
+	se, err := materializeStream(w, ai, scratch.grow(sampleCount(w)))
 	if err != nil {
-		return streamEntry{}, err
+		return phasesum.Summary{}, err
 	}
-	return v.(streamEntry), nil
+	return phasesum.Summarize(se.addrs, se.ends), nil
 }
 
 // streamSummaryFor returns the memoized reuse sketch of client w's stream
-// at slot ai.
+// at slot ai; only the sketch is published, never the stream.
 func streamSummaryFor(memo *simcache.Cache, w *trace.Workload, ai int) (phasesum.Summary, error) {
 	if memo == nil {
-		se, err := streamFor(memo, w, ai)
-		if err != nil {
-			return phasesum.Summary{}, err
-		}
-		return phasesum.Summarize(se.addrs, se.ends), nil
+		return summarizeStream(w, ai)
 	}
 	key := simcache.Key{Domain: memoDomainSum, Workload: w.Fingerprint(), Slot: ai}
 	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
-		se, err := streamFor(memo, w, ai)
+		sum, err := summarizeStream(w, ai)
 		if err != nil {
 			return nil, 0, err
 		}
-		sum := phasesum.Summarize(se.addrs, se.ends)
 		return summaryEntry{sum: sum}, sum.Bytes(), nil
 	})
 	if err != nil {

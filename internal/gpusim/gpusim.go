@@ -616,10 +616,11 @@ func occupancyScale(occ float64) float64 {
 	return occ
 }
 
-// simScratch holds the cold-path stream arena simulateMemory reuses across
-// calls: all clients' sampled reference addresses, partitioned by exact
-// precomputed size. Pooled because corpus generation calls simulateMemory
-// thousands of times, potentially from concurrent measurement workers.
+// simScratch holds a reusable stream arena: simulateMemory's cold path
+// partitions it among all clients' sampled reference addresses by exact
+// precomputed size, and the fast tier's summarizeStream sketches one
+// client's stream in it. Pooled because corpus generation makes thousands
+// of such calls, potentially from concurrent measurement workers.
 type simScratch struct {
 	addrs []uint64
 }
@@ -679,6 +680,18 @@ func (ir isoResult) bytes() int64 {
 	}
 	n += int64(len(ir.l2Stats)+len(ir.tlbStats)) * 16
 	return n
+}
+
+// sampleCount is the exact length of w's sampled reference stream: the sum
+// of every memory phase's SampleRefs.
+func sampleCount(w *trace.Workload) int {
+	count := 0
+	for pi := range w.Phases {
+		if refs := w.Phases[pi].MemRefs(); refs > 0 {
+			count += memsim.SampleRefs(refs)
+		}
+	}
+	return count
 }
 
 // materializeStream fills addrs (length = the workload's exact sample
@@ -771,11 +784,7 @@ func simulateMemoryShared(cfg Config, memo *simcache.Cache, workloads []*trace.W
 	total := 0
 	for ai, w := range workloads {
 		mem[ai] = make([]phaseMem, len(w.Phases))
-		for pi := range w.Phases {
-			if refs := w.Phases[pi].MemRefs(); refs > 0 {
-				counts[ai] += memsim.SampleRefs(refs)
-			}
-		}
+		counts[ai] = sampleCount(w)
 		total += counts[ai]
 	}
 

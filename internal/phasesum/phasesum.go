@@ -7,9 +7,10 @@
 // The exact simulators (cpusim, gpusim) interleave every client's sampled
 // address stream into genuinely shared structures — the CPU LLC, the GPU
 // L2 and TLB — which costs O(total references) per bag. The summaries here
-// are built once per (workload, slot) during the already-memoized isolated
-// runs; a bag's contended miss rates then cost O(phases x histogram
-// buckets), which is what lifts corpus generation past 100 points/sec.
+// are built once per (workload, slot) from that slot's stream and memoized
+// by the simulators; a bag's contended miss rates then cost O(phases x
+// histogram buckets), which is what lifts corpus generation past 100
+// points/sec.
 //
 // The model follows the phase/basic-block-granular prediction framing of
 // BB-ML (arXiv:2202.07798) and the hybrid analytical+ML design of Braun et
@@ -61,7 +62,11 @@
 // back to exact simulation below MinConfidence.
 package phasesum
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // Granularity shifts: units are addr >> shift.
 const (
@@ -110,50 +115,113 @@ func (s *Summary) Bytes() int64 {
 // past phase p (the representation both simulators already memoize).
 // Distances are own-stream positions, measured across phase boundaries —
 // exactly the stream the isolated replay would walk.
+//
+// The caller may reuse addrs as soon as Summarize returns: the summary
+// holds no reference to it. The only allocation is the returned per-phase
+// histograms; the last-touch table is pooled.
 func Summarize(addrs []uint64, ends []int) Summary {
+	n := len(ends)
+	phases := make([]PhaseSum, 2*n)
 	sum := Summary{
-		Line:      make([]PhaseSum, len(ends)),
-		Page:      make([]PhaseSum, len(ends)),
+		Line:      phases[:n:n],
+		Page:      phases[n:],
 		TotalRefs: len(addrs),
 	}
-	sketch(addrs, ends, LineShift, sum.Line)
-	sketch(addrs, ends, PageShift, sum.Page)
+	t := touchPool.Get().(*lastTouch)
+	lines := sketch(t, addrs, ends, LineShift, sum.Line, len(addrs))
+	// A page holds at least one touched line, so the page pass sees at
+	// most as many distinct units as the line pass did.
+	sketch(t, addrs, ends, PageShift, sum.Page, lines)
+	touchPool.Put(t)
 	return sum
 }
 
-// sketch fills one granularity's per-phase histograms.
-func sketch(addrs []uint64, ends []int, shift uint, out []PhaseSum) {
-	last := make(map[uint64]int, 1<<12)
+// sketch fills one granularity's per-phase histograms from a stream with
+// at most maxUnits distinct units, and returns its distinct-unit count.
+func sketch(t *lastTouch, addrs []uint64, ends []int, shift uint, out []PhaseSum, maxUnits int) int {
+	t.reset(maxUnits)
+	cold := 0
 	start := 0
 	for pi := range out {
 		end := ends[pi]
 		ps := &out[pi]
 		ps.Refs = end - start
 		for i := start; i < end; i++ {
-			u := addrs[i] >> shift
-			if prev, ok := last[u]; ok {
+			if prev, ok := t.swap(addrs[i]>>shift, i); ok {
 				ps.Hist[bucketOf(i-prev)]++
 			} else {
 				ps.Cold++
 			}
-			last[u] = i
 		}
+		cold += ps.Cold
 		start = end
 	}
+	return cold
 }
 
 // bucketOf maps a positive distance to its log2 bucket, clamped to the
 // final bucket.
 func bucketOf(d int) int {
-	b := 0
-	for d > 1 {
-		d >>= 1
-		b++
-	}
+	b := bits.Len(uint(d)) - 1
 	if b >= NumBuckets {
 		b = NumBuckets - 1
 	}
 	return b
+}
+
+// lastTouch maps a unit to the stream position of its most recent touch:
+// an open-addressed table with Fibonacci hashing and linear probing (the
+// idiom of memsim's TLB index). Keys are stored biased by +1 so a stored 0
+// means "empty"; units are addresses shifted right by at least LineShift,
+// so the bias never overflows. reset sizes the table to a power of two at
+// least twice the distinct-unit bound, so it is at most half full, and
+// nothing is ever deleted.
+type lastTouch struct {
+	slots []touch
+	shift uint // 64 - log2(len(slots))
+}
+
+// touch is one table slot; key and position share a cache line.
+type touch struct {
+	key uint64 // unit + 1; 0 = empty
+	pos int
+}
+
+var touchPool = sync.Pool{New: func() any { return new(lastTouch) }}
+
+// reset empties the table and sizes it for at most n distinct units,
+// reusing prior capacity.
+func (t *lastTouch) reset(n int) {
+	size := 4
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(t.slots) < size {
+		t.slots = make([]touch, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// swap records pos as unit's last touch and returns the previous one, if
+// the unit was touched before.
+func (t *lastTouch) swap(unit uint64, pos int) (int, bool) {
+	key := unit + 1
+	mask := uint64(len(t.slots) - 1)
+	for i := (key * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		switch s.key {
+		case key:
+			prev := s.pos
+			s.pos = pos
+			return prev, true
+		case 0:
+			s.key, s.pos = key, pos
+			return 0, false
+		}
+	}
 }
 
 // noveltyRate returns the client's distinct-unit rate Cold/Refs over the

@@ -90,6 +90,18 @@ func TestSummarizeDistancesCrossPhases(t *testing.T) {
 
 func TestBucketOf(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 1, 4: 2, 1023: 9, 1024: 10}
+	// Every power-of-two boundary 2^b-1, 2^b, 2^b+1, against the frozen
+	// shift-loop reference (reference_test.go), clamp included.
+	for b := 1; b < 40; b++ {
+		for _, d := range []int{1<<b - 1, 1 << b, 1<<b + 1} {
+			cases[d] = refBucketOf(d)
+		}
+	}
+	// The clamp: the last unclamped bucket, then everything at or past
+	// 2^(NumBuckets-1) in the final bucket.
+	cases[1<<(NumBuckets-1)-1] = NumBuckets - 2
+	cases[1<<(NumBuckets-1)] = NumBuckets - 1
+	cases[math.MaxInt] = NumBuckets - 1
 	for d, want := range cases {
 		if got := bucketOf(d); got != want {
 			t.Errorf("bucketOf(%d) = %d, want %d", d, got, want)

@@ -119,12 +119,14 @@ func main() {
 }
 
 // microbenchRuns lists the fast, gated microbenchmark suites: the memsim
-// hot paths (TLB/cache/stream) and the simcache memo paths (hit,
-// move-to-front, miss+evict churn). Both record and check mode run exactly
-// this set so baseline entries and fresh runs always cover the same names.
+// hot paths (TLB/cache/stream), the simcache memo paths (hit,
+// move-to-front, miss+evict churn) and the phasesum reuse sketch. Both
+// record and check mode run exactly this set so baseline entries and fresh
+// runs always cover the same names.
 var microbenchRuns = []struct{ pkg, pattern string }{
 	{"./internal/memsim", "BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkStreamNext"},
 	{"./internal/simcache", "BenchmarkSimCache"},
+	{"./internal/phasesum", "BenchmarkSummarize"},
 }
 
 func runRecord(label, out, input, benchtime string, corpus, fidelity bool, oracleFrac float64, oracleSeed uint64) error {
