@@ -1,8 +1,8 @@
 // Package memsim provides the microarchitectural memory-system components
 // shared by the CPU and GPU simulators: set-associative caches with LRU
-// replacement, a TLB with flush support, and a synthetic address-stream
-// generator that turns a trace.Phase's pattern/footprint/reuse descriptor
-// into a concrete reference stream.
+// replacement (each set kept in recency order), a TLB with flush support,
+// and a synthetic address-stream generator that turns a trace.Phase's
+// pattern/footprint/reuse descriptor into a concrete reference stream.
 //
 // These components replace the paper's physical memory hierarchies (Xeon
 // LLC, T4 L2/TLB). Contention between concurrent applications emerges the
@@ -24,20 +24,27 @@ import (
 // LineSize is the cache line size in bytes used throughout the simulators.
 const LineSize = 64
 
-// line is one cache way. The metadata the way scan touches (tag, recency,
-// validity, owner) is fused into a single struct so a set's ways occupy
-// adjacent memory — one or two cache lines per simulated set instead of
-// four strided slices.
-type line struct {
-	tag   uint64
-	lru   uint64 // per-set logical clock; smallest in the set is the victim
-	src   int32  // source that installed the line
-	valid bool
+// way is one cache way: key is the line's tag with validBit set, or 0 for
+// an empty way, so a tag-0 line still reads as valid.
+type way struct {
+	key uint64
+	src int32 // source that installed the line
 }
+
+// validBit marks a way's key as occupied. Tags are at most 58 bits (a
+// 64-bit address minus the line offset), so it never collides with one.
+const validBit = 1 << 63
 
 // Cache is a set-associative cache with true-LRU replacement. It tracks
 // per-source hit/miss statistics so shared caches can attribute interference
 // to individual applications. The zero value is not usable; call NewCache.
+//
+// Each set is kept in recency order: the most recently used way first, empty
+// ways trailing. A hit at depth p shifts ways 0..p-1 down one slot and moves
+// the line to the front; a miss evicts the last way and installs at the
+// front. Lines are only ever dropped by Reset, so empty ways stay at the
+// tail and the last way is exactly the victim the original per-way LRU clock
+// scan chose (an empty way if any, else the least recently used line).
 type Cache struct {
 	name     string
 	sets     int
@@ -47,10 +54,8 @@ type Cache struct {
 	// tagShift is bits.Len(sets-1), hoisted to construction time; the
 	// original recomputed it on every access.
 	tagShift uint
-	// lines[set*ways+way] holds the fused way metadata; the valid bit is
-	// tracked explicitly so tag 0 is usable.
-	lines []line
-	clock uint64
+	// lines[set*ways:(set+1)*ways] is one set, in recency order.
+	lines []way
 
 	stats []CacheStats // indexed by source id
 	// crossEvictions[victim] counts lines lost to any other source.
@@ -94,7 +99,7 @@ func NewCache(name string, totalBytes int64, ways, nSources int) (*Cache, error)
 		setShift:       uint(bits.TrailingZeros(uint(LineSize))),
 		setMask:        uint64(sets - 1),
 		tagShift:       uint(bits.Len(uint(sets - 1))),
-		lines:          make([]line, sets*ways),
+		lines:          make([]way, sets*ways),
 		stats:          make([]CacheStats, nSources),
 		crossEvictions: make([]uint64, nSources),
 	}
@@ -104,36 +109,42 @@ func NewCache(name string, totalBytes int64, ways, nSources int) (*Cache, error)
 // Access looks up addr on behalf of source, installing the line on a miss.
 // It returns true on a hit.
 func (c *Cache) Access(source int, addr uint64) bool {
-	ln := addr >> c.setShift
-	set := ln & c.setMask
-	tag := ln >> c.tagShift
-	base := int(set) * c.ways
-	c.clock++
 	c.stats[source].Accesses++
+	if c.touch(source, addr) {
+		return true
+	}
+	c.stats[source].Misses++
+	return false
+}
 
-	ways := c.lines[base : base+c.ways : base+c.ways]
-	lruWay, lruClock := 0, ^uint64(0)
-	for w := range ways {
-		l := &ways[w]
-		if l.valid && l.tag == tag {
-			l.lru = c.clock
+// Install inserts addr's line into the cache on behalf of source without
+// touching the demand statistics — the path prefetch fills take.
+func (c *Cache) Install(source int, addr uint64) { c.touch(source, addr) }
+
+// touch moves addr's line to the front of its set, installing it over the
+// set's least recently used way if absent, and reports whether it was
+// resident.
+func (c *Cache) touch(source int, addr uint64) bool {
+	ln := addr >> c.setShift
+	key := ln>>c.tagShift | validBit
+	base := int(ln&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways : base+c.ways]
+	if set[0].key == key {
+		return true
+	}
+	for p := 1; p < len(set); p++ {
+		if set[p].key == key {
+			w := set[p]
+			copy(set[1:p+1], set[:p])
+			set[0] = w
 			return true
 		}
-		if l.lru < lruClock {
-			lruClock = l.lru
-			lruWay = w
-		}
 	}
-	// Miss: install over the LRU way.
-	c.stats[source].Misses++
-	l := &ways[lruWay]
-	if l.valid && l.src != int32(source) {
-		c.crossEvictions[l.src]++
+	if v := set[len(set)-1]; v.key != 0 && v.src != int32(source) {
+		c.crossEvictions[v.src]++
 	}
-	l.tag = tag
-	l.valid = true
-	l.src = int32(source)
-	l.lru = c.clock
+	copy(set[1:], set[:len(set)-1])
+	set[0] = way{key: key, src: int32(source)}
 	return false
 }
 
@@ -151,7 +162,6 @@ func (c *Cache) Reset() {
 		c.stats[i] = CacheStats{}
 		c.crossEvictions[i] = 0
 	}
-	c.clock = 0
 }
 
 // Sets returns the number of sets (exported for tests).

@@ -3,13 +3,15 @@ package memsim
 import (
 	"testing"
 
+	"mapc/internal/trace"
 	"mapc/internal/xrand"
 )
 
 // Cache microbenchmarks mirror the TLB suite: hit-heavy (footprint fits),
 // miss-heavy (streaming lines), and multi-source contention — the regimes
-// the shared-LLC (cpusim) and shared-L2 (gpusim) interleaving loops drive.
-// Geometry matches gpusim.DefaultConfig's T4 L2 (4 MiB, 16 ways).
+// the shared-LLC (cpusim) and shared-L2 (gpusim) interleaving loops drive —
+// plus a co-run of real reference streams. Geometry matches
+// gpusim.DefaultConfig's T4 L2 (4 MiB, 16 ways).
 
 func benchCacheAddrs(lines int, seed uint64) []uint64 {
 	rng := xrand.New(seed)
@@ -60,5 +62,41 @@ func BenchmarkCacheAccessMultiSource(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(i&(sources-1), addrs[i&(len(addrs)-1)])
+	}
+}
+
+// BenchmarkCacheAccessStream interleaves two real Stream clients one
+// reference at a time through the shared L2, the schedule gpusim's co-run
+// issues for equal-length streams. Unlike the uniform-random suites above it
+// carries production locality: the reuse short-circuit re-touches recent
+// lines, so most hits land near the front of their set.
+func BenchmarkCacheAccessStream(b *testing.B) {
+	const sources = 2
+	c := benchCache(b, sources)
+	var addrs [sources][]uint64
+	for s, pc := range []struct {
+		pattern trace.Pattern
+		reuse   float64
+	}{
+		{trace.Windowed, 0.7}, // sliding-filter kernel
+		{trace.Random, 0.3},   // scattered gathers
+	} {
+		p := benchPhase(pc.pattern)
+		p.Reuse = pc.reuse
+		st, err := NewStream(p, uint64(s+1)<<40, uint64(s)+7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// 4 MiB of references per client: longer than one pass over
+		// the 8 MiB footprints, so replaying the buffer adds no reuse.
+		addrs[s] = make([]uint64, 1<<19)
+		st.Fill(addrs[s])
+	}
+	mask := len(addrs[0]) - 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := i & (sources - 1)
+		c.Access(s, addrs[s][(i>>1)&mask])
 	}
 }

@@ -1,6 +1,9 @@
 package memsim
 
 import (
+	"fmt"
+	"math"
+	"sort"
 	"testing"
 
 	"mapc/internal/trace"
@@ -115,20 +118,102 @@ func TestTLBDifferential(t *testing.T) {
 	}
 }
 
-// cacheStateEqual asserts every way of every set matches the reference
-// exactly: tag, validity, owning source, and recency clock. Equal lru
-// clocks entry-by-entry mean both implementations chose the same victim on
-// every installation since the last reset.
-func cacheStateEqual(t *testing.T, step int, fast *Cache, ref *refCache) {
+// cacheStateEqual asserts every set matches the reference exactly. The fast
+// cache keeps each set in recency order, so front to back its ways must hold
+// the reference set's valid ways sorted by descending LRU clock, as
+// (tag, source) pairs, with every remaining way empty. installs counts the
+// Install calls since the last Reset: with the per-source demand accesses it
+// must account for every tick of the reference's clock.
+func cacheStateEqual(t *testing.T, step int, fast *Cache, ref *refCache, installs uint64) {
 	t.Helper()
-	if fast.clock != ref.clock {
-		t.Fatalf("step %d: clock fast=%d reference=%d", step, fast.clock, ref.clock)
+	ops := installs
+	for s := range fast.stats {
+		ops += fast.stats[s].Accesses
 	}
-	for i := range fast.lines {
-		l := &fast.lines[i]
-		if l.valid != ref.valid[i] || (l.valid && (l.tag != ref.tags[i] || int(l.src) != ref.src[i] || l.lru != ref.lru[i])) {
-			t.Fatalf("step %d: line %d fast={tag:%#x src:%d lru:%d valid:%v} reference={tag:%#x src:%d lru:%d valid:%v}",
-				step, i, l.tag, l.src, l.lru, l.valid, ref.tags[i], ref.src[i], ref.lru[i], ref.valid[i])
+	if ops != ref.clock {
+		t.Fatalf("step %d: fast saw %d accesses+installs, reference clock %d", step, ops, ref.clock)
+	}
+	valid := make([]int, 0, ref.ways)
+	for set := 0; set < ref.sets; set++ {
+		base := set * ref.ways
+		valid = valid[:0]
+		for i := base; i < base+ref.ways; i++ {
+			if ref.valid[i] {
+				valid = append(valid, i)
+			}
+		}
+		sort.Slice(valid, func(a, b int) bool { return ref.lru[valid[a]] > ref.lru[valid[b]] })
+		for w := 0; w < ref.ways; w++ {
+			got := fast.lines[base+w]
+			want := way{}
+			if w < len(valid) {
+				i := valid[w]
+				want = way{key: ref.tags[i] | validBit, src: int32(ref.src[i])}
+			}
+			if got != want {
+				t.Fatalf("step %d: set %d way %d fast={key:%#x src:%d} reference={key:%#x src:%d} (%d valid ways)",
+					step, set, w, got.key, got.src, want.key, want.src, len(valid))
+			}
+		}
+	}
+}
+
+// cacheLockstep pairs a production cache with the frozen reference, driving
+// every operation through both and failing on the first diverging verdict.
+type cacheLockstep struct {
+	t        *testing.T
+	fast     *Cache
+	ref      *refCache
+	installs uint64 // Install calls since the last Reset
+}
+
+func newCacheLockstep(t *testing.T, bytes int64, ways, sources int) *cacheLockstep {
+	t.Helper()
+	fast, err := NewCache("diff", bytes, ways, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefCache(bytes, ways, sources)
+	if fast.Sets() != ref.sets {
+		t.Fatalf("geometry mismatch: fast %d sets, reference %d", fast.Sets(), ref.sets)
+	}
+	return &cacheLockstep{t: t, fast: fast, ref: ref}
+}
+
+func (l *cacheLockstep) access(step, src int, addr uint64) {
+	l.t.Helper()
+	fh := l.fast.Access(src, addr)
+	rh := l.ref.Access(src, addr)
+	if fh != rh {
+		l.t.Fatalf("access %d (src=%d addr=%#x): fast=%v reference=%v", step, src, addr, fh, rh)
+	}
+}
+
+// install takes the prefetch-fill path: it mutates state and returns nothing.
+func (l *cacheLockstep) install(src int, addr uint64) {
+	l.fast.Install(src, addr)
+	l.ref.Install(src, addr)
+	l.installs++
+}
+
+func (l *cacheLockstep) reset() {
+	l.fast.Reset()
+	l.ref.Reset()
+	l.installs = 0
+}
+
+// check compares full set contents, per-source statistics and
+// cross-evictions.
+func (l *cacheLockstep) check(step int) {
+	l.t.Helper()
+	cacheStateEqual(l.t, step, l.fast, l.ref, l.installs)
+	for s := range l.fast.stats {
+		if l.fast.Stats(s) != l.ref.Stats(s) {
+			l.t.Errorf("source %d stats: fast %+v, reference %+v", s, l.fast.Stats(s), l.ref.Stats(s))
+		}
+		if l.fast.CrossEvictions(s) != l.ref.CrossEvictions(s) {
+			l.t.Errorf("source %d cross-evictions: fast %d, reference %d",
+				s, l.fast.CrossEvictions(s), l.ref.CrossEvictions(s))
 		}
 	}
 }
@@ -150,52 +235,167 @@ func TestCacheDifferential(t *testing.T) {
 	for _, cc := range configs {
 		cc := cc
 		t.Run(cc.name, func(t *testing.T) {
-			fast, err := NewCache("diff", cc.bytes, cc.ways, cc.sources)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := newRefCache(cc.bytes, cc.ways, cc.sources)
-			if fast.Sets() != ref.sets {
-				t.Fatalf("geometry mismatch: fast %d sets, reference %d", fast.Sets(), ref.sets)
-			}
+			l := newCacheLockstep(t, cc.bytes, cc.ways, cc.sources)
 			rng := xrand.New(uint64(cc.bytes) + uint64(cc.ways))
 			for i := 0; i < cc.accesses; i++ {
 				src := rng.Intn(cc.sources)
 				addr := (rng.Uint64()%cc.lines)*LineSize + rng.Uint64()%LineSize
 				switch r := rng.Uint64() % 10000; {
 				case r == 0:
-					fast.Reset()
-					ref.Reset()
+					l.reset()
 				case r < 400:
-					// Prefetch-fill path: mutates state, returns nothing.
-					fast.Install(src, addr)
-					ref.Install(src, addr)
+					l.install(src, addr)
 					continue
 				}
-				fh := fast.Access(src, addr)
-				rh := ref.Access(src, addr)
-				if fh != rh {
-					t.Fatalf("access %d (src=%d addr=%#x): fast=%v reference=%v", i, src, addr, fh, rh)
-				}
+				l.access(i, src, addr)
 				if i%100_000 == 0 {
-					cacheStateEqual(t, i, fast, ref)
+					l.check(i)
 				}
 			}
-			cacheStateEqual(t, cc.accesses, fast, ref)
-			for s := 0; s < cc.sources; s++ {
-				if fast.Stats(s) != ref.Stats(s) {
-					t.Errorf("source %d stats: fast %+v, reference %+v", s, fast.Stats(s), ref.Stats(s))
-				}
-				if fast.CrossEvictions(s) != ref.CrossEvictions(s) {
-					t.Errorf("source %d cross-evictions: fast %d, reference %d",
-						s, fast.CrossEvictions(s), ref.CrossEvictions(s))
-				}
-			}
+			l.check(cc.accesses)
 		})
 		totalAccesses += cc.accesses
 	}
 	if totalAccesses < 1_000_000 {
 		t.Fatalf("differential coverage shrank to %d accesses; keep it >= 1M", totalAccesses)
+	}
+}
+
+// TestCacheStreamLockstep drives the simulators' real reference streams —
+// every trace.Pattern at no, moderate and heavy temporal reuse — through the
+// production cache geometries and the reference in lockstep. Unlike the
+// uniform-random differential test, these streams put most hits near the
+// front of a set, the path the recency-ordered sets resolve without a scan.
+// Each source reads its own stream, interleaved round-robin the way the
+// gpusim co-run issues equal-length streams, with next-line prefetch fills
+// mixed in.
+func TestCacheStreamLockstep(t *testing.T) {
+	geometries := []struct {
+		name        string
+		bytes       int64
+		ways        int
+		multiSource bool // shared structure: rotate through 2-4 sources
+	}{
+		{"cpu-l1", 32 << 10, 8, false},
+		{"cpu-l2", 1 << 20, 16, false},
+		{"llc", 16 << 20, 11, true},
+		{"gpu-l2", 4 << 20, 16, true},
+	}
+	patterns := []trace.Pattern{trace.Sequential, trace.Strided, trace.Windowed, trace.Random}
+	for _, g := range geometries {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			var misses, crossEvictions uint64
+			var capacityLines uint64
+			run := 0
+			for _, pat := range patterns {
+				for _, reuse := range []float64{0, 0.5, 0.9} {
+					sources := 1
+					if g.multiSource {
+						sources = 2 + run%3
+					}
+					run++
+					l := newCacheLockstep(t, g.bytes, g.ways, sources)
+					capacityLines = uint64(l.fast.CapacityBytes() / LineSize)
+					phase := &trace.Phase{
+						Name:        "lockstep",
+						Footprint:   2 * l.fast.CapacityBytes(),
+						Pattern:     pat,
+						StrideBytes: 3 * LineSize,
+						Reuse:       reuse,
+					}
+					streams := make([]*Stream, sources)
+					for s := range streams {
+						st, err := NewStream(phase, uint64(s+1)<<40, StreamSeed(g.name, fmt.Sprint(pat, reuse, s)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						streams[s] = st
+					}
+					rng := xrand.New(uint64(run))
+					refs := int(max(3*capacityLines, 50_000))
+					for i := 0; i < refs; i++ {
+						src := i % sources
+						addr := streams[src].Next()
+						l.access(i, src, addr)
+						if rng.Uint64()%32 == 0 {
+							l.install(src, addr+LineSize)
+						}
+					}
+					l.check(refs)
+					for s := 0; s < sources; s++ {
+						misses += l.fast.Stats(s).Misses
+						crossEvictions += l.fast.CrossEvictions(s)
+					}
+				}
+			}
+			// Coverage: replacement must have run, and on shared
+			// geometries sources must have evicted each other.
+			if misses <= capacityLines {
+				t.Errorf("%d misses never overflowed the %d-line capacity", misses, capacityLines)
+			}
+			if g.multiSource && crossEvictions == 0 {
+				t.Error("no cross-source evictions on a shared geometry")
+			}
+		})
+	}
+}
+
+// TestCacheEdgeAddresses checks the valid-bit key at the ends of the address
+// space and at associativity extremes: address 0 (tag 0 must not read as an
+// empty way), math.MaxUint64, a direct-mapped cache, a single set and
+// non-power-of-two way counts, all in lockstep with the reference.
+func TestCacheEdgeAddresses(t *testing.T) {
+	for _, g := range []struct {
+		name  string
+		bytes int64
+		ways  int
+	}{
+		{"1-way", 4 << 10, 1},
+		{"3-way", 12 << 10, 3},
+		{"5-way", 20 << 10, 5},
+		{"1-set-4-way", 4 * LineSize, 4},
+	} {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			l := newCacheLockstep(t, g.bytes, g.ways, 2)
+			setStride := uint64(l.fast.Sets()) * LineSize
+			var pool []uint64
+			for k := uint64(0); k < uint64(g.ways)+2; k++ {
+				// Lines sharing set 0 and the last set, from both ends.
+				pool = append(pool, k*setStride, k*setStride+LineSize-1, math.MaxUint64-k*setStride)
+			}
+			rng := xrand.New(uint64(g.bytes) ^ uint64(g.ways))
+			for i := 0; i < 20_000; i++ {
+				src := rng.Intn(2)
+				addr := pool[rng.Intn(len(pool))]
+				switch r := rng.Uint64() % 1000; {
+				case r == 0:
+					l.reset()
+				case r < 50:
+					l.install(src, addr)
+					continue
+				}
+				l.access(i, src, addr)
+			}
+			l.check(20_000)
+		})
+	}
+
+	// A tag-0 line in a direct-mapped cache is a real resident line: a
+	// conflicting access from another source evicts it as a cross-eviction.
+	c := mustCache(t, 4<<10, 1, 2)
+	for _, addr := range []uint64{0, math.MaxUint64} {
+		c.Reset()
+		if c.Access(0, addr) || !c.Access(0, addr) {
+			t.Fatalf("addr %#x: want cold miss then hit", addr)
+		}
+		if c.Access(1, addr^uint64(c.Sets())*LineSize) {
+			t.Fatalf("addr %#x: conflicting line hit", addr)
+		}
+		if got := c.CrossEvictions(0); got != 1 {
+			t.Fatalf("addr %#x: cross-evictions of source 0 = %d, want 1", addr, got)
+		}
 	}
 }
 

@@ -62,35 +62,3 @@ func (p *StridePrefetcher) OnMiss(addr uint64) []uint64 {
 
 // Issued returns the total number of prefetches emitted.
 func (p *StridePrefetcher) Issued() uint64 { return p.issued }
-
-// Install inserts addr's line into the cache on behalf of source without
-// touching the demand statistics — the path prefetch fills take.
-func (c *Cache) Install(source int, addr uint64) {
-	ln := addr >> c.setShift
-	set := ln & c.setMask
-	tag := ln >> c.tagShift
-	base := int(set) * c.ways
-	c.clock++
-	ways := c.lines[base : base+c.ways : base+c.ways]
-	lruWay, lruClock := 0, ^uint64(0)
-	for w := range ways {
-		l := &ways[w]
-		if l.valid && l.tag == tag {
-			// Already resident: refresh recency and return.
-			l.lru = c.clock
-			return
-		}
-		if l.lru < lruClock {
-			lruClock = l.lru
-			lruWay = w
-		}
-	}
-	l := &ways[lruWay]
-	if l.valid && l.src != int32(source) {
-		c.crossEvictions[l.src]++
-	}
-	l.tag = tag
-	l.valid = true
-	l.src = int32(source)
-	l.lru = c.clock
-}

@@ -4,11 +4,13 @@ import "math/bits"
 
 // This file retains the pre-optimization TLB and Cache implementations
 // verbatim (modulo renaming) as executable specifications. The production
-// structures were rebuilt for throughput — O(1) exact-LRU TLB, fused-line
-// cache with a precomputed tag shift — under a bit-identity contract: same
-// hits, same misses, same victim choices, same statistics. The differential
-// tests in differential_test.go drive millions of randomized accesses
-// through both and fail on the first divergence.
+// structures were rebuilt for throughput — an O(1) exact-LRU TLB, and a
+// cache that keeps each set in recency order instead of per-way LRU clocks
+// and precomputes its tag shift — under a bit-identity contract: same hits,
+// same misses, same victim choices, same statistics. The differential tests
+// in differential_test.go drive millions of randomized accesses and the
+// simulators' real reference streams through both and fail on the first
+// divergence.
 //
 // Do not "fix" or modernize this code: its value is being the frozen
 // original. If simulation semantics are deliberately changed, change both
