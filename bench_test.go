@@ -119,7 +119,7 @@ func BenchmarkGPUSimSingle(b *testing.B) {
 	cfg := gpusim.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gpusim.Run(cfg, []*trace.Workload{w}); err != nil {
+		if _, err := gpusim.RunMemo(cfg, nil, []*trace.Workload{w}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func BenchmarkGPUSimBag(b *testing.B) {
 	cfg := gpusim.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gpusim.Run(cfg, []*trace.Workload{w.Clone(), w.Clone()}); err != nil {
+		if _, err := gpusim.RunMemo(cfg, nil, []*trace.Workload{w.Clone(), w.Clone()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func BenchmarkCPUSimBag(b *testing.B) {
 	cfg := cpusim.DefaultConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := cpusim.Run(cfg, []cpusim.App{
+		_, err := cpusim.RunMemo(cfg, nil, []cpusim.App{
 			{Workload: w.Clone(), Threads: 16},
 			{Workload: w.Clone(), Threads: 16},
 		})

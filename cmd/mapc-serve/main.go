@@ -8,11 +8,16 @@
 //	POST /v1/predict  {"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}
 //	                  or {"bag":[{"benchmark":…,"batch":…},…]}          (k-app bag)
 //	                  or {"bags":[{"a":…,"b":…},{"members":[…]},…]}     (batched, mixed forms)
+//	                  → {"model_scheme":…,"results":[{"members":[…],"predicted_gpu_bag_time_sec":…,…}]}
+//	GET  /v1/cache/snapshot              (the feature cache, for peer warm starts)
+//	GET  /v1/cache/entry?key=<bag key>   (one cached bag, for peer fill)
 //	GET  /healthz
 //	GET  /metrics
 //
 // Every bag in a request must carry exactly as many applications as the
 // loaded model was trained for (-k at train time); other sizes get a 400.
+// Each result lists its bag under "members", whichever request form
+// carried it.
 //
 // Usage:
 //

@@ -40,9 +40,9 @@ func main() {
 		for n := 1; n <= maxInstances; n++ {
 			ws := make([]*trace.Workload, n)
 			for i := range ws {
-				ws[i] = w.Clone()
+				ws[i] = w
 			}
-			rr, err := gpusim.Run(gcfg, ws)
+			rr, err := gpusim.RunMemo(gcfg, nil, ws)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -68,14 +68,14 @@ func main() {
 			ws := make([]*trace.Workload, n)
 			apps := make([]cpusim.App, n)
 			for i := range ws {
-				ws[i] = w.Clone()
-				apps[i] = cpusim.App{Workload: w.Clone(), Threads: 16}
+				ws[i] = w
+				apps[i] = cpusim.App{Workload: w, Threads: 16}
 			}
-			gr, err := gpusim.Run(gcfg, ws)
+			gr, err := gpusim.RunMemo(gcfg, nil, ws)
 			if err != nil {
 				log.Fatal(err)
 			}
-			cr, err := cpusim.Run(ccfg, apps)
+			cr, err := cpusim.RunMemo(ccfg, nil, apps)
 			if err != nil {
 				log.Fatal(err)
 			}

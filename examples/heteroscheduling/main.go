@@ -48,7 +48,7 @@ func main() {
 	var pairs []pairing
 	for i := 0; i < len(queue); i++ {
 		for j := i + 1; j < len(queue); j++ {
-			x, _, err := gen.FeaturesFor(queue[i], queue[j])
+			x, _, err := gen.BagFeatures([]mapc.Member{queue[i], queue[j]})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func main() {
 		total += p.pred
 
 		// Validate the decision against the simulated ground truth.
-		truth, err := gen.MeasurePoint(queue[p.i], queue[p.j])
+		truth, err := gen.MeasureBag([]mapc.Member{queue[p.i], queue[p.j]})
 		if err != nil {
 			log.Fatal(err)
 		}

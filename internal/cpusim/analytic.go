@@ -9,7 +9,7 @@ import (
 
 // This file is the CPU side of the fast fidelity tier (see
 // internal/phasesum): the contended co-run — the shared-LLC interleave
-// that RunMemo replays reference-by-reference for every bag — is replaced
+// that runExact replays reference-by-reference for every bag — is replaced
 // by a closed-form capacity-sharing model over memoized per-phase reuse
 // sketches of each app's LLC-bound stream. Isolated runs stay exact: they
 // are both the summaries' source and the delta-correction anchors, so a
@@ -160,22 +160,23 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 	return steadyFromMem(cfg, apps, mem, llcRates), conf, nil
 }
 
-// RunMemoFidelity is RunMemo with a fidelity tier. Exact fidelity (and
-// every single-app run) delegates to RunMemo unchanged — bit-identical to
-// the legacy path. Fast estimates every contended co-run analytically;
-// mixed does so only while the model's self-reported confidence clears
+// RunMemoFidelity is the simulator's tiered entry: the co-run of apps at
+// fidelity fid, memoized in memo when it is non-nil. Exact fidelity (and
+// every single-app run) replays the co-run exactly (runExact). Fast
+// estimates every contended co-run analytically; mixed does so only while
+// the model's self-reported confidence clears
 // phasesum.DefaultMinConfidence, falling back to exact simulation below
 // it. The returned RunKind reports which simulator answered; the CPU
 // model has no share partitioning or DRAM gate, so its only fallback
 // reason is low confidence.
 func RunMemoFidelity(cfg Config, memo *simcache.Cache, apps []App, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
-	fid = fid.Effective()
-	if !fid.Analytic() || len(apps) == 1 {
-		res, err := RunMemo(cfg, memo, apps)
-		return res, phasesum.RunKind{UsedExact: true}, err
-	}
 	if err := validateApps(cfg, apps); err != nil {
 		return nil, phasesum.RunKind{}, err
+	}
+	fid = fid.Effective()
+	if !fid.Analytic() || len(apps) == 1 {
+		res, err := runExact(cfg, memo, apps)
+		return res, phasesum.RunKind{UsedExact: true}, err
 	}
 	// Evaluate the full-contention steady state once: it is both the
 	// schedule's first step and the confidence the mixed tier gates on
@@ -186,7 +187,7 @@ func RunMemoFidelity(cfg Config, memo *simcache.Cache, apps []App, fid phasesum.
 		return nil, phasesum.RunKind{}, err
 	}
 	if fid == phasesum.Mixed && conf < phasesum.DefaultMinConfidence {
-		res, err := RunMemo(cfg, memo, apps)
+		res, err := runExact(cfg, memo, apps)
 		return res, phasesum.RunKind{UsedExact: true, Fallback: phasesum.FallbackLowConfidence}, err
 	}
 	first := true

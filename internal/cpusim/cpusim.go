@@ -20,6 +20,7 @@ import (
 
 	"mapc/internal/isa"
 	"mapc/internal/memsim"
+	"mapc/internal/phasesum"
 	"mapc/internal/simcache"
 	"mapc/internal/trace"
 )
@@ -122,7 +123,7 @@ func (c *Config) Validate() error {
 // App is one application instance scheduled onto the machine.
 type App struct {
 	// Workload is the instrumented trace to execute. Read-only contract:
-	// Run (and RunMemo) never mutate the workload, so callers may pass one
+	// the simulator never mutates the workload, so callers may pass one
 	// shared *trace.Workload to any number of concurrent runs without
 	// cloning. TestRunTreatsWorkloadsAsReadOnly enforces this with a deep
 	// content hash before and after every run.
@@ -164,22 +165,25 @@ type phaseMem struct {
 	llcMissN uint64
 }
 
-// Run simulates the co-scheduled execution of apps and returns one Result
-// per app. Like a real co-run, the execution is phased: all apps contend
-// while co-resident, and each app's exit releases its cores, cache share
-// and bandwidth to the survivors. Reported times are completion times and
-// IPC is lifetime IPC — what Linux perf attached to each process measures.
-// A single-element slice simulates an isolated run.
-//
-// Run treats every workload as strictly read-only (see App.Workload), so
-// callers may share cached workloads across concurrent runs.
-func Run(cfg Config, apps []App) ([]Result, error) {
-	return RunMemo(cfg, nil, apps)
+// RunMemo simulates the co-scheduled execution of apps at exact fidelity
+// and returns one Result per app. It is RunMemoFidelity at phasesum.Exact;
+// see runExact for the co-run model. A single-element slice simulates an
+// isolated run.
+func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
+	res, _, err := RunMemoFidelity(cfg, memo, apps, phasesum.Exact)
+	return res, err
 }
 
-// RunMemo is Run with a cross-run memo for pure simulation prefixes. Two
-// pieces of simulateMemory are pure functions of (cfg, workload, slot) and
-// are cached in memo when it is non-nil:
+// runExact is the exact co-run, the reference every analytic estimate is
+// scored against. Like a real co-run, the execution is phased: all apps
+// contend while co-resident, and each app's exit releases its cores, cache
+// share and bandwidth to the survivors. Reported times are completion
+// times and IPC is lifetime IPC — what Linux perf attached to each process
+// measures. Every workload is strictly read-only (see App.Workload), so
+// callers may share cached workloads across concurrent runs.
+//
+// A non-nil memo caches the pure simulation prefixes. Two pieces of
+// simulateMemory are pure functions of (cfg, workload, slot):
 //
 //   - the per-app private phase — stream generation, the L1/L2 replay with
 //     the stride prefetcher, the per-phase l1/l2 miss ratios and the
@@ -191,13 +195,10 @@ func Run(cfg Config, apps []App) ([]Result, error) {
 //
 // Shared structures (the LLC with more than one client, DRAM bandwidth
 // apportioning, the phased completion schedule) are always recomputed per
-// call. Outputs are bit-identical to Run for every memo budget, including
-// under eviction pressure: cached entries are immutable and hold exactly
-// the bytes the cold path would recompute. A nil memo is the cold path.
-func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
-	if err := validateApps(cfg, apps); err != nil {
-		return nil, err
-	}
+// call. Outputs are bit-identical for every memo budget, including under
+// eviction pressure: cached entries are immutable and hold exactly the
+// bytes the cold path would recompute. A nil memo is the cold path.
+func runExact(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 	return runPhased(cfg, apps, func(sub []App) ([]Result, error) {
 		return runSteady(cfg, memo, sub)
 	})
@@ -206,9 +207,9 @@ func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 // runPhased executes the phased completion schedule over steady-state
 // rates: progress every active app proportionally to its current rate;
 // when the earliest finisher completes, re-evaluate the survivors as a
-// smaller client set via steady. Shared by the exact path (RunMemo) and
-// the analytic fidelity tier (RunMemoFidelity) — same schedule, different
-// steady-state evaluators.
+// smaller client set via steady. Shared by the exact co-run (runExact) and
+// the analytic fidelity tier (runSteadyAnalytic) — same schedule,
+// different steady-state evaluators.
 func runPhased(cfg Config, apps []App, steadyFn func(sub []App) ([]Result, error)) ([]Result, error) {
 	steady, err := steadyFn(apps)
 	if err != nil {
@@ -458,9 +459,9 @@ type PhaseTiming struct {
 	LLCMissRate      float64 // per reference
 }
 
-// PhaseBreakdown retraces one app of a Run configuration and returns its
+// PhaseBreakdown retraces one app of an exact co-run and returns its
 // per-phase timing decomposition — the CPU-side counterpart of
-// gpusim.PhaseBreakdown. apps must match the Run call being explained.
+// gpusim.PhaseBreakdown. apps must match the run being explained.
 func PhaseBreakdown(cfg Config, apps []App, app int) ([]PhaseTiming, error) {
 	if err := validateApps(cfg, apps); err != nil {
 		return nil, err

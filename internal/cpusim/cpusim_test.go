@@ -60,20 +60,20 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRunArgumentErrors(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := Run(cfg, nil); err == nil {
+	if _, err := RunMemo(cfg, nil, nil); err == nil {
 		t.Error("empty app list accepted")
 	}
-	if _, err := Run(cfg, []App{{Workload: nil, Threads: 1}}); err == nil {
+	if _, err := RunMemo(cfg, nil, []App{{Workload: nil, Threads: 1}}); err == nil {
 		t.Error("nil workload accepted")
 	}
-	if _, err := Run(cfg, []App{{Workload: computeBound("x"), Threads: 0}}); err == nil {
+	if _, err := RunMemo(cfg, nil, []App{{Workload: computeBound("x"), Threads: 0}}); err == nil {
 		t.Error("zero threads accepted")
 	}
 }
 
 func TestSingleRunBasics(t *testing.T) {
 	cfg := DefaultConfig()
-	res, err := Run(cfg, []App{{Workload: computeBound("a"), Threads: 8}})
+	res, err := RunMemo(cfg, nil, []App{{Workload: computeBound("a"), Threads: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestMoreWorkTakesLonger(t *testing.T) {
 	cfg := DefaultConfig()
 	small := synthWorkload("s", 10_000_000, 0.3, trace.Sequential, 1<<20, 1<<20)
 	big := synthWorkload("b", 100_000_000, 0.3, trace.Sequential, 1<<20, 1<<20)
-	rs, err := Run(cfg, []App{{Workload: small, Threads: 8}})
+	rs, err := RunMemo(cfg, nil, []App{{Workload: small, Threads: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Run(cfg, []App{{Workload: big, Threads: 8}})
+	rb, err := RunMemo(cfg, nil, []App{{Workload: big, Threads: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestMoreWorkTakesLonger(t *testing.T) {
 func TestMoreThreadsFaster(t *testing.T) {
 	cfg := DefaultConfig()
 	w := computeBound("p")
-	r1, err := Run(cfg, []App{{Workload: w.Clone(), Threads: 1}})
+	r1, err := RunMemo(cfg, nil, []App{{Workload: w.Clone(), Threads: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Run(cfg, []App{{Workload: w.Clone(), Threads: 8}})
+	r8, err := RunMemo(cfg, nil, []App{{Workload: w.Clone(), Threads: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestMoreThreadsFaster(t *testing.T) {
 func TestParallelismCapsThreads(t *testing.T) {
 	cfg := DefaultConfig()
 	serial := synthWorkload("serial", 50_000_000, 0.1, trace.Sequential, 1<<20, 1)
-	r1, err := Run(cfg, []App{{Workload: serial.Clone(), Threads: 1}})
+	r1, err := RunMemo(cfg, nil, []App{{Workload: serial.Clone(), Threads: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := Run(cfg, []App{{Workload: serial.Clone(), Threads: 16}})
+	r16, err := RunMemo(cfg, nil, []App{{Workload: serial.Clone(), Threads: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestParallelismCapsThreads(t *testing.T) {
 func TestCoRunNeverFasterThanAlone(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, mk := range []func(string) *trace.Workload{computeBound, memoryBound} {
-		alone, err := Run(cfg, []App{{Workload: mk("a"), Threads: 16}})
+		alone, err := RunMemo(cfg, nil, []App{{Workload: mk("a"), Threads: 16}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := Run(cfg, []App{
+		shared, err := RunMemo(cfg, nil, []App{
 			{Workload: mk("a"), Threads: 16},
 			{Workload: mk("b"), Threads: 16},
 		})
@@ -165,11 +165,11 @@ func TestCoRunNeverFasterThanAlone(t *testing.T) {
 
 func TestMemoryContentionSlowsMemoryBound(t *testing.T) {
 	cfg := DefaultConfig()
-	alone, err := Run(cfg, []App{{Workload: memoryBound("m1"), Threads: 16}})
+	alone, err := RunMemo(cfg, nil, []App{{Workload: memoryBound("m1"), Threads: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := Run(cfg, []App{
+	shared, err := RunMemo(cfg, nil, []App{
 		{Workload: memoryBound("m1"), Threads: 16},
 		{Workload: memoryBound("m2"), Threads: 16},
 	})
@@ -184,11 +184,11 @@ func TestMemoryContentionSlowsMemoryBound(t *testing.T) {
 
 func TestSharedIPCNotHigherThanAlone(t *testing.T) {
 	cfg := DefaultConfig()
-	alone, err := Run(cfg, []App{{Workload: memoryBound("m"), Threads: 16}})
+	alone, err := RunMemo(cfg, nil, []App{{Workload: memoryBound("m"), Threads: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := Run(cfg, []App{
+	shared, err := RunMemo(cfg, nil, []App{
 		{Workload: memoryBound("m"), Threads: 16},
 		{Workload: memoryBound("n"), Threads: 16},
 	})
@@ -207,11 +207,11 @@ func TestPhasedCoRunAsymmetry(t *testing.T) {
 	cfg := DefaultConfig()
 	short := synthWorkload("short", 5_000_000, 0.5, trace.Random, 64<<20, 1<<20)
 	long := synthWorkload("long", 200_000_000, 0.5, trace.Random, 64<<20, 1<<20)
-	aloneLong, err := Run(cfg, []App{{Workload: long.Clone(), Threads: 16}})
+	aloneLong, err := RunMemo(cfg, nil, []App{{Workload: long.Clone(), Threads: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := Run(cfg, []App{
+	shared, err := RunMemo(cfg, nil, []App{
 		{Workload: short.Clone(), Threads: 16},
 		{Workload: long.Clone(), Threads: 16},
 	})
@@ -234,11 +234,11 @@ func TestDeterminism(t *testing.T) {
 		{Workload: memoryBound("a"), Threads: 16},
 		{Workload: computeBound("b"), Threads: 16},
 	}
-	r1, err := Run(cfg, apps)
+	r1, err := RunMemo(cfg, nil, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(cfg, apps)
+	r2, err := RunMemo(cfg, nil, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestPrefetchingSpeedsStreamingWorkloads(t *testing.T) {
 	run := func(w *trace.Workload, degree int) float64 {
 		cfg := DefaultConfig()
 		cfg.PrefetchDegree = degree
-		r, err := Run(cfg, []App{{Workload: w.Clone(), Threads: 16}})
+		r, err := RunMemo(cfg, nil, []App{{Workload: w.Clone(), Threads: 16}})
 		if err != nil {
 			t.Fatal(err)
 		}

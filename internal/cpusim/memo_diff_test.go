@@ -44,7 +44,7 @@ func TestMemoizedRunsAreBitIdentical(t *testing.T) {
 				for _, wi := range rng.Perm(len(pool))[:1+rng.Intn(2)] {
 					apps = append(apps, App{Workload: pool[wi], Threads: 4 + rng.Intn(8)*2})
 				}
-				cold, err := Run(cfg, apps)
+				cold, err := RunMemo(cfg, nil, apps)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -61,8 +61,8 @@ func TestZeroRefPhaseMissRatesAreZero(t *testing.T) {
 	if mem[0][0].l1Miss == 0 && mem[0][2].l1Miss == 0 {
 		t.Fatal("memory phases report no misses; guard is skipping too much")
 	}
-	// End-to-end: Run must produce a finite positive time.
-	res, err := Run(cfg, apps)
+	// End-to-end: RunMemo must produce a finite positive time.
+	res, err := RunMemo(cfg, nil, apps)
 	if err != nil {
 		t.Fatal(err)
 	}

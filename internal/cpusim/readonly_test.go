@@ -8,7 +8,7 @@ import (
 )
 
 // TestRunTreatsWorkloadsAsReadOnly enforces the read-only contract
-// documented on App.Workload: Run and RunMemo never mutate their input
+// documented on App.Workload: the simulator never mutates its input
 // workloads, so dataset.Generator may pass its cached workloads directly
 // (no per-point clones). Checked two ways — the full-field Fingerprint
 // digest and a structural DeepEqual against a pre-run Clone — across
@@ -31,15 +31,15 @@ func TestRunTreatsWorkloadsAsReadOnly(t *testing.T) {
 		}
 	}
 
-	if _, err := Run(cfg, []App{{Workload: wa, Threads: 8}}); err != nil {
+	if _, err := RunMemo(cfg, nil, []App{{Workload: wa, Threads: 8}}); err != nil {
 		t.Fatal(err)
 	}
-	check("isolated Run")
+	check("isolated run")
 
-	if _, err := Run(cfg, []App{{Workload: wa, Threads: 8}, {Workload: wb, Threads: 8}}); err != nil {
+	if _, err := RunMemo(cfg, nil, []App{{Workload: wa, Threads: 8}, {Workload: wb, Threads: 8}}); err != nil {
 		t.Fatal(err)
 	}
-	check("shared Run")
+	check("shared run")
 
 	// Memoized runs, including a tiny budget that forces evictions and
 	// therefore recomputation through every cached code path.

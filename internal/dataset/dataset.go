@@ -235,7 +235,7 @@ type measureEntry struct {
 // methods are safe for concurrent use: the measurement memo is a
 // singleflight map, the simulation memo is concurrency-safe, and the
 // simulators honour a read-only contract on the cached workloads (no
-// cloning needed; see cpusim.App and gpusim.Run).
+// cloning needed; see cpusim.App and gpusim.RunMemoSharesFidelity).
 type Generator struct {
 	cfg Config
 
@@ -250,7 +250,7 @@ type Generator struct {
 	// Fidelity-tier counters (atomic): how many contended co-runs the
 	// analytic model answered, how many the mixed tier bounced back to the
 	// exact simulators (split by the gate that bounced them), and how many
-	// ran exact by configuration.
+	// were asked for at the exact tier.
 	analyticRuns      atomic.Uint64
 	exactFallbacks    atomic.Uint64
 	exactRuns         atomic.Uint64
@@ -283,8 +283,9 @@ type FidelityStats struct {
 	// FallbackBandwidthGate: aggregate DRAM demand exceeded the device
 	// bandwidth by more than phasesum.BandwidthGateRatio.
 	FallbackBandwidthGate uint64
-	// ExactRuns counts contended co-runs simulated exactly by
-	// configuration (always zero under pure fast fidelity).
+	// ExactRuns counts contended co-runs asked for at the exact tier: the
+	// configured tier's, and the reference runs of RunOracle (so zero
+	// under pure fast fidelity until the oracle runs).
 	ExactRuns uint64
 }
 
@@ -301,15 +302,10 @@ func (g *Generator) FidelityStats() FidelityStats {
 	}
 }
 
-// countFidelity tallies one contended co-run's tier outcome.
-func (g *Generator) countFidelity(kind phasesum.RunKind) {
-	g.countFidelityAs(g.cfg.Fidelity, kind)
-}
-
-// countFidelityAs is countFidelity with an explicit requested tier, for
-// per-call fidelity overrides (serve's brownout path asks for fast on a
-// generator configured exact).
-func (g *Generator) countFidelityAs(fid phasesum.Fidelity, kind phasesum.RunKind) {
+// countFidelity tallies one contended co-run's outcome at requested tier
+// fid (serve's brownout path asks for fast on a generator configured
+// exact, so the tier is per call, not the configured one).
+func (g *Generator) countFidelity(fid phasesum.Fidelity, kind phasesum.RunKind) {
 	switch {
 	case !kind.UsedExact:
 		g.analyticRuns.Add(1)
@@ -516,29 +512,48 @@ func bagLabel(ms []bagMember) string {
 	return strings.Join(parts, "+")
 }
 
-// bagFairness runs the co-scheduled CPU simulation over the canonical bag
-// and reduces it to the fairness metric (Equation 2), capped at 1.
-func (g *Generator) bagFairness(ms []bagMember) (float64, error) {
-	return g.bagFairnessAs(ms, g.cfg.Fidelity)
-}
-
-// bagFairnessAs is bagFairness with a per-call fidelity tier: the shared
-// co-run switches tier while the isolated measurements (already memoized
-// per member) stay exact, which is what anchors the analytic model.
-func (g *Generator) bagFairnessAs(ms []bagMember, fid phasesum.Fidelity) (float64, error) {
-	// The cached workloads are passed directly: the simulators are
-	// read-only on their inputs (contract documented on cpusim.App and
-	// gpusim.Run, enforced by the mutation-guard tests), so per-point
-	// clones are unnecessary.
+// cpuCorun runs the canonical bag's shared CPU co-run at tier fid and
+// tallies the outcome. The cached workloads are passed directly: the
+// simulators are read-only on their inputs (contract documented on
+// cpusim.App, enforced by the mutation-guard tests), so per-point clones
+// are unnecessary.
+func (g *Generator) cpuCorun(ms []bagMember, fid phasesum.Fidelity) ([]cpusim.Result, error) {
 	apps := make([]cpusim.App, len(ms))
 	for i := range ms {
 		apps[i] = cpusim.App{Workload: ms[i].mm.workload, Threads: g.cfg.Threads}
 	}
-	cpuShared, kind, err := cpusim.RunMemoFidelity(g.cfg.CPU, g.memo, apps, fid)
+	res, kind, err := cpusim.RunMemoFidelity(g.cfg.CPU, g.memo, apps, fid)
 	if err != nil {
-		return 0, fmt.Errorf("dataset: shared CPU run %s: %w", bagLabel(ms), err)
+		return nil, fmt.Errorf("dataset: shared CPU run %s: %w", bagLabel(ms), err)
 	}
-	g.countFidelityAs(fid, kind)
+	g.countFidelity(fid, kind)
+	return res, nil
+}
+
+// gpuCorun runs the canonical bag's shared GPU co-run at tier fid under
+// the generation share vector (Config.Shares) and tallies the outcome.
+func (g *Generator) gpuCorun(ms []bagMember, fid phasesum.Fidelity) ([]gpusim.Result, error) {
+	workloads := make([]*trace.Workload, len(ms))
+	for i := range ms {
+		workloads[i] = ms[i].mm.workload
+	}
+	res, kind, err := gpusim.RunMemoSharesFidelity(g.cfg.GPU, g.memo, workloads, g.cfg.Shares, fid)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: shared GPU run %s: %w", bagLabel(ms), err)
+	}
+	g.countFidelity(fid, kind)
+	return res, nil
+}
+
+// bagFairness runs the canonical bag's shared CPU co-run at tier fid and
+// reduces it to the fairness metric (Equation 2), capped at 1. Only the
+// co-run switches tier: the isolated measurements (memoized per member)
+// are exact at every tier, which is what anchors the analytic model.
+func (g *Generator) bagFairness(ms []bagMember, fid phasesum.Fidelity) (float64, error) {
+	cpuShared, err := g.cpuCorun(ms, fid)
+	if err != nil {
+		return 0, err
+	}
 	perf := make([]perfmon.AppPerf, len(ms))
 	for i := range ms {
 		perf[i] = perfmon.AppPerf{IPCAlone: ms[i].mm.cpu.IPC, IPCShared: cpuShared[i].IPC}
@@ -570,31 +585,20 @@ func bagApps(ms []bagMember) []features.App {
 
 // BagFeatures measures everything a prediction needs for a k-member bag —
 // isolated CPU/GPU runs and the co-scheduled CPU run for fairness — without
-// executing the bag on the GPU. This is the inference-time entry point: the
-// returned vector is raw (un-normalized); apply features.ScaleTimes with
-// the training corpus's divisor before passing it to a trained model.
+// executing the bag on the GPU, at the generator's configured tier. This is
+// the inference-time entry point: the returned vector is raw
+// (un-normalized); apply features.ScaleTimes with the training corpus's
+// divisor before passing it to a trained model.
 func (g *Generator) BagFeatures(bag []Member) (x []float64, fairness float64, err error) {
-	ms, err := g.measureBag(bag)
-	if err != nil {
-		return nil, 0, err
-	}
-	fairness, err = g.bagFairness(ms)
-	if err != nil {
-		return nil, 0, err
-	}
-	x, err = features.BagVector(bagApps(ms), fairness)
-	if err != nil {
-		return nil, 0, err
-	}
-	return x, fairness, nil
+	return g.BagFeaturesFidelity(bag, g.cfg.Fidelity)
 }
 
-// BagFeaturesFidelity is BagFeatures with a per-call fidelity override:
-// serve's brownout path answers from the fast analytic tier on a generator
+// BagFeaturesFidelity is BagFeatures at an explicit co-run tier: serve's
+// brownout path answers from the fast analytic tier on a generator
 // configured for exact simulation, without touching the generator's
 // configured fidelity (or any other caller's view of it). Isolated
-// per-member measurements are shared with the exact path — only the
-// contended co-run switches tier.
+// per-member measurements are shared across tiers — only the contended
+// co-run switches.
 func (g *Generator) BagFeaturesFidelity(bag []Member, fid phasesum.Fidelity) (x []float64, fairness float64, err error) {
 	if !fid.Valid() {
 		return nil, 0, fmt.Errorf("dataset: unknown fidelity %q (want exact, mixed or fast)", string(fid))
@@ -603,7 +607,7 @@ func (g *Generator) BagFeaturesFidelity(bag []Member, fid phasesum.Fidelity) (x 
 	if err != nil {
 		return nil, 0, err
 	}
-	fairness, err = g.bagFairnessAs(ms, fid)
+	fairness, err = g.bagFairness(ms, fid)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -612,12 +616,6 @@ func (g *Generator) BagFeaturesFidelity(bag []Member, fid phasesum.Fidelity) (x 
 		return nil, 0, err
 	}
 	return x, fairness, nil
-}
-
-// FeaturesFor is BagFeatures for the paper's 2-application bags (the pair
-// entry point mapc-predict and the scheduler use).
-func (g *Generator) FeaturesFor(a, b Member) (x []float64, fairness float64, err error) {
-	return g.BagFeatures([]Member{a, b})
 }
 
 // MeasureBag produces the data point for a k-member bag: co-scheduled CPU
@@ -632,21 +630,16 @@ func (g *Generator) MeasureBag(bag []Member) (Point, error) {
 	}
 
 	// Shared CPU run → fairness (Equation 2).
-	fairness, err := g.bagFairness(ms)
+	fairness, err := g.bagFairness(ms, g.cfg.Fidelity)
 	if err != nil {
 		return Point{}, err
 	}
 
 	// Shared GPU run → the target bag time.
-	workloads := make([]*trace.Workload, len(ms))
-	for i := range ms {
-		workloads[i] = ms[i].mm.workload
-	}
-	gpuShared, kind, err := gpusim.RunMemoSharesFidelity(g.cfg.GPU, g.memo, workloads, g.cfg.Shares, g.cfg.Fidelity)
+	gpuShared, err := g.gpuCorun(ms, g.cfg.Fidelity)
 	if err != nil {
-		return Point{}, fmt.Errorf("dataset: shared GPU run %s: %w", bagLabel(ms), err)
+		return Point{}, err
 	}
-	g.countFidelity(kind)
 
 	x, err := features.BagVector(bagApps(ms), fairness)
 	if err != nil {
@@ -673,11 +666,6 @@ func (g *Generator) MeasureBag(bag []Member) (Point, error) {
 		CPUTimes:    cpuTimes,
 		GPUTimes:    gpuTimes,
 	}, nil
-}
-
-// MeasurePoint is MeasureBag for the paper's 2-application bags.
-func (g *Generator) MeasurePoint(a, b Member) (Point, error) {
-	return g.MeasureBag([]Member{a, b})
 }
 
 // Bags enumerates the corpus's k-application bags in their canonical

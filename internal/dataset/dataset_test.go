@@ -206,24 +206,24 @@ func TestMeasurePointDeterministic(t *testing.T) {
 	}
 	a := Member{Benchmark: "fast", Batch: 20}
 	b := Member{Benchmark: "hog", Batch: 20}
-	p1, err := gen.MeasurePoint(a, b)
+	p1, err := gen.MeasureBag([]Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := gen.MeasurePoint(a, b)
+	p2, err := gen.MeasureBag([]Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p1, p2) {
-		t.Fatal("MeasurePoint not deterministic")
+		t.Fatal("MeasureBag not deterministic")
 	}
 	// Canonical ordering makes the pair order-insensitive.
-	p3, err := gen.MeasurePoint(b, a)
+	p3, err := gen.MeasureBag([]Member{b, a})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p1, p3) {
-		t.Fatal("MeasurePoint depends on argument order despite canonicalization")
+		t.Fatal("MeasureBag depends on member order despite canonicalization")
 	}
 }
 
@@ -234,19 +234,19 @@ func TestFeaturesForMatchesMeasurePoint(t *testing.T) {
 	}
 	a := Member{Benchmark: "sift", Batch: 20}
 	b := Member{Benchmark: "knn", Batch: 20}
-	x, fairness, err := gen.FeaturesFor(a, b)
+	x, fairness, err := gen.BagFeatures([]Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := gen.MeasurePoint(a, b)
+	p, err := gen.MeasureBag([]Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(fairness-p.Fairness) > 1e-12 {
 		t.Errorf("fairness %v vs point %v", fairness, p.Fairness)
 	}
-	// FeaturesFor is raw; the point was normalized by the corpus divisor
-	// only during Generate (not in MeasurePoint alone), so the raw
+	// BagFeatures is raw; the point was normalized by the corpus divisor
+	// only during Generate (not in MeasureBag alone), so the raw
 	// vectors must agree directly here.
 	if len(x) != len(p.X) {
 		t.Fatalf("widths differ: %d vs %d", len(x), len(p.X))
@@ -263,8 +263,8 @@ func TestMeasurePointUnknownBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gen.MeasurePoint(Member{Benchmark: "nope", Batch: 20},
-		Member{Benchmark: "fast", Batch: 20}); err == nil {
+	if _, err := gen.MeasureBag([]Member{{Benchmark: "nope", Batch: 20},
+		{Benchmark: "fast", Batch: 20}}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

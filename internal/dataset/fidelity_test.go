@@ -137,6 +137,52 @@ func TestFidelityExactCounters(t *testing.T) {
 	}
 }
 
+// TestBagFeaturesFidelityMatchesConfiguredTier: a per-call fast tier on an
+// exact-configured generator (serve's brownout path) answers bit-identically
+// to a fast-configured generator's BagFeatures, at k=2 and k=4, and tallies
+// its co-run as analytic on the exact generator.
+func TestBagFeaturesFidelityMatchesConfiguredTier(t *testing.T) {
+	for _, bag := range [][]Member{
+		{{Benchmark: "fast", Batch: 20}, {Benchmark: "hog", Batch: 40}},
+		{{Benchmark: "fast", Batch: 20}, {Benchmark: "hog", Batch: 40}, {Benchmark: "knn", Batch: 20}, {Benchmark: "fast", Batch: 80}},
+	} {
+		exactCfg := fidelityConfig(phasesum.Exact)
+		exactCfg.K = len(bag)
+		exactGen, err := NewGenerator(exactCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastCfg := exactCfg
+		fastCfg.Fidelity = phasesum.Fast
+		fastGen, err := NewGenerator(fastCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantF, err := fastGen.BagFeatures(bag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotF, err := exactGen.BagFeaturesFidelity(bag, phasesum.Fast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(gotF) != math.Float64bits(wantF) {
+			t.Errorf("k=%d: fairness %v, fast-configured generator %v", len(bag), gotF, wantF)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: widths %d vs %d", len(bag), len(got), len(want))
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Errorf("k=%d column %d: %v, fast-configured generator %v", len(bag), j, got[j], want[j])
+			}
+		}
+		if st := exactGen.FidelityStats(); st.AnalyticRuns != 1 || st.ExactFallbacks != 0 || st.ExactRuns != 0 {
+			t.Errorf("k=%d: per-call fast co-run mis-tallied on the exact generator: %+v", len(bag), st)
+		}
+	}
+}
+
 func TestOracleDeterministicAndBounded(t *testing.T) {
 	gen, err := NewGenerator(fidelityConfig(phasesum.Fast))
 	if err != nil {

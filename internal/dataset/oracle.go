@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"mapc/internal/cpusim"
 	"mapc/internal/gpusim"
 	"mapc/internal/phasesum"
-	"mapc/internal/trace"
 )
 
 // The differential exactness oracle: re-measure a seeded fraction of the
@@ -40,38 +38,29 @@ func (r OracleReport) Within(maxErr float64) bool {
 	return r.MaxRelErrCPU <= maxErr && r.MaxRelErrGPU <= maxErr
 }
 
-// bagTargets measures the bag's two co-run targets at the generator's
-// configured fidelity: the shared CPU run's makespan and the shared GPU
-// run's bag time.
-func (g *Generator) bagTargets(bag []Member) (cpuMakespan, gpuBagTime float64, err error) {
+// bagTargets measures the bag's two co-run targets at tier fid: the shared
+// CPU run's makespan and the shared GPU run's bag time. The generation
+// share vector (Config.Shares) rides along at every tier, so skewed
+// corpora are scored against the matching exact co-run, not the equal
+// split.
+func (g *Generator) bagTargets(bag []Member, fid phasesum.Fidelity) (cpuMakespan, gpuBagTime float64, err error) {
 	ms, err := g.measureBag(bag)
 	if err != nil {
 		return 0, 0, err
 	}
-	apps := make([]cpusim.App, len(ms))
-	workloads := make([]*trace.Workload, len(ms))
-	for i := range ms {
-		apps[i] = cpusim.App{Workload: ms[i].mm.workload, Threads: g.cfg.Threads}
-		workloads[i] = ms[i].mm.workload
-	}
-	cpuShared, kind, err := cpusim.RunMemoFidelity(g.cfg.CPU, g.memo, apps, g.cfg.Fidelity)
+	cpuShared, err := g.cpuCorun(ms, fid)
 	if err != nil {
-		return 0, 0, fmt.Errorf("dataset: shared CPU run %s: %w", bagLabel(ms), err)
+		return 0, 0, err
 	}
-	g.countFidelity(kind)
 	for i := range cpuShared {
 		if cpuShared[i].TimeSec > cpuMakespan {
 			cpuMakespan = cpuShared[i].TimeSec
 		}
 	}
-	// The generation share vector rides along (g.cfg.Shares): the exact
-	// twin inherits it through the copied config, so skewed corpora are
-	// scored against the matching exact co-run, not the equal split.
-	gpuShared, kind, err := gpusim.RunMemoSharesFidelity(g.cfg.GPU, g.memo, workloads, g.cfg.Shares, g.cfg.Fidelity)
+	gpuShared, err := g.gpuCorun(ms, fid)
 	if err != nil {
-		return 0, 0, fmt.Errorf("dataset: shared GPU run %s: %w", bagLabel(ms), err)
+		return 0, 0, err
 	}
-	g.countFidelity(kind)
 	return cpuMakespan, gpusim.BagTime(gpuShared), nil
 }
 
@@ -104,9 +93,11 @@ func sampleIndexes(total, m int, seed uint64) []int {
 // exact simulators and reports the analytic tier's relative-error bounds.
 // frac in (0, 1] selects the sampled share of the bag list (at least one
 // bag); seed fixes the sample, so a (config, frac, seed) triple is fully
-// reproducible. The exact twin shares g's simulation memo — isolated
-// prefixes are reused; only the genuinely shared replays run cold — so the
-// oracle costs a frac-sized slice of an exact generation, not a full one.
+// reproducible. The exact reference runs on g itself: isolated
+// measurements are exact at every tier and already memoized, and the
+// simulation memo's prefixes are reused, so only the genuinely shared
+// replays run cold — the oracle costs a frac-sized slice of an exact
+// generation, not a full one. The reference runs tally as ExactRuns.
 //
 // Running it on an exact-fidelity generator is a valid (if trivial)
 // differential test: every error is zero.
@@ -129,18 +120,14 @@ func (g *Generator) RunOracle(frac float64, seed uint64) (OracleReport, error) {
 		m = len(bags)
 	}
 
-	exCfg := g.cfg
-	exCfg.Fidelity = phasesum.Exact
-	exact := &Generator{cfg: exCfg, memo: g.memo, cache: map[Member]*measureEntry{}}
-
 	rep := OracleReport{Fidelity: g.cfg.Fidelity.String(), Sampled: m, Total: len(bags)}
 	var cpuSum, gpuSum float64
 	for _, bi := range sampleIndexes(len(bags), m, seed) {
-		aCPU, aGPU, err := g.bagTargets(bags[bi])
+		aCPU, aGPU, err := g.bagTargets(bags[bi], g.cfg.Fidelity)
 		if err != nil {
 			return OracleReport{}, err
 		}
-		eCPU, eGPU, err := exact.bagTargets(bags[bi])
+		eCPU, eGPU, err := g.bagTargets(bags[bi], phasesum.Exact)
 		if err != nil {
 			return OracleReport{}, err
 		}

@@ -278,7 +278,7 @@ func TestMeasureCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestConcurrentMeasurePoint hammers MeasurePoint itself on overlapping
+// TestConcurrentMeasurePoint hammers MeasureBag itself on overlapping
 // bags (shared members) and checks every goroutine computes the same
 // points a serial generator does.
 func TestConcurrentMeasurePoint(t *testing.T) {
@@ -296,7 +296,7 @@ func TestConcurrentMeasurePoint(t *testing.T) {
 	}
 	want := make([]Point, len(bags))
 	for i, bag := range bags {
-		want[i], err = serialGen.MeasurePoint(bag[0], bag[1])
+		want[i], err = serialGen.MeasureBag([]Member{bag[0], bag[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestConcurrentMeasurePoint(t *testing.T) {
 			wg.Add(1)
 			go func(i int, bag [2]Member) {
 				defer wg.Done()
-				p, err := gen.MeasurePoint(bag[0], bag[1])
+				p, err := gen.MeasureBag([]Member{bag[0], bag[1]})
 				if err != nil {
 					errs <- err
 					return

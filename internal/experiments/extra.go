@@ -153,19 +153,19 @@ func ExtraMicroarch(e *Env) (*Table, error) {
 			return nil, err
 		}
 		w := res.Workload
-		cBase, err := cpusim.Run(e.Cfg.CPU, []cpusim.App{{Workload: w.Clone(), Threads: e.Cfg.Threads}})
+		cBase, err := cpusim.RunMemo(e.Cfg.CPU, nil, []cpusim.App{{Workload: w, Threads: e.Cfg.Threads}})
 		if err != nil {
 			return nil, err
 		}
-		cPF, err := cpusim.Run(cpuPF, []cpusim.App{{Workload: w.Clone(), Threads: e.Cfg.Threads}})
+		cPF, err := cpusim.RunMemo(cpuPF, nil, []cpusim.App{{Workload: w, Threads: e.Cfg.Threads}})
 		if err != nil {
 			return nil, err
 		}
-		gBase, err := gpusim.Run(e.Cfg.GPU, []*trace.Workload{w.Clone()})
+		gBase, err := gpusim.RunMemo(e.Cfg.GPU, nil, []*trace.Workload{w})
 		if err != nil {
 			return nil, err
 		}
-		gCo, err := gpusim.Run(gpuCo, []*trace.Workload{w.Clone()})
+		gCo, err := gpusim.RunMemo(gpuCo, nil, []*trace.Workload{w})
 		if err != nil {
 			return nil, err
 		}
@@ -248,9 +248,9 @@ func ExtraBagSize(e *Env) (*Table, error) {
 		for n := 1; n <= 4; n++ {
 			ws := make([]*trace.Workload, n)
 			for i := range ws {
-				ws[i] = w.Clone()
+				ws[i] = w
 			}
-			rr, err := gpusim.Run(e.Cfg.GPU, ws)
+			rr, err := gpusim.RunMemo(e.Cfg.GPU, nil, ws)
 			if err != nil {
 				return nil, err
 			}

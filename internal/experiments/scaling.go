@@ -52,14 +52,14 @@ func (e *Env) computeScaling() (cpu, gpu map[string][]float64, err error) {
 			apps := make([]cpusim.App, n)
 			gws := make([]*trace.Workload, n)
 			for i := 0; i < n; i++ {
-				apps[i] = cpusim.App{Workload: w.Clone(), Threads: e.Cfg.Threads}
-				gws[i] = w.Clone()
+				apps[i] = cpusim.App{Workload: w, Threads: e.Cfg.Threads}
+				gws[i] = w
 			}
-			cr, err := cpusim.Run(e.Cfg.CPU, apps)
+			cr, err := cpusim.RunMemo(e.Cfg.CPU, nil, apps)
 			if err != nil {
 				return err
 			}
-			gr, err := gpusim.Run(e.Cfg.GPU, gws)
+			gr, err := gpusim.RunMemo(e.Cfg.GPU, nil, gws)
 			if err != nil {
 				return err
 			}
@@ -179,11 +179,11 @@ func Figure3(e *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cr, err := cpusim.Run(e.Cfg.CPU, []cpusim.App{{Workload: res.Workload, Threads: e.Cfg.Threads}})
+		cr, err := cpusim.RunMemo(e.Cfg.CPU, nil, []cpusim.App{{Workload: res.Workload, Threads: e.Cfg.Threads}})
 		if err != nil {
 			return nil, err
 		}
-		gr, err := gpusim.Run(e.Cfg.GPU, []*trace.Workload{res.Workload})
+		gr, err := gpusim.RunMemo(e.Cfg.GPU, nil, []*trace.Workload{res.Workload})
 		if err != nil {
 			return nil, err
 		}

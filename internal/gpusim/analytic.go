@@ -9,7 +9,7 @@ import (
 
 // This file is the GPU side of the fast fidelity tier (see
 // internal/phasesum): the contended co-run — the shared L2 and shared TLB
-// interleave with periodic MPS flushes that RunMemoShares replays
+// interleave with periodic MPS flushes that runExact replays
 // reference-by-reference — is replaced by closed-form capacity-sharing
 // estimates over memoized per-phase reuse sketches (lines for the L2,
 // pages for the TLB). Isolated runs stay exact and anchor the deltas.
@@ -200,23 +200,29 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 	return steadyFromMem(cfg, workloads, shares, mem, l2Rates, tlbRates), gate, nil
 }
 
-// RunMemoSharesFidelity is RunMemoShares with a fidelity tier. Exact
-// fidelity (and every single-client run) delegates to RunMemoShares
-// unchanged — bit-identical to the legacy path. Fast estimates every
-// contended co-run analytically; mixed does so only while the model's
-// self-reported confidence clears phasesum.DefaultMinConfidence, falling
-// back to exact simulation below it (extreme share skew and demand far
-// past the device bandwidth land here by construction). The returned
-// RunKind reports which simulator answered and, for mixed-tier
-// fallbacks, which gate bounced the run.
+// RunMemoSharesFidelity is the simulator's tiered entry: the co-run of
+// workloads with SM partition shares (nil is the equal MPS split; see
+// runExact) at fidelity fid, memoized in memo when it is non-nil. Exact
+// fidelity (and every single-client run) replays the co-run exactly. Fast
+// estimates every contended co-run analytically; mixed does so only while
+// the model's self-reported confidence clears phasesum.DefaultMinConfidence,
+// falling back to exact simulation below it (extreme share skew and demand
+// far past the device bandwidth land here by construction). The returned
+// RunKind reports which simulator answered and, for mixed-tier fallbacks,
+// which gate bounced the run.
+//
+// Read-only contract: no tier mutates the workloads — they may be shared
+// across concurrent calls and reused afterwards without cloning.
+// TestRunTreatsWorkloadsAsReadOnly enforces this with a full-field
+// fingerprint before/after.
 func RunMemoSharesFidelity(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
-	fid = fid.Effective()
-	if !fid.Analytic() || len(workloads) == 1 {
-		res, err := RunMemoShares(cfg, memo, workloads, shares)
-		return res, phasesum.RunKind{UsedExact: true}, err
-	}
 	if err := validateRun(cfg, workloads, shares); err != nil {
 		return nil, phasesum.RunKind{}, err
+	}
+	fid = fid.Effective()
+	if !fid.Analytic() || len(workloads) == 1 {
+		res, err := runExact(cfg, memo, workloads, shares)
+		return res, phasesum.RunKind{UsedExact: true}, err
 	}
 	// Evaluate the full-contention steady state once: it is both the
 	// schedule's first step and the confidence the mixed tier gates on
@@ -227,7 +233,7 @@ func RunMemoSharesFidelity(cfg Config, memo *simcache.Cache, workloads []*trace.
 		return nil, phasesum.RunKind{}, err
 	}
 	if fid == phasesum.Mixed && gate.conf < phasesum.DefaultMinConfidence {
-		res, err := RunMemoShares(cfg, memo, workloads, shares)
+		res, err := runExact(cfg, memo, workloads, shares)
 		return res, phasesum.RunKind{UsedExact: true, Fallback: gate.reason}, err
 	}
 	first := true

@@ -19,7 +19,7 @@ import (
 func TestFidelityExactDelegatesBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	ws := []*trace.Workload{computeKernel("a"), memKernel("b")}
-	want, err := RunMemoShares(cfg, nil, ws, nil)
+	want, err := exactShares(cfg, nil, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestFidelityExactDelegatesBitIdentical(t *testing.T) {
 			t.Fatalf("fidelity %q did not report the exact simulator", fid)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("fidelity %q diverged from RunMemoShares", fid)
+			t.Fatalf("fidelity %q diverged from the exact co-run", fid)
 		}
 	}
 }
@@ -40,7 +40,7 @@ func TestFidelityExactDelegatesBitIdentical(t *testing.T) {
 func TestFidelitySingleClientAlwaysExact(t *testing.T) {
 	cfg := DefaultConfig()
 	ws := []*trace.Workload{memKernel("solo")}
-	want, err := RunMemoShares(cfg, nil, ws, nil)
+	want, err := exactShares(cfg, nil, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFidelityMixedDegradesUnderShareSkew(t *testing.T) {
 	ws := []*trace.Workload{computeKernel("big"), memKernel("small")}
 	shares := []float64{0.99, 0.01}
 
-	want, err := RunMemoShares(cfg, memo, ws, shares)
+	want, err := exactShares(cfg, memo, ws, shares)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFidelityFastBoundedUnderShareSkew(t *testing.T) {
 	ws := []*trace.Workload{computeKernel("big"), memKernel("small")}
 	shares := []float64{0.99, 0.01}
 
-	exact, err := RunMemoShares(cfg, memo, ws, shares)
+	exact, err := exactShares(cfg, memo, ws, shares)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFidelityK8Uniform(t *testing.T) {
 		}
 	}
 
-	exact, err := RunMemoShares(cfg, memo, ws, nil)
+	exact, err := exactShares(cfg, memo, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,7 @@ import (
 
 	"mapc/internal/isa"
 	"mapc/internal/memsim"
+	"mapc/internal/phasesum"
 	"mapc/internal/simcache"
 	"mapc/internal/trace"
 )
@@ -184,46 +185,38 @@ type phaseMem struct {
 	tlbMiss float64 // per reference
 }
 
-// Run simulates apps launched together under MPS and returns each app's
-// completion time. The execution is *phased*: all clients contend while
+// RunMemo simulates apps launched together under MPS at exact fidelity with
+// the default equal SM split, and returns each app's completion time. It is
+// RunMemoSharesFidelity at phasesum.Exact with nil shares; see runExact for
+// the co-run model. A single-element slice is an isolated run.
+func RunMemo(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([]Result, error) {
+	res, _, err := RunMemoSharesFidelity(cfg, memo, workloads, nil, phasesum.Exact)
+	return res, err
+}
+
+// runExact is the exact co-run, the reference every analytic estimate is
+// scored against. The execution is *phased*: all clients contend while
 // co-resident, and as each one finishes, the survivors are re-simulated with
 // the smaller client set (more SMs, less cache/TLB/bandwidth interference).
 // This matches real MPS behaviour, where a short job's exit releases its SM
-// partition to the remaining clients. A single-element slice is an isolated
-// run.
+// partition to the remaining clients.
 //
-// Read-only contract: Run (and RunMemo) never mutate the workloads — they
-// may be shared across concurrent calls and reused afterwards without
-// cloning. TestRunTreatsWorkloadsAsReadOnly enforces this with a
-// full-field fingerprint before/after.
-func Run(cfg Config, workloads []*trace.Workload) ([]Result, error) {
-	return RunMemo(cfg, nil, workloads)
-}
-
-// RunMemo is Run with a cross-call simulation memo. A non-nil memo caches
-// the pure prefixes of the memory simulation — the materialized per-slot
-// reference streams ("gpusim/stream", config-independent) and entire
-// single-client simulations ("gpusim/iso") — so repeated runs over the
-// same workloads replay only the genuinely shared TLB/L2 interleave.
-// Outputs are bit-identical to Run at every memo budget, including nil:
-// cached values are exactly the bytes the cold path produces, and entries
-// are immutable once published.
-func RunMemo(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([]Result, error) {
-	return RunMemoShares(cfg, memo, workloads, nil)
-}
-
-// RunMemoShares is RunMemo with asymmetric SM partition shares: shares[i]
-// is client i's relative weight of the SM pool (an MPS active-thread
-// percentage). Shares are normalized internally, so {1,1} and {50,50} are
-// the same split. A nil shares slice selects the default equal MPS split
-// and is bit-identical to RunMemo — the equal path evaluates the exact
-// legacy SMs/n expression. When a client finishes, the survivors keep
-// their relative weights over the freed partition (renormalized over the
-// active set), mirroring how the equal split re-divides among survivors.
-func RunMemoShares(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, error) {
-	if err := validateRun(cfg, workloads, shares); err != nil {
-		return nil, err
-	}
+// shares[i] is client i's relative weight of the SM pool (an MPS
+// active-thread percentage). Shares are normalized internally, so {1,1} and
+// {50,50} are the same split. A nil shares slice selects the default equal
+// MPS split — the equal path evaluates the exact legacy SMs/n expression.
+// When a client finishes, the survivors keep their relative weights over
+// the freed partition (renormalized over the active set), mirroring how the
+// equal split re-divides among survivors.
+//
+// A non-nil memo caches the pure prefixes of the memory simulation — the
+// materialized per-slot reference streams ("gpusim/stream",
+// config-independent) and entire single-client simulations ("gpusim/iso")
+// — so repeated runs over the same workloads replay only the genuinely
+// shared TLB/L2 interleave. Outputs are bit-identical at every memo budget,
+// including nil: cached values are exactly the bytes the cold path
+// produces, and entries are immutable once published.
+func runExact(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, error) {
 	return runPhased(cfg, workloads, shares, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
 		return runSteady(cfg, memo, sub, subShares)
 	})
@@ -263,8 +256,8 @@ func validateRun(cfg Config, workloads []*trace.Workload, shares []float64) erro
 // rates: progress every active client proportionally to its current rate;
 // when the earliest finisher completes, re-evaluate the survivors (with
 // their shares renormalized over the active set) as a smaller client set.
-// Shared by the exact path (RunMemoShares) and the analytic fidelity tier
-// (RunMemoSharesFidelity) — same schedule, different steady evaluators.
+// Shared by the exact co-run (runExact) and the analytic fidelity tier
+// (runSteadyAnalytic) — same schedule, different steady evaluators.
 func runPhased(cfg Config, workloads []*trace.Workload, shares []float64, steadyFn func(sub []*trace.Workload, subShares []float64) ([]Result, error)) ([]Result, error) {
 	// Steady-state results for the full client set: the per-app rates and
 	// statistics while everyone is resident.
@@ -466,24 +459,16 @@ type PhaseTiming struct {
 	TLBMissRate   float64
 }
 
-// PhaseBreakdown retraces one client of a Run configuration and returns its
-// per-kernel timing decomposition — the explainability hook used by the
-// examples and ablation benches. workloads must match the Run call being
-// explained; client selects the member to decompose.
+// PhaseBreakdown retraces one client of an exact equal-split co-run and
+// returns its per-kernel timing decomposition — the explainability hook
+// used by the examples and ablation benches. workloads must match the run
+// being explained; client selects the member to decompose.
 func PhaseBreakdown(cfg Config, workloads []*trace.Workload, client int) ([]PhaseTiming, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validateRun(cfg, workloads, nil); err != nil {
 		return nil, err
 	}
 	if client < 0 || client >= len(workloads) {
 		return nil, fmt.Errorf("gpusim: client %d out of range", client)
-	}
-	for i, w := range workloads {
-		if w == nil {
-			return nil, fmt.Errorf("gpusim: workload %d is nil", i)
-		}
-		if err := w.Validate(); err != nil {
-			return nil, fmt.Errorf("gpusim: workload %d: %w", i, err)
-		}
 	}
 	mem, _, _, err := simulateMemory(cfg, nil, workloads)
 	if err != nil {

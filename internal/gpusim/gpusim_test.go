@@ -61,20 +61,20 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRunArgumentErrors(t *testing.T) {
 	cfg := DefaultConfig()
-	if _, err := Run(cfg, nil); err == nil {
+	if _, err := RunMemo(cfg, nil, nil); err == nil {
 		t.Error("empty workload list accepted")
 	}
-	if _, err := Run(cfg, []*trace.Workload{nil}); err == nil {
+	if _, err := RunMemo(cfg, nil, []*trace.Workload{nil}); err == nil {
 		t.Error("nil workload accepted")
 	}
-	if _, err := Run(cfg, []*trace.Workload{{}}); err == nil {
+	if _, err := RunMemo(cfg, nil, []*trace.Workload{{}}); err == nil {
 		t.Error("invalid workload accepted")
 	}
 }
 
 func TestSingleRunBasics(t *testing.T) {
 	cfg := DefaultConfig()
-	res, err := Run(cfg, []*trace.Workload{computeKernel("k")})
+	res, err := RunMemo(cfg, nil, []*trace.Workload{computeKernel("k")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestSingleRunBasics(t *testing.T) {
 func TestMPSSlowdown(t *testing.T) {
 	cfg := DefaultConfig()
 	w := computeKernel("k")
-	alone, err := Run(cfg, []*trace.Workload{w})
+	alone, err := RunMemo(cfg, nil, []*trace.Workload{w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := Run(cfg, []*trace.Workload{w.Clone(), w.Clone()})
+	pair, err := RunMemo(cfg, nil, []*trace.Workload{w.Clone(), w.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSlowdownGrowsWithClients(t *testing.T) {
 		for i := range ws {
 			ws[i] = w.Clone()
 		}
-		res, err := Run(cfg, ws)
+		res, err := RunMemo(cfg, nil, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,11 +134,11 @@ func TestDivergencePenalizesBranchyKernels(t *testing.T) {
 	cfg := DefaultConfig()
 	smooth := synthWorkload("smooth", 100_000_000, 0.05, 0.0, trace.Sequential, 1<<20, 1<<22)
 	branchy := synthWorkload("branchy", 100_000_000, 0.05, 0.4, trace.Sequential, 1<<20, 1<<22)
-	rs, err := Run(cfg, []*trace.Workload{smooth})
+	rs, err := RunMemo(cfg, nil, []*trace.Workload{smooth})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Run(cfg, []*trace.Workload{branchy})
+	rb, err := RunMemo(cfg, nil, []*trace.Workload{branchy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestLowOccupancySlower(t *testing.T) {
 	cfg := DefaultConfig()
 	wide := synthWorkload("wide", 100_000_000, 0.3, 0.02, trace.Random, 16<<20, 1<<22)
 	narrow := synthWorkload("narrow", 100_000_000, 0.3, 0.02, trace.Random, 16<<20, 256)
-	rw, err := Run(cfg, []*trace.Workload{wide})
+	rw, err := RunMemo(cfg, nil, []*trace.Workload{wide})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn, err := Run(cfg, []*trace.Workload{narrow})
+	rn, err := RunMemo(cfg, nil, []*trace.Workload{narrow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,11 @@ func TestTransferAddsTime(t *testing.T) {
 	with := computeKernel("k")
 	without := with.Clone()
 	without.TransferBytes = 0
-	rw, err := Run(cfg, []*trace.Workload{with})
+	rw, err := RunMemo(cfg, nil, []*trace.Workload{with})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := Run(cfg, []*trace.Workload{without})
+	ro, err := RunMemo(cfg, nil, []*trace.Workload{without})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestPhasedShortJobExitsEarly(t *testing.T) {
 	cfg := DefaultConfig()
 	short := synthWorkload("short", 5_000_000, 0.3, 0.02, trace.Random, 8<<20, 1<<22)
 	long := synthWorkload("long", 500_000_000, 0.3, 0.02, trace.Random, 8<<20, 1<<22)
-	aloneLong, err := Run(cfg, []*trace.Workload{long.Clone()})
+	aloneLong, err := RunMemo(cfg, nil, []*trace.Workload{long.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := Run(cfg, []*trace.Workload{short.Clone(), long.Clone()})
+	pair, err := RunMemo(cfg, nil, []*trace.Workload{short.Clone(), long.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +245,11 @@ func TestPhaseBreakdown(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	ws := []*trace.Workload{memKernel("a"), computeKernel("b")}
-	r1, err := Run(cfg, ws)
+	r1, err := RunMemo(cfg, nil, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(cfg, ws)
+	r2, err := RunMemo(cfg, nil, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +265,11 @@ func TestTLBContentionWithManyClients(t *testing.T) {
 	// when a second address space competes for the entries.
 	cfg := DefaultConfig()
 	w := memKernel("m")
-	alone, err := Run(cfg, []*trace.Workload{w.Clone()})
+	alone, err := RunMemo(cfg, nil, []*trace.Workload{w.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := Run(cfg, []*trace.Workload{w.Clone(), w.Clone()})
+	pair, err := RunMemo(cfg, nil, []*trace.Workload{w.Clone(), w.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestPatternCoalescing(t *testing.T) {
 	run := func(w *trace.Workload, coalesce bool) float64 {
 		cfg := DefaultConfig()
 		cfg.PatternCoalescing = coalesce
-		r, err := Run(cfg, []*trace.Workload{w.Clone()})
+		r, err := RunMemo(cfg, nil, []*trace.Workload{w.Clone()})
 		if err != nil {
 			t.Fatal(err)
 		}

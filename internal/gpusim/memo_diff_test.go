@@ -41,7 +41,7 @@ func TestMemoizedRunsAreBitIdentical(t *testing.T) {
 				for _, wi := range rng.Perm(len(pool))[:1+rng.Intn(2)] {
 					ws = append(ws, pool[wi])
 				}
-				cold, err := Run(cfg, ws)
+				cold, err := RunMemo(cfg, nil, ws)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRunTreatsWorkloadsAsReadOnly enforces the read-only contract
-// documented on Run: neither Run nor RunMemo mutates its input workloads,
+// documented on RunMemoSharesFidelity: no tier mutates its input workloads,
 // so dataset.Generator may pass its cached workloads directly (no
 // per-point clones). Checked two ways — the full-field Fingerprint digest
 // and a structural DeepEqual against a pre-run Clone — across isolated,
@@ -31,15 +31,15 @@ func TestRunTreatsWorkloadsAsReadOnly(t *testing.T) {
 		}
 	}
 
-	if _, err := Run(cfg, []*trace.Workload{wa}); err != nil {
+	if _, err := RunMemo(cfg, nil, []*trace.Workload{wa}); err != nil {
 		t.Fatal(err)
 	}
-	check("isolated Run")
+	check("isolated run")
 
-	if _, err := Run(cfg, []*trace.Workload{wa, wb}); err != nil {
+	if _, err := RunMemo(cfg, nil, []*trace.Workload{wa, wb}); err != nil {
 		t.Fatal(err)
 	}
-	check("shared Run")
+	check("shared run")
 
 	for _, budget := range []int64{64 << 20, 1 << 12} {
 		memo := simcache.MustNew(budget)

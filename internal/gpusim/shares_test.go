@@ -6,10 +6,19 @@ import (
 	"strings"
 	"testing"
 
+	"mapc/internal/phasesum"
+	"mapc/internal/simcache"
 	"mapc/internal/trace"
 )
 
-// Tests for asymmetric SM partition shares (RunMemoShares): nil shares
+// exactShares is the exact-tier co-run with partition shares.
+func exactShares(cfg Config, memo *simcache.Cache, ws []*trace.Workload, shares []float64) ([]Result, error) {
+	res, _, err := RunMemoSharesFidelity(cfg, memo, ws, shares, phasesum.Exact)
+	return res, err
+}
+
+// Tests for asymmetric SM partition shares (the exact tier of
+// RunMemoSharesFidelity): nil shares
 // are the bit-exact legacy equal split, explicit weights are normalized
 // over the device, validation is loud, and giving an app a larger share
 // never slows it down.
@@ -22,12 +31,12 @@ func TestRunMemoSharesNilIsEqualSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := RunMemoShares(cfg, nil, ws, nil)
+	explicit, err := exactShares(cfg, nil, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(legacy, explicit) {
-		t.Fatal("RunMemoShares(..., nil) diverged from RunMemo: nil shares must be the exact equal split")
+		t.Fatal("exactShares(..., nil) diverged from RunMemo: nil shares must be the exact equal split")
 	}
 
 	// Explicit uniform weights normalize to the same partition up to
@@ -35,7 +44,7 @@ func TestRunMemoSharesNilIsEqualSplit(t *testing.T) {
 	// ulp for n=3); only the nil path promises bit-exact legacy output.
 	for _, w := range []float64{1, 3, 0.25} {
 		shares := []float64{w, w, w}
-		got, err := RunMemoShares(cfg, nil, ws, shares)
+		got, err := exactShares(cfg, nil, ws, shares)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +70,7 @@ func TestRunMemoSharesValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	ws := []*trace.Workload{computeKernel("a"), memKernel("b")}
 
-	if _, err := RunMemoShares(cfg, nil, ws, []float64{1}); err == nil ||
+	if _, err := exactShares(cfg, nil, ws, []float64{1}); err == nil ||
 		!strings.Contains(err.Error(), "partition shares") {
 		t.Errorf("length mismatch: %v", err)
 	}
@@ -71,7 +80,7 @@ func TestRunMemoSharesValidation(t *testing.T) {
 		{math.NaN(), 1},
 		{1, math.Inf(1)},
 	} {
-		if _, err := RunMemoShares(cfg, nil, ws, bad); err == nil {
+		if _, err := exactShares(cfg, nil, ws, bad); err == nil {
 			t.Errorf("shares %v accepted", bad)
 		} else if !strings.Contains(err.Error(), "positive finite") {
 			t.Errorf("shares %v: undescriptive error %v", bad, err)
@@ -87,11 +96,11 @@ func TestRunMemoSharesAsymmetry(t *testing.T) {
 	cfg := DefaultConfig()
 	ws := []*trace.Workload{computeKernel("fav"), computeKernel("starved")}
 
-	equal, err := RunMemoShares(cfg, nil, ws, nil)
+	equal, err := exactShares(cfg, nil, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skewed, err := RunMemoShares(cfg, nil, ws, []float64{3, 1})
+	skewed, err := exactShares(cfg, nil, ws, []float64{3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +121,7 @@ func TestRunMemoSharesAsymmetry(t *testing.T) {
 
 	// Shares are weights, not SM counts: scaling every weight by a
 	// constant is the identity.
-	scaled, err := RunMemoShares(cfg, nil, ws, []float64{30, 10})
+	scaled, err := exactShares(cfg, nil, ws, []float64{30, 10})
 	if err != nil {
 		t.Fatal(err)
 	}

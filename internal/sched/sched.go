@@ -104,7 +104,7 @@ func (s *Scheduler) PredictBag(a, b dataset.Member) (float64, error) {
 	if s.predictor == nil {
 		return 0, errors.New("sched: no predictor configured")
 	}
-	x, _, err := s.gen.FeaturesFor(a, b)
+	x, _, err := s.gen.BagFeatures([]dataset.Member{a, b})
 	if err != nil {
 		return 0, err
 	}
@@ -129,7 +129,7 @@ func (s *Scheduler) MeasureBag(a, b dataset.Member) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := gpusim.Run(s.gpu, []*trace.Workload{wa.Clone(), wb.Clone()})
+	res, err := gpusim.RunMemo(s.gpu, nil, []*trace.Workload{wa, wb})
 	if err != nil {
 		return 0, err
 	}
@@ -174,9 +174,9 @@ func (s *Scheduler) Run(policy Policy, queue []Job) (*Schedule, error) {
 			if err != nil {
 				return nil, err
 			}
-			ws[i] = w.Clone()
+			ws[i] = w
 		}
-		res, err := gpusim.Run(s.gpu, ws)
+		res, err := gpusim.RunMemo(s.gpu, nil, ws)
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 // TestAdmissionBoundsBackgroundWork is the regression test for the
@@ -34,7 +35,7 @@ func TestAdmissionBoundsBackgroundWork(t *testing.T) {
 
 	var cur, peak atomic.Int64
 	block := make(chan struct{})
-	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
 		v := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -133,7 +134,7 @@ func TestCachedFieldOnlyForPublishedEntries(t *testing.T) {
 	release := make(chan struct{})
 	var computes atomic.Int64
 	var entryOnce sync.Once
-	s.cache.compute = func(bag []dataset.Member) ([]float64, float64, error) {
+	s.cache.compute = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, error) {
 		computes.Add(1)
 		entryOnce.Do(func() { close(firstEntered) })
 		<-release
@@ -217,7 +218,7 @@ func TestCachedFieldOnlyForPublishedEntries(t *testing.T) {
 func TestFeatureCacheStaysBounded(t *testing.T) {
 	const budget = 32 << 10 // 32 KiB: a few hundred entries at pair width
 	var computes atomic.Int64
-	c := newStubFeatureCache(func(bag []dataset.Member) ([]float64, float64, error) {
+	c := newStubFeatureCache(func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, error) {
 		computes.Add(1)
 		x := make([]float64, 21)
 		for i := range x {
@@ -242,7 +243,7 @@ func TestFeatureCacheStaysBounded(t *testing.T) {
 			{Benchmark: benchmarks[rng.Intn(len(benchmarks))], Batch: batch},
 			{Benchmark: benchmarks[rng.Intn(len(benchmarks))], Batch: 20},
 		}
-		if _, _, _, err := c.get(bag); err != nil {
+		if _, _, _, err := c.get(bag, phasesum.Exact); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.Stats(); st.Bytes > budget {
@@ -269,7 +270,7 @@ func TestFeatureCacheStaysBounded(t *testing.T) {
 func TestMetricsExposeFeatureCacheEvictions(t *testing.T) {
 	s := newTestServer(t, nil)
 	// Swap in a 2 KiB cache so a handful of distinct bags forces eviction.
-	s.cache = newStubFeatureCache(func(bag []dataset.Member) ([]float64, float64, error) {
+	s.cache = newStubFeatureCache(func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, error) {
 		return make([]float64, 21), 0.5, nil
 	}, true, 2<<10)
 	s.metrics.SetFeatureCacheSource(s.cache.Stats)

@@ -11,12 +11,13 @@ import (
 	"time"
 
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 // brownoutServer builds a server with brownout enabled and both fidelity
-// paths stubbed: exact computes block on `block` (so tests control
-// in-flight pressure), degraded computes answer immediately. Counters
-// record how many times each path ran.
+// tiers stubbed: exact computes block on `block` (so tests control
+// in-flight pressure), fast (degraded) computes answer immediately.
+// Counters record how many times each tier ran.
 func brownoutServer(t *testing.T, mut func(*Config)) (s *Server, block chan struct{}, exactN, fastN *atomic.Int64) {
 	t.Helper()
 	s = newTestServer(t, func(c *Config) {
@@ -29,12 +30,12 @@ func brownoutServer(t *testing.T, mut func(*Config)) (s *Server, block chan stru
 	width := s.cfg.Model.NumFeatures()
 	block = make(chan struct{})
 	exactN, fastN = new(atomic.Int64), new(atomic.Int64)
-	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
-		exactN.Add(1)
-		<-block
-		return make([]float64, width), 0.5, false, nil
-	}
-	s.degradedFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+		if fid != phasesum.Fast {
+			exactN.Add(1)
+			<-block
+			return make([]float64, width), 0.5, false, nil
+		}
 		fastN.Add(1)
 		x := make([]float64, width)
 		for i := range x {
@@ -166,7 +167,11 @@ func TestBrownoutShedsOnlyWhenBothPoolsFull(t *testing.T) {
 	// Degraded path blocks too, so degraded slots stay held.
 	width := s.cfg.Model.NumFeatures()
 	var fastEntered atomic.Int64
-	s.degradedFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	exact := s.featuresFn
+	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+		if fid != phasesum.Fast {
+			return exact(bag, fid)
+		}
 		fastEntered.Add(1)
 		<-block
 		return make([]float64, width), 0.75, false, nil
@@ -281,39 +286,49 @@ func TestBrownoutConfigValidation(t *testing.T) {
 
 // TestDegradedCacheNamespaceIsolation pins the cache split: the same bag
 // served exact then degraded computes once per tier (no cross-tier
-// answers), and snapshot entries carry only the exact tier.
+// answers), peek reads only the exact tier, and snapshot entries carry
+// only the exact tier.
 func TestDegradedCacheNamespaceIsolation(t *testing.T) {
 	var exactN, fastN atomic.Int64
-	c := newStubFeatureCache(func(bag []dataset.Member) ([]float64, float64, error) {
+	c := newStubFeatureCache(func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
+		if fid == phasesum.Fast {
+			fastN.Add(1)
+			return []float64{9, 9, 9}, 0.9, nil
+		}
 		exactN.Add(1)
 		return []float64{1, 2, 3}, 0.5, nil
 	}, true, 1<<20)
-	c.computeFast = func(bag []dataset.Member) ([]float64, float64, error) {
-		fastN.Add(1)
-		return []float64{9, 9, 9}, 0.9, nil
-	}
 	bag := []dataset.Member{{Benchmark: "sift", Batch: 20}, {Benchmark: "surf", Batch: 20}}
+	key, _ := c.key(bag)
 
-	x, _, hit, err := c.get(bag)
-	if err != nil || hit || x[0] != 1 {
-		t.Fatalf("exact get: x=%v hit=%v err=%v", x, hit, err)
-	}
-	x, _, hit, err = c.getDegraded(bag)
+	x, _, hit, err := c.get(bag, phasesum.Fast)
 	if err != nil || hit || x[0] != 9 {
-		t.Fatalf("degraded get answered x=%v hit=%v err=%v; it must not reuse the exact entry", x, hit, err)
+		t.Fatalf("degraded get: x=%v hit=%v err=%v", x, hit, err)
+	}
+	// Only the fast entry is resident: the exact key must not find it.
+	if fv, ok := c.peek(key); ok {
+		t.Fatalf("peek on the exact key returned the fast entry %v", fv.x)
+	}
+	x, _, hit, err = c.get(bag, phasesum.Exact)
+	if err != nil || hit || x[0] != 1 {
+		t.Fatalf("exact get answered x=%v hit=%v err=%v; it must not reuse the fast entry", x, hit, err)
 	}
 	if exactN.Load() != 1 || fastN.Load() != 1 {
 		t.Fatalf("computes exact=%d fast=%d, want 1/1", exactN.Load(), fastN.Load())
 	}
 	// Second round hits each tier's own entry.
-	if _, _, hit, _ := c.get(bag); !hit {
+	if _, _, hit, _ := c.get(bag, phasesum.Exact); !hit {
 		t.Error("exact entry not cached")
 	}
-	if _, _, hit, _ := c.getDegraded(bag); !hit {
+	if _, _, hit, _ := c.get(bag, phasesum.Fast); !hit {
 		t.Error("degraded entry not cached")
 	}
 	if exactN.Load() != 1 || fastN.Load() != 1 {
 		t.Errorf("cache hit recomputed: exact=%d fast=%d", exactN.Load(), fastN.Load())
+	}
+	// With both tiers resident, peek still answers from the exact tier.
+	if fv, ok := c.peek(key); !ok || fv.x[0] != 1 {
+		t.Errorf("peek on the exact key: ok=%v entry=%v, want the exact entry", ok, fv)
 	}
 	// Snapshots must exclude the degraded namespace.
 	entries := c.entries()
@@ -322,18 +337,5 @@ func TestDegradedCacheNamespaceIsolation(t *testing.T) {
 	}
 	if entries[0].X[0] != 1 {
 		t.Errorf("snapshot entry carries degraded features %v", entries[0].X)
-	}
-}
-
-// TestDegradedFallsBackWithoutFastPath pins the stub-cache fallback: a
-// cache built without a generator answers degraded requests from the
-// exact compute function rather than nil-dereferencing.
-func TestDegradedFallsBackWithoutFastPath(t *testing.T) {
-	c := newStubFeatureCache(func(bag []dataset.Member) ([]float64, float64, error) {
-		return []float64{4}, 0.5, nil
-	}, true, 1<<20)
-	x, _, _, err := c.getDegraded([]dataset.Member{{Benchmark: "sift", Batch: 20}})
-	if err != nil || x[0] != 4 {
-		t.Fatalf("fallback degraded get: x=%v err=%v", x, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 // TestFeatureCacheSingleflightHammer hammers the shared feature cache from
@@ -15,7 +16,7 @@ import (
 // computation runs exactly once.
 func TestFeatureCacheSingleflightHammer(t *testing.T) {
 	var computes atomic.Int64
-	c := newStubFeatureCache(func(bag []dataset.Member) ([]float64, float64, error) {
+	c := newStubFeatureCache(func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, error) {
 		computes.Add(1)
 		return []float64{float64(bag[0].Batch), float64(bag[1].Batch)}, 0.5, nil
 	}, true, 64<<20)
@@ -42,7 +43,7 @@ func TestFeatureCacheSingleflightHammer(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				a := members[(g+i)%len(members)]
 				b := members[(g*7+i*3)%len(members)]
-				x, fairness, hit, err := c.get([]dataset.Member{a, b})
+				x, fairness, hit, err := c.get([]dataset.Member{a, b}, phasesum.Exact)
 				if err != nil {
 					t.Error(err)
 					return
@@ -79,7 +80,7 @@ func TestServerConcurrentPredictHammer(t *testing.T) {
 	// Stub features: constant-width vectors, no simulation, so the hammer
 	// is fast; width must match the model (21 features for 2-app bags).
 	width := s.cfg.Model.NumFeatures()
-	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
 		x := make([]float64, width)
 		for i := range x {
 			x[i] = 0.25

@@ -12,6 +12,7 @@ import (
 
 	"mapc/internal/core"
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 var (
@@ -116,8 +117,8 @@ func TestPredictK3BagParityAndPermutation(t *testing.T) {
 		if len(got.Members) != 3 {
 			t.Errorf("request %d: %d members in response", i, len(got.Members))
 		}
-		if got.A != nil || got.B != nil {
-			t.Errorf("request %d: legacy a/b fields populated on a 3-app bag", i)
+		if body := rr.Body.String(); strings.Contains(body, `"a"`) || strings.Contains(body, `"b"`) {
+			t.Errorf("request %d: response carries the removed a/b fields: %s", i, body)
 		}
 		cached = got.Cached
 	}
@@ -247,7 +248,7 @@ func TestServerConcurrentK3Hammer(t *testing.T) {
 	// Stub the featurizer so the hammer exercises concurrency, not the
 	// simulator; width must match the 3-app model (31 features).
 	width := s.cfg.Model.NumFeatures()
-	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
 		x := make([]float64, width)
 		for i := range x {
 			x[i] = 0.25

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 const predictBody = `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`
@@ -24,13 +25,13 @@ func TestPredictTaskPanicReturns500AndProcessSurvives(t *testing.T) {
 
 	var panicOnce sync.Once
 	real := s.featuresFn
-	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
 		var fired bool
 		panicOnce.Do(func() { fired = true })
 		if fired {
 			panic(fmt.Sprintf("injected measurement crash for %s", dataset.BagKeyOf(bag)))
 		}
-		return real(bag)
+		return real(bag, fid)
 	}
 
 	rr := doJSON(t, h, http.MethodPost, "/v1/predict", predictBody)
@@ -72,7 +73,7 @@ func TestFeatureCachePanicIsNotPoisoned(t *testing.T) {
 	gen, _ := fixture(t)
 	c := newFeatureCache(gen, 0)
 	calls := 0
-	c.compute = func(bag []dataset.Member) ([]float64, float64, error) {
+	c.compute = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, error) {
 		calls++
 		if calls == 1 {
 			panic("first compute dies")
@@ -84,7 +85,7 @@ func TestFeatureCachePanicIsNotPoisoned(t *testing.T) {
 		{Benchmark: "surf", Batch: 20},
 	}
 
-	_, _, _, err := c.get(bag)
+	_, _, _, err := c.get(bag, phasesum.Exact)
 	var rp *recoveredPanic
 	if !errors.As(err, &rp) {
 		t.Fatalf("first get returned %v, want *recoveredPanic", err)
@@ -96,7 +97,7 @@ func TestFeatureCachePanicIsNotPoisoned(t *testing.T) {
 		t.Fatalf("panicked entry still cached (Len=%d): cache poisoned", n)
 	}
 
-	x, fairness, hit, err := c.get(bag)
+	x, fairness, hit, err := c.get(bag, phasesum.Exact)
 	if err != nil {
 		t.Fatalf("retry after panic failed: %v", err)
 	}
@@ -111,7 +112,7 @@ func TestFeatureCachePanicIsNotPoisoned(t *testing.T) {
 	}
 
 	// Third get is a plain hit — the healthy entry stays cached.
-	if _, _, hit, err := c.get(bag); err != nil || !hit {
+	if _, _, hit, err := c.get(bag, phasesum.Exact); err != nil || !hit {
 		t.Fatalf("third get hit=%v err=%v, want cached success", hit, err)
 	}
 	if calls != 2 {
@@ -129,12 +130,12 @@ func TestFullHandlerCachePanicComputesFreshOnRetry(t *testing.T) {
 
 	realCompute := s.cache.compute
 	calls := 0
-	s.cache.compute = func(bag []dataset.Member) ([]float64, float64, error) {
+	s.cache.compute = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		calls++
 		if calls == 1 {
 			panic("cache compute crash")
 		}
-		return realCompute(bag)
+		return realCompute(bag, fid)
 	}
 
 	rr := doJSON(t, h, http.MethodPost, "/v1/predict", predictBody)

@@ -42,6 +42,7 @@ import (
 	"mapc/internal/dataset"
 	"mapc/internal/features"
 	"mapc/internal/parallel"
+	"mapc/internal/phasesum"
 	"mapc/internal/vision"
 )
 
@@ -115,12 +116,11 @@ type Server struct {
 	// trainedK is the bag size the model was trained for, inferred from
 	// its feature width at startup.
 	trainedK int
-	// featuresFn resolves a bag to its raw feature vector; defaults to the
-	// shared cache and is swappable in tests (e.g. to inject slowness).
-	// degradedFn is its brownout counterpart: the fast fidelity tier in a
-	// separate cache namespace.
-	featuresFn func(bag []dataset.Member) (x []float64, fairness float64, hit bool, err error)
-	degradedFn func(bag []dataset.Member) (x []float64, fairness float64, hit bool, err error)
+	// featuresFn resolves a bag to its raw feature vector with the co-run
+	// at tier fid (the configured tier, or fast under brownout); defaults
+	// to the shared cache and is swappable in tests (e.g. to inject
+	// slowness).
+	featuresFn func(bag []dataset.Member, fid phasesum.Fidelity) (x []float64, fairness float64, hit bool, err error)
 	inflight   chan struct{}
 	// degradedSlots is the brownout admission pool, sized past MaxInFlight
 	// because fast-tier answers are orders of magnitude cheaper; nil when
@@ -194,28 +194,13 @@ func New(cfg Config) (*Server, error) {
 	s.metrics.SetFeatureCacheSource(s.cache.Stats)
 	s.metrics.SetFidelitySource(cfg.Generator.FidelityStats)
 	s.featuresFn = s.cachedFeatures
-	s.degradedFn = s.cachedDegradedFeatures
 	return s, nil
 }
 
 // cachedFeatures is the default featuresFn: the cross-request singleflight
 // cache with hit/miss accounting.
-func (s *Server) cachedFeatures(bag []dataset.Member) ([]float64, float64, bool, error) {
-	x, fairness, hit, err := s.cache.get(bag)
-	if err == nil {
-		if hit {
-			s.metrics.CacheHit()
-		} else {
-			s.metrics.CacheMiss()
-		}
-	}
-	return x, fairness, hit, err
-}
-
-// cachedDegradedFeatures is the default degradedFn: the fast fidelity tier
-// under the same singleflight cache, in its own key namespace.
-func (s *Server) cachedDegradedFeatures(bag []dataset.Member) ([]float64, float64, bool, error) {
-	x, fairness, hit, err := s.cache.getDegraded(bag)
+func (s *Server) cachedFeatures(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+	x, fairness, hit, err := s.cache.get(bag, fid)
 	if err == nil {
 		if hit {
 			s.metrics.CacheHit()
@@ -497,9 +482,9 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 	results := make([]BagResult, len(bags))
 	done := make(chan error, 1)
 	handedOff = true
-	featuresFn := s.featuresFn
+	fid := s.cache.tier
 	if degraded {
-		featuresFn = s.degradedFn
+		fid = phasesum.Fast
 	}
 	go func() {
 		err := parallel.ForEach(s.cfg.Workers, len(bags), func(i int) error {
@@ -511,7 +496,7 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 				bag[j] = m.member()
 			}
 			label := dataset.BagKeyOf(bag)
-			x, fairness, hit, err := featuresFn(bag)
+			x, fairness, hit, err := s.featuresFn(bag, fid)
 			if err != nil {
 				return fmt.Errorf("bag %d (%s): %w", i, label, err)
 			}
@@ -519,14 +504,10 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 			if err != nil {
 				return fmt.Errorf("bag %d (%s): %w", i, label, err)
 			}
-			res := BagResult{
+			results[i] = BagResult{
 				Members:      bags[i],
 				PredictedSec: pred, Fairness: fairness, Cached: hit,
 			}
-			if len(bags[i]) == 2 {
-				res.A, res.B = &bags[i][0], &bags[i][1]
-			}
-			results[i] = res
 			return nil
 		})
 		// Release the admission slot strictly before signalling

@@ -14,6 +14,7 @@ import (
 
 	"mapc/internal/core"
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 var (
@@ -140,7 +141,7 @@ func TestPredictHandlerTable(t *testing.T) {
 }
 
 // TestPredictParityAndCache proves the served value is exactly what the
-// offline predict path (mapc-predict: Generator.FeaturesFor → PredictRaw)
+// offline predict path (mapc-predict: Generator.BagFeatures → PredictRaw)
 // computes, and that a repeated bag is answered from the feature cache.
 func TestPredictParityAndCache(t *testing.T) {
 	gen, mod := fixture(t)
@@ -149,7 +150,7 @@ func TestPredictParityAndCache(t *testing.T) {
 
 	a := dataset.Member{Benchmark: "sift", Batch: 20}
 	b := dataset.Member{Benchmark: "surf", Batch: 20}
-	x, fairness, err := gen.FeaturesFor(a, b)
+	x, fairness, err := gen.BagFeatures([]dataset.Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestPredictParityAndCache(t *testing.T) {
 
 func TestPredictTimeout(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.RequestTimeout = 30 * time.Millisecond })
-	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
 		time.Sleep(500 * time.Millisecond)
 		return nil, 0, false, context.DeadlineExceeded
 	}
@@ -222,7 +223,7 @@ func TestPredictTimeout(t *testing.T) {
 func TestPredictSaturation(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.MaxInFlight = 1 })
 	release := make(chan struct{})
-	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
 		<-release
 		return nil, 0, false, fmt.Errorf("released")
 	}
@@ -260,7 +261,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	s := newTestServer(t, nil)
 	inHandler := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
 		inHandler <- struct{}{}
 		<-release
 		// Real features so the response is a genuine 200.

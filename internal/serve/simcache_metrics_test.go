@@ -69,11 +69,11 @@ func TestSimCacheMetricsAndMemoParity(t *testing.T) {
 	}
 	a := dataset.Member{Benchmark: "sift", Batch: 20}
 	b := dataset.Member{Benchmark: "surf", Batch: 40}
-	warmX, warmF, err := gen.FeaturesFor(a, b)
+	warmX, warmF, err := gen.BagFeatures([]dataset.Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldX, coldF, err := coldGen.FeaturesFor(a, b)
+	coldX, coldF, err := coldGen.BagFeatures([]dataset.Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}

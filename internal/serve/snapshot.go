@@ -15,9 +15,10 @@
 //     peer's GET /v1/cache/entry?key=… for the published entry before
 //     falling back to local simulation (mapc-serve -peers).
 //
-// Snapshots carry the model scheme, bag size and feature width; a replica
-// refuses to seed entries from a mismatched model, since the vectors would
-// be meaningless to its predictor.
+// Snapshots carry the model scheme, bag size, feature width, share profile
+// and co-run tier; a replica refuses to seed entries from a mismatched
+// model or measurement setup, since the vectors would be meaningless to
+// its predictor or measured differently from its own.
 package serve
 
 import (
@@ -31,6 +32,7 @@ import (
 	"time"
 
 	"mapc/internal/fsatomic"
+	"mapc/internal/phasesum"
 )
 
 // Snapshot captures the current feature cache, most-recently-used first.
@@ -41,8 +43,18 @@ func (s *Server) Snapshot() Snapshot {
 		K:           s.trainedK,
 		Width:       s.cfg.Model.NumFeatures(),
 		Shares:      s.cache.shares,
+		Fidelity:    snapshotTier(s.cache.tier),
 		Entries:     s.cache.entries(),
 	}
+}
+
+// snapshotTier is the Snapshot.Fidelity label of tier fid: empty for
+// exact, the tier name otherwise.
+func snapshotTier(fid phasesum.Fidelity) string {
+	if fid.Effective() == phasesum.Exact {
+		return ""
+	}
+	return string(fid)
 }
 
 // WriteSnapshot streams the snapshot as JSON.
@@ -70,6 +82,10 @@ func (s *Server) SeedSnapshot(snap *Snapshot) (int, error) {
 	if snap.Shares != s.cache.shares {
 		return 0, fmt.Errorf("serve: snapshot from share profile %q cannot seed a server measuring profile %q",
 			snap.Shares, s.cache.shares)
+	}
+	if want := snapshotTier(s.cache.tier); snap.Fidelity != want {
+		return 0, fmt.Errorf("serve: snapshot of %s-tier features cannot seed a server answering at the %s tier",
+			phasesum.Fidelity(snap.Fidelity), s.cache.tier)
 	}
 	seeded := 0
 	for i, e := range snap.Entries {

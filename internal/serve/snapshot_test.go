@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 // snapPredict asks the handler for one bag and returns the raw response.
@@ -49,7 +50,7 @@ func TestSnapshotWarmStartBitIdentical(t *testing.T) {
 	s2 := newTestServer(t, nil)
 	// A warmed replica must not need its simulator for the snapshotted
 	// working set: any compute is the test failing.
-	s2.cache.compute = func(bag []dataset.Member) ([]float64, float64, error) {
+	s2.cache.compute = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, error) {
 		t.Errorf("warmed replica simulated bag %v", bag)
 		return nil, 0, nil
 	}
@@ -97,6 +98,7 @@ func TestSeedSnapshotRejectsMismatches(t *testing.T) {
 		{"wrong k", func(sn *Snapshot) { sn.K = 7 }, "does not match"},
 		{"wrong width", func(sn *Snapshot) { sn.Width = width + 1 }, "does not match"},
 		{"wrong shares", func(sn *Snapshot) { sn.Shares = "0.7/0.3" }, "share profile"},
+		{"wrong fidelity", func(sn *Snapshot) { sn.Fidelity = "fast" }, "tier"},
 		{"empty key", func(sn *Snapshot) { sn.Entries = []SnapshotEntry{{X: make([]float64, width)}} }, "empty key"},
 		{"short vector", func(sn *Snapshot) { sn.Entries = []SnapshotEntry{{Key: "k", X: make([]float64, 3)}} }, "features"},
 	}
@@ -135,9 +137,9 @@ func TestWarmFromPeerAndPeerFill(t *testing.T) {
 	fresh := newTestServer(t, nil)
 	var computes atomic.Int64
 	realCompute := fresh.cache.compute
-	fresh.cache.compute = func(bag []dataset.Member) ([]float64, float64, error) {
+	fresh.cache.compute = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		computes.Add(1)
-		return realCompute(bag)
+		return realCompute(bag, fid)
 	}
 
 	// Join-time warm start: pull the peer's whole snapshot.
@@ -213,5 +215,51 @@ func TestCacheEntryEndpoint(t *testing.T) {
 	}
 	if rr := doJSON(t, h, http.MethodPost, "/v1/cache/entry?key="+key, "{}"); rr.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST answered %d", rr.Code)
+	}
+}
+
+// TestSnapshotRecordsFidelity: a fast-tier replica's snapshot names its
+// tier, so an exact replica refuses it (analytic vectors must never seed
+// exact answers) while another fast replica accepts it; exact snapshots
+// keep their encoding, with no fidelity key.
+func TestSnapshotRecordsFidelity(t *testing.T) {
+	gen, mod := fixture(t)
+	cfg := gen.Config()
+	cfg.Fidelity = phasesum.Fast
+	fastGen, err := dataset.NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newFast := func() *Server {
+		s, err := New(Config{Model: mod, Generator: fastGen, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	src := newFast()
+	snapPredict(t, src.Handler(), `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":40}}`)
+	snap := src.Snapshot()
+	if snap.Fidelity != "fast" || len(snap.Entries) != 1 {
+		t.Fatalf("fast replica snapshot: fidelity %q, %d entries; want fast, 1", snap.Fidelity, len(snap.Entries))
+	}
+
+	exact := newTestServer(t, nil)
+	if _, err := exact.SeedSnapshot(&snap); err == nil || !strings.Contains(err.Error(), "tier") {
+		t.Fatalf("exact replica seeded a fast snapshot (err %v)", err)
+	}
+	if n := exact.CacheLen(); n != 0 {
+		t.Errorf("refused snapshot left %d entries behind", n)
+	}
+	if n, err := newFast().SeedSnapshot(&snap); err != nil || n != 1 {
+		t.Fatalf("fast replica refused a fast snapshot: seeded=%d err=%v", n, err)
+	}
+
+	var buf strings.Builder
+	if err := exact.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "fidelity") {
+		t.Errorf("exact snapshot carries a fidelity key: %s", buf.String())
 	}
 }

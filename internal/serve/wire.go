@@ -121,12 +121,9 @@ func CanonicalKey(ms []Member) string {
 	return dataset.BagKeyOf(s)
 }
 
-// BagResult is one bag's answer. Members always lists the bag; the legacy
-// a/b fields are populated for 2-application bags so pair-era clients keep
-// parsing responses unchanged.
+// BagResult is one bag's answer; Members lists the bag in request order,
+// whichever request form carried it.
 type BagResult struct {
-	A            *Member  `json:"a,omitempty"`
-	B            *Member  `json:"b,omitempty"`
 	Members      []Member `json:"members"`
 	PredictedSec float64  `json:"predicted_gpu_bag_time_sec"`
 	Fairness     float64  `json:"fairness"`
@@ -188,8 +185,12 @@ type Snapshot struct {
 	// split). Feature vectors are share-independent today, but the cache
 	// namespace is share-qualified (see featureCache), so snapshots only
 	// seed replicas measuring the same profile.
-	Shares  string          `json:"shares,omitempty"`
-	Entries []SnapshotEntry `json:"entries"`
+	Shares string `json:"shares,omitempty"`
+	// Fidelity is the co-run tier the entries were measured at, empty for
+	// exact (so exact snapshots keep their earlier encoding). Analytic
+	// vectors must never seed a replica answering at another tier.
+	Fidelity string          `json:"fidelity,omitempty"`
+	Entries  []SnapshotEntry `json:"entries"`
 }
 
 // SnapshotEntry is one cached bag: its canonical key and raw features.

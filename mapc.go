@@ -14,9 +14,9 @@
 //	corpus, err := mapc.GenerateCorpus()              // the 91-run dataset
 //	p, err := mapc.Train(corpus, mapc.SchemeFull)     // decision-tree model
 //	gen, _ := mapc.NewGenerator(mapc.DefaultConfig())
-//	x, _, _ := gen.FeaturesFor(
-//	    mapc.Member{Benchmark: "sift", Batch: 40},
-//	    mapc.Member{Benchmark: "knn", Batch: 20})
+//	x, _, _ := gen.BagFeatures([]mapc.Member{
+//	    {Benchmark: "sift", Batch: 40},
+//	    {Benchmark: "knn", Batch: 20}})
 //	seconds, err := p.PredictRaw(x)                   // predicted bag time
 //
 // See the examples/ directory for runnable programs and DESIGN.md for the
