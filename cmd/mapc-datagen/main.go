@@ -28,7 +28,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"text/tabwriter"
 	"time"
@@ -89,12 +88,14 @@ func main() {
 		}
 	}
 	if *benchmarks != "" {
-		cfg.Benchmarks = splitList(*benchmarks)
+		if cfg.Benchmarks, err = dataset.ParseList("-benchmarks", *benchmarks); err != nil {
+			fatal(err)
+		}
 	}
 	if *batches != "" {
-		bs, err := parseInts(*batches)
+		bs, err := dataset.ParseBatches("-batches", *batches)
 		if err != nil {
-			fatal(fmt.Errorf("parsing -batches: %w", err))
+			fatal(err)
 		}
 		cfg.BatchSizes = bs
 		if len(bs) <= 2 {
@@ -342,27 +343,6 @@ func writeCSV(w io.Writer, corpus *dataset.Corpus) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-func splitList(s string) []string {
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, strings.TrimSpace(p))
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

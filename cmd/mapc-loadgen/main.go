@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"mapc/internal/benchio"
+	"mapc/internal/dataset"
 	"mapc/internal/serve"
 )
 
@@ -69,13 +70,16 @@ func main() {
 	if *kind != "replica" && *kind != "router" {
 		fatal(fmt.Errorf("-kind must be replica or router, got %q", *kind))
 	}
-	benchList := splitList(*benchmarks)
-	batchList, err := parseInts(*batches)
+	benchList, err := dataset.ParseList("-benchmarks", *benchmarks)
 	if err != nil {
-		fatal(fmt.Errorf("parsing -batches: %w", err))
+		fatal(err)
 	}
-	if len(benchList) == 0 || len(batchList) == 0 || *k <= 0 {
-		fatal(fmt.Errorf("need at least one benchmark, one batch size and k >= 1"))
+	batchList, err := dataset.ParseBatches("-batches", *batches)
+	if err != nil {
+		fatal(err)
+	}
+	if *k <= 0 {
+		fatal(fmt.Errorf("need k >= 1"))
 	}
 	if *label == "" {
 		*label = fmt.Sprintf("%s-r%d-q%g", *kind, *replicas, *qps)
@@ -400,28 +404,6 @@ func round3(v float64) float64 {
 		return 0
 	}
 	return float64(int64(v*1000+0.5)) / 1000
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

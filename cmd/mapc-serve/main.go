@@ -34,8 +34,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -102,16 +100,24 @@ func main() {
 		}
 	}
 	if *benchmarks != "" {
-		cfg.Benchmarks = splitList(*benchmarks)
+		if cfg.Benchmarks, err = dataset.ParseList("-benchmarks", *benchmarks); err != nil {
+			fatal(err)
+		}
 	}
 	if *batches != "" {
-		bs, err := parseInts(*batches)
+		bs, err := dataset.ParseBatches("-batches", *batches)
 		if err != nil {
-			fatal(fmt.Errorf("parsing -batches: %w", err))
+			fatal(err)
 		}
 		cfg.BatchSizes = bs
 		if len(bs) <= 2 {
 			cfg.MixedPairs = 0 // mixed-batch pairs need >= 3 sizes
+		}
+	}
+	var peerList []string
+	if *peers != "" {
+		if peerList, err = dataset.ParseList("-peers", *peers); err != nil {
+			fatal(err)
 		}
 	}
 	gen, err := dataset.NewGenerator(cfg)
@@ -187,8 +193,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mapc-serve: warm-started %d cached bags from peer %s\n", n, *warmFrom)
 		}
 	}
-	if *peers != "" {
-		peerList := splitList(*peers)
+	if peerList != nil {
 		srv.SetPeerFill(nil, peerList, 0)
 		fmt.Fprintf(os.Stderr, "mapc-serve: peer fill enabled against %d peer(s)\n", len(peerList))
 	}
@@ -227,27 +232,6 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "mapc-serve: drained; bye")
 	}
-}
-
-func splitList(s string) []string {
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, strings.TrimSpace(p))
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

@@ -9,7 +9,7 @@ import (
 
 // This file is the CPU side of the fast fidelity tier (see
 // internal/phasesum): the contended co-run — the shared-LLC interleave
-// that runExact replays reference-by-reference for every bag — is replaced
+// that runSteady replays reference-by-reference for every bag — is replaced
 // by a closed-form capacity-sharing model over memoized per-phase reuse
 // sketches of each app's LLC-bound stream. Isolated runs stay exact: they
 // are both the summaries' source and the delta-correction anchors, so a
@@ -86,13 +86,10 @@ func boundSummaryFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int
 
 // runSteadyAnalytic is the analytic counterpart of runSteady: exact
 // private phases (memo hits), closed-form shared-LLC miss estimates, then
-// the identical timing tail. Returns the model's combined confidence; an
-// isolated app is computed exactly (confidence 1).
-func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, float64, error) {
-	if len(apps) == 1 {
-		res, err := runSteady(cfg, memo, apps)
-		return res, 1, err
-	}
+// the identical timing tail. Returns the model's gate: the combined
+// confidence, with low confidence as the only fallback reason. apps holds
+// two or more clients; phasesum.Run evaluates a lone client exactly.
+func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, phasesum.Gate, error) {
 	n := len(apps)
 	mem := make([][]phaseMem, n)
 	sums := make([][]phasesum.PhaseSum, n)
@@ -103,12 +100,12 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 		w := apps[ai].Workload
 		pr, err := privResultFor(cfg, memo, w, ai)
 		if err != nil {
-			return nil, 0, err
+			return nil, phasesum.Gate{}, err
 		}
 		privs[ai] = pr
 		sum, err := boundSummaryFor(cfg, memo, w, ai, pr)
 		if err != nil {
-			return nil, 0, err
+			return nil, phasesum.Gate{}, err
 		}
 		sums[ai] = sum.Line
 		rates[ai] = sum.TotalRefs
@@ -118,7 +115,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 		// anchor transfers; the residual is what the oracle bounds.
 		isoMem, _, err := simulateMemory(cfg, memo, []App{{Workload: w, Threads: apps[ai].Threads}})
 		if err != nil {
-			return nil, 0, err
+			return nil, phasesum.Gate{}, err
 		}
 		isoMems[ai] = isoMem[0]
 	}
@@ -157,47 +154,6 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 			llcRates[ai] = missSum / boundSum
 		}
 	}
-	return steadyFromMem(cfg, apps, mem, llcRates), conf, nil
-}
-
-// RunMemoFidelity is the simulator's tiered entry: the co-run of apps at
-// fidelity fid, memoized in memo when it is non-nil. Exact fidelity (and
-// every single-app run) replays the co-run exactly (runExact). Fast
-// estimates every contended co-run analytically; mixed does so only while
-// the model's self-reported confidence clears
-// phasesum.DefaultMinConfidence, falling back to exact simulation below
-// it. The returned RunKind reports which simulator answered; the CPU
-// model has no share partitioning or DRAM gate, so its only fallback
-// reason is low confidence.
-func RunMemoFidelity(cfg Config, memo *simcache.Cache, apps []App, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
-	if err := validateApps(cfg, apps); err != nil {
-		return nil, phasesum.RunKind{}, err
-	}
-	fid = fid.Effective()
-	if !fid.Analytic() || len(apps) == 1 {
-		res, err := runExact(cfg, memo, apps)
-		return res, phasesum.RunKind{UsedExact: true}, err
-	}
-	// Evaluate the full-contention steady state once: it is both the
-	// schedule's first step and the confidence the mixed tier gates on
-	// (the full client set is the most contended, so its confidence is
-	// the run's worst case).
-	steady, conf, err := runSteadyAnalytic(cfg, memo, apps)
-	if err != nil {
-		return nil, phasesum.RunKind{}, err
-	}
-	if fid == phasesum.Mixed && conf < phasesum.DefaultMinConfidence {
-		res, err := runExact(cfg, memo, apps)
-		return res, phasesum.RunKind{UsedExact: true, Fallback: phasesum.FallbackLowConfidence}, err
-	}
-	first := true
-	res, err := runPhased(cfg, apps, func(sub []App) ([]Result, error) {
-		if first && len(sub) == len(apps) {
-			first = false
-			return steady, nil
-		}
-		r, _, err := runSteadyAnalytic(cfg, memo, sub)
-		return r, err
-	})
-	return res, phasesum.RunKind{}, err
+	gate := phasesum.Gate{Conf: conf, Reason: phasesum.FallbackLowConfidence}
+	return steadyFromMem(cfg, apps, mem, llcRates), gate, nil
 }

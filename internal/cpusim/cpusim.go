@@ -166,20 +166,23 @@ type phaseMem struct {
 }
 
 // RunMemo simulates the co-scheduled execution of apps at exact fidelity
-// and returns one Result per app. It is RunMemoFidelity at phasesum.Exact;
-// see runExact for the co-run model. A single-element slice simulates an
-// isolated run.
+// and returns one Result per app. It is RunMemoFidelity at phasesum.Exact.
+// A single-element slice simulates an isolated run.
 func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 	res, _, err := RunMemoFidelity(cfg, memo, apps, phasesum.Exact)
 	return res, err
 }
 
-// runExact is the exact co-run, the reference every analytic estimate is
-// scored against. Like a real co-run, the execution is phased: all apps
-// contend while co-resident, and each app's exit releases its cores, cache
-// share and bandwidth to the survivors. Reported times are completion
-// times and IPC is lifetime IPC — what Linux perf attached to each process
-// measures. Every workload is strictly read-only (see App.Workload), so
+// RunMemoFidelity is the simulator's tiered entry: the co-run of apps at
+// fidelity fid, memoized in memo when it is non-nil. Like a real co-run,
+// the execution is phased (phasesum.Run): all apps contend while
+// co-resident, and each app's exit releases its cores, cache share and
+// bandwidth to the survivors. Reported times are completion times and IPC
+// is lifetime IPC — what Linux perf attached to each process measures.
+// Exact fidelity (and every single-app run) evaluates each step with
+// runSteady; fast and mixed use runSteadyAnalytic, whose only fallback
+// reason is low confidence (the CPU model has no share partitioning or
+// DRAM gate). Every workload is strictly read-only (see App.Workload), so
 // callers may share cached workloads across concurrent runs.
 //
 // A non-nil memo caches the pure simulation prefixes. Two pieces of
@@ -198,81 +201,35 @@ func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 // call. Outputs are bit-identical for every memo budget, including under
 // eviction pressure: cached entries are immutable and hold exactly the
 // bytes the cold path would recompute. A nil memo is the cold path.
-func runExact(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
-	return runPhased(cfg, apps, func(sub []App) ([]Result, error) {
-		return runSteady(cfg, memo, sub)
+func RunMemoFidelity(cfg Config, memo *simcache.Cache, apps []App, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
+	if err := validateApps(cfg, apps); err != nil {
+		return nil, phasesum.RunKind{}, err
+	}
+	sub := func(active []int) []App {
+		s := make([]App, len(active))
+		for k, ai := range active {
+			s[k] = apps[ai]
+		}
+		return s
+	}
+	return phasesum.Run(fid, phasesum.CoRun[Result]{
+		N: len(apps),
+		Exact: func(active []int) ([]Result, error) {
+			return runSteady(cfg, memo, sub(active))
+		},
+		Analytic: func(active []int) ([]Result, phasesum.Gate, error) {
+			return runSteadyAnalytic(cfg, memo, sub(active))
+		},
+		Time: func(r Result) float64 { return r.TimeSec },
+		Finish: func(r Result, t float64) Result {
+			r.TimeSec = t
+			r.Cycles = t * cfg.FreqGHz * 1e9
+			if r.Cycles > 0 {
+				r.IPC = float64(r.Instructions) / r.Cycles
+			}
+			return r
+		},
 	})
-}
-
-// runPhased executes the phased completion schedule over steady-state
-// rates: progress every active app proportionally to its current rate;
-// when the earliest finisher completes, re-evaluate the survivors as a
-// smaller client set via steady. Shared by the exact co-run (runExact) and
-// the analytic fidelity tier (runSteadyAnalytic) — same schedule,
-// different steady-state evaluators.
-func runPhased(cfg Config, apps []App, steadyFn func(sub []App) ([]Result, error)) ([]Result, error) {
-	steady, err := steadyFn(apps)
-	if err != nil {
-		return nil, err
-	}
-	if len(apps) == 1 {
-		return steady, nil
-	}
-
-	n := len(apps)
-	remaining := make([]float64, n)
-	finish := make([]float64, n)
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
-		remaining[i] = 1
-	}
-	cur := steady
-	var clock float64
-	for len(active) > 0 {
-		best := -1
-		bestDT := 0.0
-		for k := range active {
-			dt := remaining[active[k]] * cur[k].TimeSec
-			if best < 0 || dt < bestDT {
-				best, bestDT = k, dt
-			}
-		}
-		for k, ai := range active {
-			if cur[k].TimeSec > 0 {
-				remaining[ai] -= bestDT / cur[k].TimeSec
-			} else {
-				remaining[ai] = 0
-			}
-		}
-		clock += bestDT
-		done := active[best]
-		finish[done] = clock
-		remaining[done] = 0
-		active = append(active[:best], active[best+1:]...)
-		if len(active) == 0 {
-			break
-		}
-		sub := make([]App, len(active))
-		for k, ai := range active {
-			sub[k] = apps[ai]
-		}
-		cur, err = steadyFn(sub)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	out := make([]Result, n)
-	for i := range apps {
-		out[i] = steady[i]
-		out[i].TimeSec = finish[i]
-		out[i].Cycles = finish[i] * cfg.FreqGHz * 1e9
-		if out[i].Cycles > 0 {
-			out[i].IPC = float64(out[i].Instructions) / out[i].Cycles
-		}
-	}
-	return out, nil
 }
 
 func validateApps(cfg Config, apps []App) error {
@@ -316,36 +273,19 @@ func runSteady(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 // per-phase memory behaviour (exact or analytic) and the per-app LLC miss
 // ratios to report. Shared by the exact and analytic steady evaluators.
 func steadyFromMem(cfg Config, apps []App, mem [][]phaseMem, llcRates []float64) []Result {
-	// Core allocation. The machine provides Cores full-speed thread
-	// contexts plus diminishing-return SMT siblings: its total capacity
-	// in core-equivalents is Cores*(1 + SMTYield*(ThreadsPerCore-1)).
-	// While demand fits within physical cores every thread runs at full
-	// speed; beyond that, all runnable threads share the capacity
-	// proportionally — the OS time-slices them fairly.
-	capacity := float64(cfg.Cores) * (1 + cfg.SMTYield*float64(cfg.ThreadsPerCore-1))
-	demanded := 0
-	for i := range apps {
-		demanded += apps[i].Threads
-	}
-	coreScale := 1.0
-	if d := float64(demanded); d > float64(cfg.Cores) {
-		if scale := capacity / d; scale < 1 {
-			coreScale = scale
-		}
-	}
+	coreScale := coreScaleOf(cfg, apps)
 
 	// Pass 1: compute-and-latency-bound times, ignoring bandwidth.
-	results := make([]Result, len(apps))
+	prelim := make([]float64, len(apps))
 	traffic := make([]float64, len(apps))
 	for i := range apps {
-		cycles, bytes := appCycles(cfg, apps[i], mem[i], coreScale, 0)
-		results[i].Cycles = cycles
-		traffic[i] = bytes
+		prelim[i], traffic[i] = appCycles(cfg, apps[i], mem[i], coreScale, 0)
 	}
 
 	// Pass 2: apportion DRAM bandwidth by demand and re-time with the
 	// bandwidth bound in place.
-	share := bandwidthShares(cfg, results, traffic)
+	share := memsim.BandwidthShares(cfg.DRAMBandwidth, cfg.FreqGHz, prelim, traffic)
+	results := make([]Result, len(apps))
 	for i := range apps {
 		cycles, bytes := appCycles(cfg, apps[i], mem[i], coreScale, share[i])
 		w := apps[i].Workload
@@ -363,17 +303,24 @@ func steadyFromMem(cfg Config, apps []App, mem [][]phaseMem, llcRates []float64)
 	return results
 }
 
-// bandwidthShares returns per-app available DRAM bandwidth (bytes/sec) under
-// max-min fair arbitration of the memory controller.
-func bandwidthShares(cfg Config, prelim []Result, traffic []float64) []float64 {
-	demand := make([]float64, len(prelim))
-	for i := range prelim {
-		t := prelim[i].Cycles / (cfg.FreqGHz * 1e9)
-		if t > 0 {
-			demand[i] = traffic[i] / t
+// coreScaleOf is the core allocation. The machine provides Cores
+// full-speed thread contexts plus diminishing-return SMT siblings: its
+// total capacity in core-equivalents is Cores*(1 + SMTYield*(ThreadsPerCore-1)).
+// While demand fits within physical cores every thread runs at full
+// speed; beyond that, all runnable threads share the capacity
+// proportionally — the OS time-slices them fairly.
+func coreScaleOf(cfg Config, apps []App) float64 {
+	capacity := float64(cfg.Cores) * (1 + cfg.SMTYield*float64(cfg.ThreadsPerCore-1))
+	demanded := 0
+	for i := range apps {
+		demanded += apps[i].Threads
+	}
+	if d := float64(demanded); d > float64(cfg.Cores) {
+		if scale := capacity / d; scale < 1 {
+			return scale
 		}
 	}
-	return memsim.Waterfill(cfg.DRAMBandwidth, demand)
+	return 1
 }
 
 // appCycles computes one app's wall-clock cycles and DRAM traffic given its
@@ -473,19 +420,8 @@ func PhaseBreakdown(cfg Config, apps []App, app int) ([]PhaseTiming, error) {
 	if err != nil {
 		return nil, err
 	}
-	capacity := float64(cfg.Cores) * (1 + cfg.SMTYield*float64(cfg.ThreadsPerCore-1))
-	demanded := 0
-	for i := range apps {
-		demanded += apps[i].Threads
-	}
-	coreScale := 1.0
-	if d := float64(demanded); d > float64(cfg.Cores) {
-		if scale := capacity / d; scale < 1 {
-			coreScale = scale
-		}
-	}
 	var out []PhaseTiming
-	appCyclesTraced(cfg, apps[app], mem[app], coreScale, 0, &out)
+	appCyclesTraced(cfg, apps[app], mem[app], coreScaleOf(cfg, apps), 0, &out)
 	return out, nil
 }
 

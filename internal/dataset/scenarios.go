@@ -90,6 +90,41 @@ func ParseShares(spec string) ([]float64, error) {
 	return out, nil
 }
 
+// ParseList parses a comma-separated list flag value (benchmarks, batch
+// sizes, peers), trimming spaces around each item. An empty item — a
+// doubled or trailing comma, or an empty value — is an error naming the
+// flag.
+func ParseList(flag, spec string) ([]string, error) {
+	parts := strings.Split(spec, ",")
+	for i, p := range parts {
+		if parts[i] = strings.TrimSpace(p); parts[i] == "" {
+			return nil, fmt.Errorf("%s: empty item in %q", flag, spec)
+		}
+	}
+	return parts, nil
+}
+
+// ParseBatches parses a comma-separated batch-size flag value: every item
+// must be a positive integer.
+func ParseBatches(flag, spec string) ([]int, error) {
+	items, err := ParseList(flag, spec)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, len(items))
+	for i, p := range items {
+		v, err := strconv.Atoi(p)
+		if err != nil {
+			return nil, fmt.Errorf("%s: batch size %q is not an integer", flag, p)
+		}
+		if v <= 0 {
+			return nil, fmt.Errorf("%s: batch size %d is not positive", flag, v)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
 // DefaultSkewScenarios is the benchmarked k × share-skew grid recorded in
 // BENCH_baseline.json (the "skew suite"): pairs and 4-bags from the
 // uniform split down to a 0.05 minority share — the acceptance regime the

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mapc/internal/phasesum"
@@ -171,6 +172,42 @@ func TestParseShares(t *testing.T) {
 	for _, bad := range []string{"", "a/b", "0.7;0.3"} {
 		if _, err := ParseShares(bad); err == nil {
 			t.Errorf("ParseShares(%q) accepted", bad)
+		}
+	}
+}
+
+func TestParseListAndBatches(t *testing.T) {
+	cases := []struct {
+		spec    string
+		list    []string
+		batches []int
+		err     string // substring of both errors when list is nil
+	}{
+		{spec: "20,40", list: []string{"20", "40"}, batches: []int{20, 40}},
+		{spec: " 20 , 40 ", list: []string{"20", "40"}, batches: []int{20, 40}},
+		{spec: "20,40,", err: `-batches: empty item in "20,40,"`},
+		{spec: "20,,40", err: "empty item"},
+		{spec: "", err: "empty item"},
+		{spec: "20,0", list: []string{"20", "0"}, err: "-batches: batch size 0 is not positive"},
+		{spec: "-5", list: []string{"-5"}, err: "-batches: batch size -5 is not positive"},
+		{spec: "20,x", list: []string{"20", "x"}, err: `-batches: batch size "x" is not an integer`},
+	}
+	for _, c := range cases {
+		list, err := ParseList("-batches", c.spec)
+		if c.list == nil {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("ParseList(%q) = %v, %v; want error containing %q", c.spec, list, err, c.err)
+			}
+		} else if err != nil || !reflect.DeepEqual(list, c.list) {
+			t.Errorf("ParseList(%q) = %v, %v; want %v", c.spec, list, err, c.list)
+		}
+		batches, err := ParseBatches("-batches", c.spec)
+		if c.batches == nil {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("ParseBatches(%q) = %v, %v; want error containing %q", c.spec, batches, err, c.err)
+			}
+		} else if err != nil || !reflect.DeepEqual(batches, c.batches) {
+			t.Errorf("ParseBatches(%q) = %v, %v; want %v", c.spec, batches, err, c.batches)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // This file is the GPU side of the fast fidelity tier (see
 // internal/phasesum): the contended co-run — the shared L2 and shared TLB
-// interleave with periodic MPS flushes that runExact replays
+// interleave with periodic MPS flushes that runSteady replays
 // reference-by-reference — is replaced by closed-form capacity-sharing
 // estimates over memoized per-phase reuse sketches (lines for the L2,
 // pages for the TLB). Isolated runs stay exact and anchor the deltas.
@@ -58,45 +58,14 @@ func streamSummaryFor(memo *simcache.Cache, w *trace.Workload, ai int) (phasesum
 	return v.(summaryEntry).sum, nil
 }
 
-// smSharesOf mirrors steadyFromMem's SM partitioning: equal split for nil
-// shares, normalized weights otherwise.
-func smSharesOf(cfg Config, n int, shares []float64) []float64 {
-	out := make([]float64, n)
-	if shares == nil {
-		equal := float64(cfg.SMs) / float64(n)
-		for i := range out {
-			out[i] = equal
-		}
-		return out
-	}
-	var sum float64
-	for _, s := range shares {
-		sum += s
-	}
-	for i, s := range shares {
-		out[i] = float64(cfg.SMs) * (s / sum)
-	}
-	return out
-}
-
-// analyticGate is the steady evaluation's self-assessment: the combined
-// model confidence after the share and bandwidth terms, and — when conf
-// sits under phasesum.DefaultMinConfidence — which term pushed it there.
-type analyticGate struct {
-	conf   float64
-	reason phasesum.FallbackReason
-}
-
 // runSteadyAnalytic is the analytic counterpart of runSteady: exact
 // isolated anchors (memo hits), closed-form shared-L2 and shared-TLB miss
-// estimates, then the identical timing tail. Returns the model's gate
-// (combined confidence plus the would-be fallback reason); an isolated
-// client is computed exactly (confidence 1).
-func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, analyticGate, error) {
-	if len(workloads) == 1 {
-		res, err := runSteady(cfg, memo, workloads, shares)
-		return res, analyticGate{conf: 1}, err
-	}
+// estimates, then the identical timing tail. Returns the model's gate:
+// the combined confidence after the share and bandwidth terms and, when
+// it sits under phasesum.DefaultMinConfidence, which term pushed it there.
+// workloads holds two or more clients; phasesum.Run evaluates a lone
+// client exactly.
+func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, phasesum.Gate, error) {
 	n := len(workloads)
 	lineSums := make([][]phasesum.PhaseSum, n)
 	pageSums := make([][]phasesum.PhaseSum, n)
@@ -105,7 +74,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 	for ai, w := range workloads {
 		sum, err := streamSummaryFor(memo, w, ai)
 		if err != nil {
-			return nil, analyticGate{}, err
+			return nil, phasesum.Gate{}, err
 		}
 		lineSums[ai] = sum.Line
 		pageSums[ai] = sum.Page
@@ -116,7 +85,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 		// anchor transfers; the residual is what the oracle bounds.
 		isoMem, _, _, err := simulateMemory(cfg, memo, []*trace.Workload{w})
 		if err != nil {
-			return nil, analyticGate{}, err
+			return nil, phasesum.Gate{}, err
 		}
 		isoMems[ai] = isoMem[0]
 	}
@@ -179,71 +148,23 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 		cycles, bytes := appCycles(cfg, w, mem[ai], smShares[ai], n, 0)
 		demands[ai] = phasesum.BandwidthDemand{Bytes: bytes, Sec: cycles / (cfg.FreqGHz * 1e9)}
 	}
-	gate := analyticGate{conf: conf}
+	gate := phasesum.Gate{Conf: conf}
 	if phasesum.TotalBandwidthDemand(demands) > phasesum.BandwidthGateRatio*cfg.DRAMBandwidth {
-		gate = analyticGate{conf: 0, reason: phasesum.FallbackBandwidthGate}
+		gate = phasesum.Gate{Conf: 0, Reason: phasesum.FallbackBandwidthGate}
 	} else {
 		bwConf := phasesum.BandwidthConfidence(conf, phasesum.BandwidthBoundFrac(cfg.DRAMBandwidth, demands))
 		// The share penalty replaces the former sub-SM hard refusal: a
 		// continuous effective-capacity deflation by the thinnest client's
 		// partition (phasesum.ShareConfidence), applied after the
 		// bandwidth blend so extreme skew still demotes saturated bags.
-		gate.conf = bwConf * phasesum.ShareConfidence(smShares)
-		if gate.conf < phasesum.DefaultMinConfidence {
+		gate.Conf = bwConf * phasesum.ShareConfidence(smShares)
+		if gate.Conf < phasesum.DefaultMinConfidence {
 			if bwConf >= phasesum.DefaultMinConfidence {
-				gate.reason = phasesum.FallbackSubSMShare
+				gate.Reason = phasesum.FallbackSubSMShare
 			} else {
-				gate.reason = phasesum.FallbackLowConfidence
+				gate.Reason = phasesum.FallbackLowConfidence
 			}
 		}
 	}
 	return steadyFromMem(cfg, workloads, shares, mem, l2Rates, tlbRates), gate, nil
-}
-
-// RunMemoSharesFidelity is the simulator's tiered entry: the co-run of
-// workloads with SM partition shares (nil is the equal MPS split; see
-// runExact) at fidelity fid, memoized in memo when it is non-nil. Exact
-// fidelity (and every single-client run) replays the co-run exactly. Fast
-// estimates every contended co-run analytically; mixed does so only while
-// the model's self-reported confidence clears phasesum.DefaultMinConfidence,
-// falling back to exact simulation below it (extreme share skew and demand
-// far past the device bandwidth land here by construction). The returned
-// RunKind reports which simulator answered and, for mixed-tier fallbacks,
-// which gate bounced the run.
-//
-// Read-only contract: no tier mutates the workloads — they may be shared
-// across concurrent calls and reused afterwards without cloning.
-// TestRunTreatsWorkloadsAsReadOnly enforces this with a full-field
-// fingerprint before/after.
-func RunMemoSharesFidelity(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
-	if err := validateRun(cfg, workloads, shares); err != nil {
-		return nil, phasesum.RunKind{}, err
-	}
-	fid = fid.Effective()
-	if !fid.Analytic() || len(workloads) == 1 {
-		res, err := runExact(cfg, memo, workloads, shares)
-		return res, phasesum.RunKind{UsedExact: true}, err
-	}
-	// Evaluate the full-contention steady state once: it is both the
-	// schedule's first step and the confidence the mixed tier gates on
-	// (the full client set is the most contended, so its confidence is
-	// the run's worst case).
-	steady, gate, err := runSteadyAnalytic(cfg, memo, workloads, shares)
-	if err != nil {
-		return nil, phasesum.RunKind{}, err
-	}
-	if fid == phasesum.Mixed && gate.conf < phasesum.DefaultMinConfidence {
-		res, err := runExact(cfg, memo, workloads, shares)
-		return res, phasesum.RunKind{UsedExact: true, Fallback: gate.reason}, err
-	}
-	first := true
-	res, err := runPhased(cfg, workloads, shares, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
-		if first && len(sub) == len(workloads) {
-			first = false
-			return steady, nil
-		}
-		r, _, err := runSteadyAnalytic(cfg, memo, sub, subShares)
-		return r, err
-	})
-	return res, phasesum.RunKind{}, err
 }

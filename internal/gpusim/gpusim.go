@@ -187,19 +187,24 @@ type phaseMem struct {
 
 // RunMemo simulates apps launched together under MPS at exact fidelity with
 // the default equal SM split, and returns each app's completion time. It is
-// RunMemoSharesFidelity at phasesum.Exact with nil shares; see runExact for
-// the co-run model. A single-element slice is an isolated run.
+// RunMemoSharesFidelity at phasesum.Exact with nil shares. A single-element
+// slice is an isolated run.
 func RunMemo(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([]Result, error) {
 	res, _, err := RunMemoSharesFidelity(cfg, memo, workloads, nil, phasesum.Exact)
 	return res, err
 }
 
-// runExact is the exact co-run, the reference every analytic estimate is
-// scored against. The execution is *phased*: all clients contend while
-// co-resident, and as each one finishes, the survivors are re-simulated with
-// the smaller client set (more SMs, less cache/TLB/bandwidth interference).
-// This matches real MPS behaviour, where a short job's exit releases its SM
-// partition to the remaining clients.
+// RunMemoSharesFidelity is the simulator's tiered entry: the co-run of
+// workloads with SM partition shares at fidelity fid, memoized in memo
+// when it is non-nil. The execution is phased (phasesum.Run): all clients
+// contend while co-resident, and as each one finishes, the survivors are
+// re-simulated with the smaller client set (more SMs, less cache/TLB/
+// bandwidth interference). Exact fidelity (and every single-client run)
+// evaluates each step with runSteady, the reference every analytic
+// estimate is scored against; fast and mixed use runSteadyAnalytic, whose
+// gate bounces extreme share skew and demand far past the device bandwidth
+// to exact in the mixed tier. The returned RunKind reports which simulator
+// answered and, for mixed-tier fallbacks, which gate bounced the run.
 //
 // shares[i] is client i's relative weight of the SM pool (an MPS
 // active-thread percentage). Shares are normalized internally, so {1,1} and
@@ -216,9 +221,48 @@ func RunMemo(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([]R
 // shared TLB/L2 interleave. Outputs are bit-identical at every memo budget,
 // including nil: cached values are exactly the bytes the cold path
 // produces, and entries are immutable once published.
-func runExact(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, error) {
-	return runPhased(cfg, workloads, shares, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
-		return runSteady(cfg, memo, sub, subShares)
+//
+// Read-only contract: no tier mutates the workloads — they may be shared
+// across concurrent calls and reused afterwards without cloning.
+// TestRunTreatsWorkloadsAsReadOnly enforces this with a full-field
+// fingerprint before/after.
+func RunMemoSharesFidelity(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
+	if err := validateRun(cfg, workloads, shares); err != nil {
+		return nil, phasesum.RunKind{}, err
+	}
+	sub := func(active []int) ([]*trace.Workload, []float64) {
+		ws := make([]*trace.Workload, len(active))
+		var ss []float64
+		if shares != nil {
+			ss = make([]float64, len(active))
+		}
+		for k, ai := range active {
+			ws[k] = workloads[ai]
+			if shares != nil {
+				ss[k] = shares[ai]
+			}
+		}
+		return ws, ss
+	}
+	return phasesum.Run(fid, phasesum.CoRun[Result]{
+		N: len(workloads),
+		Exact: func(active []int) ([]Result, error) {
+			ws, ss := sub(active)
+			return runSteady(cfg, memo, ws, ss)
+		},
+		Analytic: func(active []int) ([]Result, phasesum.Gate, error) {
+			ws, ss := sub(active)
+			return runSteadyAnalytic(cfg, memo, ws, ss)
+		},
+		Time: func(r Result) float64 { return r.TimeSec },
+		Finish: func(r Result, t float64) Result {
+			r.TimeSec = t
+			r.Cycles = t * cfg.FreqGHz * 1e9
+			if r.Cycles > 0 {
+				r.IPC = float64(r.Instructions) / r.Cycles
+			}
+			return r
+		},
 	})
 }
 
@@ -252,93 +296,6 @@ func validateRun(cfg Config, workloads []*trace.Workload, shares []float64) erro
 	return nil
 }
 
-// runPhased executes the phased completion schedule over steady-state
-// rates: progress every active client proportionally to its current rate;
-// when the earliest finisher completes, re-evaluate the survivors (with
-// their shares renormalized over the active set) as a smaller client set.
-// Shared by the exact co-run (runExact) and the analytic fidelity tier
-// (runSteadyAnalytic) — same schedule, different steady evaluators.
-func runPhased(cfg Config, workloads []*trace.Workload, shares []float64, steadyFn func(sub []*trace.Workload, subShares []float64) ([]Result, error)) ([]Result, error) {
-	// Steady-state results for the full client set: the per-app rates and
-	// statistics while everyone is resident.
-	steady, err := steadyFn(workloads, shares)
-	if err != nil {
-		return nil, err
-	}
-	if len(workloads) == 1 {
-		return steady, nil
-	}
-
-	// Phased schedule: progress every active app proportionally to its
-	// current steady-state rate; when the earliest finisher completes,
-	// re-evaluate the survivors as a smaller client set.
-	n := len(workloads)
-	remaining := make([]float64, n) // fraction of work left
-	finish := make([]float64, n)    // completion time (seconds)
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
-		remaining[i] = 1
-	}
-	cur := steady
-	var clock float64
-	for len(active) > 0 {
-		// Earliest completion among active apps at current rates.
-		best := -1
-		bestDT := 0.0
-		for k, ai := range active {
-			dt := remaining[ai] * cur[k].TimeSec
-			if best < 0 || dt < bestDT {
-				best, bestDT = k, dt
-			}
-		}
-		for k, ai := range active {
-			if cur[k].TimeSec > 0 {
-				remaining[ai] -= bestDT / cur[k].TimeSec
-			} else {
-				remaining[ai] = 0
-			}
-		}
-		clock += bestDT
-		done := active[best]
-		finish[done] = clock
-		remaining[done] = 0
-		active = append(active[:best], active[best+1:]...)
-		if len(active) == 0 {
-			break
-		}
-		sub := make([]*trace.Workload, len(active))
-		var subShares []float64
-		if shares != nil {
-			subShares = make([]float64, len(active))
-		}
-		for k, ai := range active {
-			sub[k] = workloads[ai]
-			if shares != nil {
-				subShares[k] = shares[ai]
-			}
-		}
-		cur, err = steadyFn(sub, subShares)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Report: completion times from the phased schedule; rates and memory
-	// statistics from the full-contention period (the shared-run counters
-	// a profiler attached to the co-run window would read).
-	out := make([]Result, n)
-	for i := range workloads {
-		out[i] = steady[i]
-		out[i].TimeSec = finish[i]
-		out[i].Cycles = finish[i] * cfg.FreqGHz * 1e9
-		if out[i].Cycles > 0 {
-			out[i].IPC = float64(out[i].Instructions) / out[i].Cycles
-		}
-	}
-	return out, nil
-}
-
 // runSteady computes per-app execution times assuming the full client set
 // stays resident for the whole run. A nil shares slice is the equal MPS
 // split (the exact legacy SMs/n computation); otherwise each client gets
@@ -364,28 +321,12 @@ func runSteady(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, sh
 // evaluators.
 func steadyFromMem(cfg Config, workloads []*trace.Workload, shares []float64, mem [][]phaseMem, l2Rates, tlbRates []float64) []Result {
 	n := len(workloads)
-	smShares := make([]float64, n) // MPS spatial partitioning
-	if shares == nil {
-		equal := float64(cfg.SMs) / float64(n)
-		for i := range smShares {
-			smShares[i] = equal
-		}
-	} else {
-		var sum float64
-		for _, s := range shares {
-			sum += s
-		}
-		for i, s := range shares {
-			smShares[i] = float64(cfg.SMs) * (s / sum)
-		}
-	}
+	smShares := smSharesOf(cfg, n, shares)
 
-	results := make([]Result, n)
+	prelim := make([]float64, n)
 	traffic := make([]float64, n)
 	for i, w := range workloads {
-		cycles, bytes := appCycles(cfg, w, mem[i], smShares[i], n, 0)
-		results[i].Cycles = cycles
-		traffic[i] = bytes
+		prelim[i], traffic[i] = appCycles(cfg, w, mem[i], smShares[i], n, 0)
 	}
 	// PCIe: each client first ships its input batch; concurrent clients
 	// split the link evenly while their transfers overlap.
@@ -400,7 +341,8 @@ func steadyFromMem(cfg Config, workloads []*trace.Workload, shares []float64, me
 		pcieShare /= float64(transferring)
 	}
 
-	share := bandwidthShares(cfg, results, traffic)
+	share := memsim.BandwidthShares(cfg.DRAMBandwidth, cfg.FreqGHz, prelim, traffic)
+	results := make([]Result, n)
 	for i, w := range workloads {
 		cycles, bytes := appCycles(cfg, w, mem[i], smShares[i], n, share[i])
 		if w.TransferBytes > 0 {
@@ -423,6 +365,27 @@ func steadyFromMem(cfg Config, workloads []*trace.Workload, shares []float64, me
 	return results
 }
 
+// smSharesOf is the MPS spatial partitioning: the exact legacy SMs/n
+// equal split for nil shares, SMs scaled by normalized weights otherwise.
+func smSharesOf(cfg Config, n int, shares []float64) []float64 {
+	out := make([]float64, n)
+	if shares == nil {
+		equal := float64(cfg.SMs) / float64(n)
+		for i := range out {
+			out[i] = equal
+		}
+		return out
+	}
+	var sum float64
+	for _, s := range shares {
+		sum += s
+	}
+	for i, s := range shares {
+		out[i] = float64(cfg.SMs) * (s / sum)
+	}
+	return out
+}
+
 // BagTime returns the makespan of a concurrent run: the paper's prediction
 // target for a bag of tasks.
 func BagTime(results []Result) float64 {
@@ -433,19 +396,6 @@ func BagTime(results []Result) float64 {
 		}
 	}
 	return max
-}
-
-// bandwidthShares apportions device DRAM bandwidth among MPS clients with
-// max-min fairness (see memsim.Waterfill).
-func bandwidthShares(cfg Config, prelim []Result, traffic []float64) []float64 {
-	demand := make([]float64, len(prelim))
-	for i := range prelim {
-		t := prelim[i].Cycles / (cfg.FreqGHz * 1e9)
-		if t > 0 {
-			demand[i] = traffic[i] / t
-		}
-	}
-	return memsim.Waterfill(cfg.DRAMBandwidth, demand)
 }
 
 // PhaseTiming reports one kernel's simulated timing decomposition.

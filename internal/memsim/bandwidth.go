@@ -1,5 +1,20 @@
 package memsim
 
+// BandwidthShares apportions total bandwidth (bytes/second) among
+// co-running clients by max-min fairness over their demanded rates:
+// client i moves traffic[i] bytes in cycles[i] cycles at freqGHz when
+// bandwidth is unconstrained (a client with no time demands nothing).
+func BandwidthShares(total, freqGHz float64, cycles, traffic []float64) []float64 {
+	demand := make([]float64, len(cycles))
+	for i := range cycles {
+		t := cycles[i] / (freqGHz * 1e9)
+		if t > 0 {
+			demand[i] = traffic[i] / t
+		}
+	}
+	return Waterfill(total, demand)
+}
+
 // Waterfill apportions total bandwidth among clients with the given demands
 // using max-min fairness (progressive filling): every client is guaranteed
 // an equal share, clients that demand less than their share keep only what

@@ -79,22 +79,32 @@ func TestForEachPanicLowestIndexWins(t *testing.T) {
 }
 
 // TestForEachPanicStopsClaiming: a panic sets the failed flag like an
-// error, so the pool stops claiming new indices.
+// error, so the pool stops claiming new indices. Every call but the
+// panicking one blocks until the failure is recorded, so no schedule can
+// let a sibling race ahead: once it is recorded, each worker finishes at
+// most the one index it holds (claimed before it could observe the
+// failure) and claims nothing more, so the run makes at most one call per
+// worker.
 func TestForEachPanicStopsClaiming(t *testing.T) {
+	const workers = 4
+	recorded := make(chan struct{})
+	failHook = func() { close(recorded) }
+	t.Cleanup(func() { failHook = nil })
 	var calls atomic.Int64
-	err := ForEach(2, 10_000, func(i int) error {
+	err := ForEach(workers, 10_000, func(i int) error {
 		calls.Add(1)
 		if i == 0 {
 			panic("die early")
 		}
+		<-recorded
 		return nil
 	})
 	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("panic swallowed: %v", err)
+	if !errors.As(err, &pe) || pe.Index != 0 {
+		t.Fatalf("got %v, want PanicError at 0", err)
 	}
-	if c := calls.Load(); c > 1000 {
-		t.Errorf("%d calls claimed after early panic", c)
+	if c := calls.Load(); c > workers {
+		t.Errorf("%d calls on %d workers: indices claimed after the panic was recorded", c, workers)
 	}
 }
 

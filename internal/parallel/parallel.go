@@ -69,6 +69,10 @@ func Resolve(workers int) int {
 	return workers
 }
 
+// failHook, when set by a test, runs on a pooled worker right after it
+// records a failure, before that worker's next check for one.
+var failHook func()
+
 // ForEach runs fn(i) for every i in [0, n) on a bounded pool of workers.
 //
 // Semantics:
@@ -132,6 +136,9 @@ func ForEach(workers, n int, fn func(i int) error) error {
 				if err := call(fn, i); err != nil {
 					errs[i] = err
 					failed.Store(true)
+					if failHook != nil {
+						failHook()
+					}
 				}
 			}
 		}()

@@ -60,9 +60,9 @@ type Policy interface {
 // Scheduler drains job queues through the simulated GPU.
 type Scheduler struct {
 	gpu gpusim.Config
+	// gen featurizes bags and memoizes each member's instrumented
+	// workload.
 	gen *dataset.Generator
-	// workloads caches each member's instrumented workload.
-	workloads map[dataset.Member]*trace.Workload
 	// bagTimes caches measured bag makespans for the oracle policy.
 	bagTimes map[[2]dataset.Member]float64
 	// predictor is set when a prediction-guided policy is used.
@@ -80,23 +80,9 @@ func New(cfg dataset.Config, predictor *core.Predictor) (*Scheduler, error) {
 	return &Scheduler{
 		gpu:       cfg.GPU,
 		gen:       gen,
-		workloads: map[dataset.Member]*trace.Workload{},
 		bagTimes:  map[[2]dataset.Member]float64{},
 		predictor: predictor,
 	}, nil
-}
-
-// workload returns the cached instrumented workload for m.
-func (s *Scheduler) workload(m dataset.Member) (*trace.Workload, error) {
-	if w, ok := s.workloads[m]; ok {
-		return w, nil
-	}
-	w, err := s.gen.Workload(m)
-	if err != nil {
-		return nil, err
-	}
-	s.workloads[m] = w
-	return w, nil
 }
 
 // PredictBag returns the predictor's estimate for the bag (a, b).
@@ -121,11 +107,11 @@ func (s *Scheduler) MeasureBag(a, b dataset.Member) (float64, error) {
 	if t, ok := s.bagTimes[key]; ok {
 		return t, nil
 	}
-	wa, err := s.workload(a)
+	wa, err := s.gen.Workload(a)
 	if err != nil {
 		return 0, err
 	}
-	wb, err := s.workload(b)
+	wb, err := s.gen.Workload(b)
 	if err != nil {
 		return 0, err
 	}
@@ -170,7 +156,7 @@ func (s *Scheduler) Run(policy Policy, queue []Job) (*Schedule, error) {
 		ws := make([]*trace.Workload, len(pick))
 		for i, idx := range pick {
 			jobs[i] = pending[idx]
-			w, err := s.workload(pending[idx].Member)
+			w, err := s.gen.Workload(pending[idx].Member)
 			if err != nil {
 				return nil, err
 			}
