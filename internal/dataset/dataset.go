@@ -221,19 +221,51 @@ type measurement struct {
 	gpu      gpusim.Result
 }
 
-// measureEntry is one singleflight slot of the memoized measurement cache:
-// the sync.Once guarantees the member's instrumented run and isolated
-// simulations execute exactly once even when concurrent bags share the
-// member.
-type measureEntry struct {
+// onceTable is a never-evicted singleflight map: the first get of a key
+// runs compute exactly once, and every concurrent or later get of that key
+// waits for and shares its result.
+type onceTable[K comparable, V any] struct {
+	mu   sync.Mutex // guards m's structure only
+	m    map[K]*onceEntry[V]
+	runs atomic.Int64 // compute calls made, for tests
+}
+
+type onceEntry[V any] struct {
 	once sync.Once
-	mm   *measurement
+	v    V
 	err  error
 }
 
+func (t *onceTable[K, V]) get(k K, compute func() (V, error)) (V, error) {
+	t.mu.Lock()
+	e, ok := t.m[k]
+	if !ok {
+		if t.m == nil {
+			t.m = map[K]*onceEntry[V]{}
+		}
+		e = &onceEntry[V]{}
+		t.m[k] = e
+	}
+	t.mu.Unlock()
+	e.once.Do(func() {
+		t.runs.Add(1)
+		e.v, e.err = compute()
+	})
+	return e.v, e.err
+}
+
+// sampleKey identifies one sampled instrumented run. Every batch of a
+// benchmark with the same vision.SampleCount extrapolates from it, so no
+// input can grow the key space past the nine benchmarks times the three
+// sample counts, and the table needs no eviction.
+type sampleKey struct {
+	benchmark string
+	n         int
+}
+
 // Generator builds corpora; it caches instrumented runs across points. All
-// methods are safe for concurrent use: the measurement memo is a
-// singleflight map, the simulation memo is concurrency-safe, and the
+// methods are safe for concurrent use: the sample and measurement tables
+// are singleflight maps, the simulation memo is concurrency-safe, and the
 // simulators honour a read-only contract on the cached workloads (no
 // cloning needed; see cpusim.App and gpusim.RunMemoSharesFidelity).
 type Generator struct {
@@ -258,8 +290,13 @@ type Generator struct {
 	fallbackSubShare  atomic.Uint64
 	fallbackBandwidth atomic.Uint64
 
-	mu    sync.Mutex // guards cache map structure only
-	cache map[Member]*measureEntry
+	// samples holds each (benchmark, sample count)'s sampled vision run,
+	// shared by every batch that extrapolates from it; it is bounded by the
+	// config and lives outside the memo, so it works with the memo off.
+	samples onceTable[sampleKey, *vision.Result]
+	// measured holds each member's extrapolated workload and isolated
+	// results.
+	measured onceTable[Member, *measurement]
 }
 
 // FidelityStats is a snapshot of the generator's fidelity-tier counters,
@@ -378,7 +415,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.SimCacheMB > 0 {
 		memo = simcache.MustNew(int64(cfg.SimCacheMB) << 20)
 	}
-	return &Generator{cfg: cfg, memo: memo, cache: map[Member]*measureEntry{}}, nil
+	return &Generator{cfg: cfg, memo: memo}, nil
 }
 
 // Config returns the generator's configuration.
@@ -397,27 +434,30 @@ func (g *Generator) SetFaultInjector(h faultinject.Injector) { g.fault = h }
 // measure returns the memoized isolated measurement for member m, computing
 // it exactly once (singleflight) no matter how many goroutines ask.
 func (g *Generator) measure(m Member) (*measurement, error) {
-	g.mu.Lock()
-	e, ok := g.cache[m]
-	if !ok {
-		e = &measureEntry{}
-		g.cache[m] = e
-	}
-	g.mu.Unlock()
-	e.once.Do(func() { e.mm, e.err = g.runMeasurement(m) })
-	return e.mm, e.err
+	return g.measured.get(m, func() (*measurement, error) { return g.runMeasurement(m) })
 }
 
-// runMeasurement performs member m's instrumented benchmark run and
-// isolated CPU/GPU simulations. The vision RNG is seeded per call from the
-// config seed, so concurrent measurements of different members never share
-// generator state.
+// runMeasurement extrapolates member m's workload from its benchmark's
+// shared sampled run and performs the isolated CPU/GPU simulations. The
+// vision RNG is seeded per sample from the config seed, so concurrent
+// measurements never share generator state.
 func (g *Generator) runMeasurement(m Member) (*measurement, error) {
 	b, err := vision.ByName(m.Benchmark)
 	if err != nil {
 		return nil, err
 	}
-	res, err := vision.Run(b, m.Batch, g.cfg.Seed)
+	// Checked before the sample table, so a bad batch adds no key to it.
+	if m.Batch < 1 {
+		return nil, fmt.Errorf("dataset: %s batch size %d must be positive", m.Benchmark, m.Batch)
+	}
+	n := vision.SampleCount(m.Batch)
+	sample, err := g.samples.get(sampleKey{m.Benchmark, n}, func() (*vision.Result, error) {
+		return vision.Sample(b, n, g.cfg.Seed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res, err := vision.Extrapolate(sample, m.Batch)
 	if err != nil {
 		return nil, err
 	}

@@ -12,20 +12,21 @@ import (
 
 var (
 	corpusOnce sync.Once
+	corpusGen  *Generator
 	corpus     *Corpus
 	corpusErr  error
 )
 
-// sharedCorpus generates the default 91-run corpus once for the package.
+// sharedCorpus generates the default 91-run corpus once for the package;
+// corpusGen is the generator that made it.
 func sharedCorpus(t *testing.T) *Corpus {
 	t.Helper()
 	corpusOnce.Do(func() {
-		gen, err := NewGenerator(DefaultConfig())
-		if err != nil {
-			corpusErr = err
+		corpusGen, corpusErr = NewGenerator(DefaultConfig())
+		if corpusErr != nil {
 			return
 		}
-		corpus, corpusErr = gen.Generate()
+		corpus, corpusErr = corpusGen.Generate()
 	})
 	if corpusErr != nil {
 		t.Fatal(corpusErr)

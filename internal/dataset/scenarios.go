@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"mapc/internal/vision"
 )
 
 // The scenario matrix: a k × share-skew grid replayed through the analytic
@@ -105,7 +107,7 @@ func ParseList(flag, spec string) ([]string, error) {
 }
 
 // ParseBatches parses a comma-separated batch-size flag value: every item
-// must be a positive integer.
+// must be an integer in [1, vision.MaxBatch].
 func ParseBatches(flag, spec string) ([]int, error) {
 	items, err := ParseList(flag, spec)
 	if err != nil {
@@ -119,6 +121,9 @@ func ParseBatches(flag, spec string) ([]int, error) {
 		}
 		if v <= 0 {
 			return nil, fmt.Errorf("%s: batch size %d is not positive", flag, v)
+		}
+		if v > vision.MaxBatch {
+			return nil, fmt.Errorf("%s: batch size %d exceeds the limit of %d images", flag, v, vision.MaxBatch)
 		}
 		out[i] = v
 	}

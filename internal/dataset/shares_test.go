@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mapc/internal/phasesum"
+	"mapc/internal/vision"
 )
 
 // End-to-end tests for Config.Shares: validation, journal fingerprints,
@@ -191,6 +192,10 @@ func TestParseListAndBatches(t *testing.T) {
 		{spec: "20,0", list: []string{"20", "0"}, err: "-batches: batch size 0 is not positive"},
 		{spec: "-5", list: []string{"-5"}, err: "-batches: batch size -5 is not positive"},
 		{spec: "20,x", list: []string{"20", "x"}, err: `-batches: batch size "x" is not an integer`},
+		{spec: "1048576", list: []string{"1048576"}, batches: []int{vision.MaxBatch}},
+		{spec: "20,1048577", list: []string{"20", "1048577"}, err: "-batches: batch size 1048577 exceeds the limit of 1048576 images"},
+		{spec: "1125899906842624", list: []string{"1125899906842624"}, err: "exceeds the limit of 1048576"},
+		{spec: "4611686018427387904", list: []string{"4611686018427387904"}, err: "exceeds the limit of 1048576"},
 	}
 	for _, c := range cases {
 		list, err := ParseList("-batches", c.spec)

@@ -72,6 +72,10 @@ func (t *TreeRegressor) UnmarshalJSON(data []byte) error {
 		return errors.New("ml: serialized tree has no nodes")
 	}
 	nodes := make([]treeNode, len(in.Nodes))
+	// Every node but the root must be exactly one node's child: a shared
+	// child would make the recursive walks (Depth, Export) exponential,
+	// and an orphan is not part of the tree.
+	isChild := make([]bool, len(in.Nodes))
 	for i, n := range in.Nodes {
 		if n.Feature >= in.NFeatures {
 			return fmt.Errorf("ml: node %d splits on feature %d of %d", i, n.Feature, in.NFeatures)
@@ -86,11 +90,20 @@ func (t *TreeRegressor) UnmarshalJSON(data []byte) error {
 			if n.Left <= i || n.Right <= i {
 				return fmt.Errorf("ml: node %d has non-forward children", i)
 			}
+			if n.Left == n.Right || isChild[n.Left] || isChild[n.Right] {
+				return fmt.Errorf("ml: node %d shares a child with another node", i)
+			}
+			isChild[n.Left], isChild[n.Right] = true, true
 		}
 		nodes[i] = treeNode{
 			feature: n.Feature, threshold: n.Threshold,
 			left: n.Left, right: n.Right,
 			value: n.Value, samples: n.Samples, impurity: n.Impurity,
+		}
+	}
+	for i := 1; i < len(isChild); i++ {
+		if !isChild[i] {
+			return fmt.Errorf("ml: node %d is unreachable from the root", i)
 		}
 	}
 	t.MaxDepth = in.MaxDepth

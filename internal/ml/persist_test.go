@@ -69,6 +69,20 @@ func TestTreeUnmarshalRejectsGarbage(t *testing.T) {
 			{"feature":0,"left":1,"right":2,"value":1},
 			{"feature":-1,"value":1},
 			{"feature":0,"left":1,"right":1,"value":1}]}`,
+		// both branches to one child
+		`{"format":"mapc-tree-v1","n_features":1,"nodes":[
+			{"feature":0,"left":1,"right":1,"value":1},
+			{"feature":-1,"value":1}]}`,
+		// a child shared by two parents (a DAG, not a tree)
+		`{"format":"mapc-tree-v1","n_features":1,"nodes":[
+			{"feature":0,"left":1,"right":2,"value":1},
+			{"feature":0,"left":2,"right":3,"value":1},
+			{"feature":-1,"value":1},
+			{"feature":-1,"value":1}]}`,
+		// an orphan node no parent reaches
+		`{"format":"mapc-tree-v1","n_features":1,"nodes":[
+			{"feature":-1,"value":1},
+			{"feature":-1,"value":2}]}`,
 	}
 	for i, c := range cases {
 		var tr TreeRegressor

@@ -348,6 +348,9 @@ func (s *Server) parseBags(req *PredictRequest) ([][]Member, error) {
 			if m.Batch <= 0 {
 				return nil, fmt.Errorf("bag %d: non-positive batch %d for %s", i, m.Batch, m.Benchmark)
 			}
+			if m.Batch > vision.MaxBatch {
+				return nil, fmt.Errorf("bag %d: batch %d for %s exceeds the limit of %d images", i, m.Batch, m.Benchmark, vision.MaxBatch)
+			}
 		}
 	}
 	return bags, nil

@@ -119,6 +119,9 @@ func TestPredictHandlerTable(t *testing.T) {
 		{"empty benchmark", http.MethodPost, bag("", 20, "surf", 20), http.StatusBadRequest, "empty benchmark"},
 		{"zero batch", http.MethodPost, bag("sift", 0, "surf", 20), http.StatusBadRequest, "non-positive batch"},
 		{"negative batch", http.MethodPost, bag("sift", 20, "surf", -4), http.StatusBadRequest, "non-positive batch"},
+		{"batch past MaxBatch", http.MethodPost, bag("sift", 1<<20+1, "surf", 20), http.StatusBadRequest, "exceeds the limit of 1048576 images"},
+		{"batch 2^50", http.MethodPost, bag("sift", 20, "surf", 1<<50), http.StatusBadRequest, "exceeds the limit of 1048576 images"},
+		{"batch 2^62", http.MethodPost, bag("sift", 1<<62, "surf", 20), http.StatusBadRequest, "exceeds the limit of 1048576 images"},
 		{"oversized batch list", http.MethodPost,
 			fmt.Sprintf(`{"bags":[%s,%s,%s]}`, bag("sift", 20, "surf", 20), bag("sift", 20, "surf", 40), bag("sift", 40, "surf", 40)),
 			http.StatusBadRequest, "exceeds the limit of 2"},

@@ -138,6 +138,9 @@ func (w *Workload) Validate() error {
 	if w.BatchSize <= 0 {
 		return fmt.Errorf("trace: workload %q has non-positive batch size", w.Benchmark)
 	}
+	if w.TransferBytes < 0 {
+		return fmt.Errorf("trace: workload %q has negative transfer bytes %d", w.Benchmark, w.TransferBytes)
+	}
 	if len(w.Phases) == 0 {
 		return fmt.Errorf("trace: workload %q has no phases", w.Benchmark)
 	}

@@ -151,6 +151,7 @@ func TestWorkloadValidate(t *testing.T) {
 		{Benchmark: "", BatchSize: 1, Phases: good.Phases},
 		{Benchmark: "b", BatchSize: 0, Phases: good.Phases},
 		{Benchmark: "b", BatchSize: 1},
+		{Benchmark: "b", BatchSize: 1, TransferBytes: -1, Phases: good.Phases},
 	}
 	for i, w := range bad {
 		if err := w.Validate(); err == nil {

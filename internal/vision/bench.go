@@ -2,6 +2,7 @@ package vision
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -41,23 +42,47 @@ type Result struct {
 	Summary map[string]float64
 }
 
+// MaxBatch is the largest batch, in images, a benchmark extrapolates to:
+// far above the paper's largest batch (320), and small enough that every
+// extrapolated instruction count, launch count and transfer volume stays
+// well inside its integer type.
+const MaxBatch = 1 << 20
+
+// SampleCount returns how many images of a batchSize-image batch are
+// actually executed: min(batchSize, sampleCap). Every batch with the same
+// sample count extrapolates from the same sampled run.
+func SampleCount(batchSize int) int {
+	return min(batchSize, sampleCap)
+}
+
 // Run executes benchmark b on a synthetic batch of batchSize images derived
 // from seed, returning the extrapolated workload and functional summary.
+// It is Extrapolate(Sample(b, SampleCount(batchSize), seed), batchSize).
 func Run(b Benchmark, batchSize int, seed uint64) (*Result, error) {
-	if batchSize <= 0 {
-		return nil, fmt.Errorf("vision: batch size %d must be positive", batchSize)
+	if err := checkBatch(batchSize); err != nil {
+		return nil, err
 	}
-	sample := batchSize
-	if sample > sampleCap {
-		sample = sampleCap
+	s, err := Sample(b, SampleCount(batchSize), seed)
+	if err != nil {
+		return nil, err
 	}
-	images := make([]*Image, sample)
+	return Extrapolate(s, batchSize)
+}
+
+// Sample executes benchmark b on n synthetic images derived from seed
+// (1 <= n <= sampleCap) and returns the recorded, unscaled run: a valid
+// n-image Result, which depends only on (b, n, seed).
+func Sample(b Benchmark, n int, seed uint64) (*Result, error) {
+	if n < 1 || n > sampleCap {
+		return nil, fmt.Errorf("vision: sample of %d images outside [1, %d]", n, sampleCap)
+	}
+	images := make([]*Image, n)
 	for i := range images {
 		images[i] = SynthesizeImage(b.Scene(), DefaultImageSize, DefaultImageSize,
 			seed+uint64(i)*0x9E37_79B9)
 	}
 
-	rec := trace.NewRecorder(b.Name(), batchSize)
+	rec := trace.NewRecorder(b.Name(), n)
 	summary, err := b.run(images, rec)
 	if err != nil {
 		return nil, fmt.Errorf("vision: %s: %w", b.Name(), err)
@@ -66,11 +91,45 @@ func Run(b Benchmark, batchSize int, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vision: %s instrumentation: %w", b.Name(), err)
 	}
-	if sample < batchSize {
-		scaleWorkload(w, float64(batchSize)/float64(sample))
-	}
-	w.TransferBytes = int64(batchSize) * int64(DefaultImageSize*DefaultImageSize) * 8
+	w.TransferBytes = transferBytes(n)
 	return &Result{Workload: w, Summary: summary}, nil
+}
+
+// Extrapolate derives the batchSize-image result from sample s, which must
+// hold SampleCount(batchSize) images. It never mutates s: the workload is
+// a Clone and the summary a copy, so one sample can serve every batch.
+func Extrapolate(s *Result, batchSize int) (*Result, error) {
+	if err := checkBatch(batchSize); err != nil {
+		return nil, err
+	}
+	n := s.Workload.BatchSize
+	if want := SampleCount(batchSize); n != want {
+		return nil, fmt.Errorf("vision: batch size %d extrapolates from a %d-image sample, not %d", batchSize, want, n)
+	}
+	w := s.Workload.Clone()
+	w.BatchSize = batchSize
+	if n < batchSize {
+		scaleWorkload(w, float64(batchSize)/float64(n))
+	}
+	w.TransferBytes = transferBytes(batchSize)
+	return &Result{Workload: w, Summary: maps.Clone(s.Summary)}, nil
+}
+
+// checkBatch rejects batch sizes outside [1, MaxBatch].
+func checkBatch(batchSize int) error {
+	if batchSize <= 0 {
+		return fmt.Errorf("vision: batch size %d must be positive", batchSize)
+	}
+	if batchSize > MaxBatch {
+		return fmt.Errorf("vision: batch size %d exceeds the limit of %d images", batchSize, MaxBatch)
+	}
+	return nil
+}
+
+// transferBytes is the host-to-device volume of a batch: every image as
+// 8-byte elements.
+func transferBytes(batchSize int) int64 {
+	return int64(batchSize) * int64(DefaultImageSize*DefaultImageSize) * 8
 }
 
 // scaleWorkload extrapolates a sampled run to the full batch: instruction
