@@ -16,6 +16,7 @@ package faultinject
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -171,10 +172,11 @@ func (b *truncatedBody) Close() error { return b.rc.Close() }
 //
 //	kind|site|index[|opt=val[;opt=val...]]
 //
-// kind: error, blackhole, http-error, truncate-body, delay, panic.
-// site:  e.g. net.127.0.0.1:18081 (| is the separator because sites
-// contain colons). index: a number, "*" (every call), or "N+" (call N
-// onward). opts: delay=<duration>, code=<status>, keep=<bytes>, once.
+// kind: error, blackhole, http-error, truncate-body, delay, panic,
+// torn-write. site:  e.g. net.127.0.0.1:18081 (| is the separator because
+// sites contain colons). index: a decimal number, "*" (every call), or
+// "N+" (call N onward). opts: delay=<duration>, code=<status>,
+// keep=<bytes>, once.
 func ParsePlan(specs string) (Plan, error) {
 	var plan Plan
 	for _, spec := range strings.Split(specs, ",") {
@@ -224,15 +226,15 @@ func parseFault(spec string) (Fault, error) {
 	case idx == "*":
 		f.Index = AnyIndex
 	case strings.HasSuffix(idx, "+"):
-		from, err := strconv.Atoi(strings.TrimSuffix(idx, "+"))
-		if err != nil || from < 0 {
+		from, ok := parseOrdinal(strings.TrimSuffix(idx, "+"))
+		if !ok {
 			return Fault{}, fmt.Errorf("faultinject: spec %q: bad index %q", spec, idx)
 		}
 		f.Index = AnyIndex
 		f.From = from
 	default:
-		n, err := strconv.Atoi(idx)
-		if err != nil || n < 0 {
+		n, ok := parseOrdinal(idx)
+		if !ok {
 			return Fault{}, fmt.Errorf("faultinject: spec %q: bad index %q", spec, idx)
 		}
 		f.Index = n
@@ -247,6 +249,9 @@ func parseFault(spec string) (Fault, error) {
 			switch key {
 			case "delay":
 				d, err := time.ParseDuration(val)
+				if err == nil && d < 0 {
+					err = errors.New("negative")
+				}
 				if err != nil {
 					return Fault{}, fmt.Errorf("faultinject: spec %q: bad delay %q: %v", spec, val, err)
 				}
@@ -271,6 +276,16 @@ func parseFault(spec string) (Fault, error) {
 		}
 	}
 	return f, nil
+}
+
+// parseOrdinal parses a call ordinal: decimal digits only, so signed
+// forms strconv.Atoi would take ("+5", "-0") are refused.
+func parseOrdinal(s string) (int, bool) {
+	if s == "" || strings.TrimLeft(s, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
 }
 
 // RandomNetworkPlan derives a deterministic mixed network-fault plan for

@@ -277,6 +277,10 @@ func TestParsePlanErrors(t *testing.T) {
 		"delay|net.a:1|0|delay=notadur",
 		"truncate-body|net.a:1|0|keep=-3",
 		"error|net.a:1|0|wat=1",
+		"error|net.a:1|+5",
+		"error|net.a:1|-0",
+		"error|net.a:1|+5+",
+		"delay|net.a:1|0|delay=-5ms",
 	} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) should fail", spec)

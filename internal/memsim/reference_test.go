@@ -1,16 +1,23 @@
 package memsim
 
-import "math/bits"
+import (
+	"math/bits"
 
-// This file retains the pre-optimization TLB and Cache implementations
-// verbatim (modulo renaming) as executable specifications. The production
-// structures were rebuilt for throughput — an O(1) exact-LRU TLB, and a
-// cache that keeps each set in recency order instead of per-way LRU clocks
-// and precomputes its tag shift — under a bit-identity contract: same hits,
-// same misses, same victim choices, same statistics. The differential tests
-// in differential_test.go drive millions of randomized accesses and the
-// simulators' real reference streams through both and fail on the first
-// divergence.
+	"mapc/internal/trace"
+	"mapc/internal/xrand"
+)
+
+// This file retains the pre-optimization TLB, Cache and Stream
+// implementations verbatim (modulo renaming) as executable specifications.
+// The production code was rebuilt for throughput — an O(1) exact-LRU TLB,
+// a cache that keeps each set in recency order instead of per-way LRU
+// clocks and precomputes its tag shift, and a stream whose hot loops
+// replace divisions with masks and conditional subtracts — under a
+// bit-identity contract: same hits, same misses, same victim choices, same
+// statistics, same addresses. The differential tests in
+// differential_test.go and stream_test.go drive millions of randomized
+// accesses and the simulators' real reference streams through both and
+// fail on the first divergence.
 //
 // Do not "fix" or modernize this code: its value is being the frozen
 // original. If simulation semantics are deliberately changed, change both
@@ -198,3 +205,71 @@ func (c *refCache) Reset() {
 
 func (c *refCache) Stats(source int) CacheStats      { return c.stats[source] }
 func (c *refCache) CrossEvictions(source int) uint64 { return c.crossEvictions[source] }
+
+// refStream is the original Stream: every draw goes through Float64 and
+// Intn, and every address through a true modulo of the cursor.
+type refStream struct {
+	rng       *xrand.Rand
+	base      uint64
+	footprint uint64
+	pattern   trace.Pattern
+	stride    uint64
+	reuse     float64
+	cursor    uint64
+	window    uint64
+	recent    [16]uint64
+	recentN   int
+}
+
+func newRefStream(p *trace.Phase, base uint64, seed uint64) *refStream {
+	fp := uint64(p.Footprint)
+	if fp < LineSize {
+		fp = LineSize
+	}
+	stride := uint64(p.StrideBytes)
+	if stride == 0 {
+		stride = 8
+	}
+	return &refStream{
+		rng:       xrand.New(seed),
+		base:      base,
+		footprint: fp,
+		pattern:   p.Pattern,
+		stride:    stride,
+		reuse:     p.Reuse,
+		window:    4096,
+	}
+}
+
+func (s *refStream) Next() uint64 {
+	if s.recentN > 0 && s.rng.Float64() < s.reuse {
+		return s.recent[s.rng.Intn(s.recentN)]
+	}
+	var addr uint64
+	switch s.pattern {
+	case trace.Sequential:
+		addr = s.base + s.cursor%s.footprint
+		s.cursor += 8
+	case trace.Strided:
+		addr = s.base + s.cursor%s.footprint
+		s.cursor += s.stride
+	case trace.Windowed:
+		origin := s.cursor % s.footprint
+		off := uint64(s.rng.Intn(int(s.window)))
+		addr = s.base + (origin+off)%s.footprint
+		s.cursor += 8
+	default: // trace.Random
+		addr = s.base + s.rng.Uint64()%s.footprint
+	}
+	s.remember(addr)
+	return addr
+}
+
+func (s *refStream) remember(addr uint64) {
+	if s.recentN < len(s.recent) {
+		s.recent[s.recentN] = addr
+		s.recentN++
+		return
+	}
+	s.recent[s.rng.Intn(len(s.recent))] = addr
+}

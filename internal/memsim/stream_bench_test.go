@@ -23,16 +23,19 @@ func benchPhase(pattern trace.Pattern) *trace.Phase {
 	}
 }
 
+// benchPatterns names each access pattern as the benchmarks' sub-tests.
+var benchPatterns = []struct {
+	name    string
+	pattern trace.Pattern
+}{
+	{"sequential", trace.Sequential},
+	{"strided", trace.Strided},
+	{"windowed", trace.Windowed},
+	{"random", trace.Random},
+}
+
 func BenchmarkStreamNext(b *testing.B) {
-	for _, pc := range []struct {
-		name    string
-		pattern trace.Pattern
-	}{
-		{"sequential", trace.Sequential},
-		{"strided", trace.Strided},
-		{"windowed", trace.Windowed},
-		{"random", trace.Random},
-	} {
+	for _, pc := range benchPatterns {
 		b.Run(pc.name, func(b *testing.B) {
 			st, err := NewStream(benchPhase(pc.pattern), 1<<40, 42)
 			if err != nil {
@@ -50,6 +53,27 @@ func BenchmarkStreamNext(b *testing.B) {
 }
 
 var benchSink uint64
+
+// BenchmarkStreamFill times what one sampled phase costs the simulators: a
+// fresh stream filling SampleRefs' 24576-reference cap, warm-up included.
+func BenchmarkStreamFill(b *testing.B) {
+	for _, pc := range benchPatterns {
+		b.Run(pc.name, func(b *testing.B) {
+			p := benchPhase(pc.pattern)
+			dst := make([]uint64, SampleRefs(1<<40))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := NewStream(p, 1<<40, uint64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.Fill(dst)
+			}
+			benchSink = dst[len(dst)-1]
+		})
+	}
+}
 
 func BenchmarkSampleRefs(b *testing.B) {
 	var sink int

@@ -117,8 +117,8 @@ func (s *Summary) Bytes() int64 {
 // exactly the stream the isolated replay would walk.
 //
 // The caller may reuse addrs as soon as Summarize returns: the summary
-// holds no reference to it. The only allocation is the returned per-phase
-// histograms; the last-touch table is pooled.
+// holds no reference to it. With a warm pool the only allocation is the
+// returned per-phase histograms; the last-touch table is pooled.
 func Summarize(addrs []uint64, ends []int) Summary {
 	n := len(ends)
 	phases := make([]PhaseSum, 2*n)
@@ -128,35 +128,37 @@ func Summarize(addrs []uint64, ends []int) Summary {
 		TotalRefs: len(addrs),
 	}
 	t := touchPool.Get().(*lastTouch)
-	lines := sketch(t, addrs, ends, LineShift, sum.Line, len(addrs))
-	// A page holds at least one touched line, so the page pass sees at
-	// most as many distinct units as the line pass did.
-	sketch(t, addrs, ends, PageShift, sum.Page, lines)
+	sketch(t, addrs, ends, LineShift, sum.Line)
+	sketch(t, addrs, ends, PageShift, sum.Page)
 	touchPool.Put(t)
 	return sum
 }
 
-// sketch fills one granularity's per-phase histograms from a stream with
-// at most maxUnits distinct units, and returns its distinct-unit count.
-func sketch(t *lastTouch, addrs []uint64, ends []int, shift uint, out []PhaseSum, maxUnits int) int {
-	t.reset(maxUnits)
-	cold := 0
+// sketch fills one granularity's per-phase histograms.
+func sketch(t *lastTouch, addrs []uint64, ends []int, shift uint, out []PhaseSum) {
+	t.reset(len(addrs))
 	start := 0
 	for pi := range out {
 		end := ends[pi]
 		ps := &out[pi]
 		ps.Refs = end - start
 		for i := start; i < end; i++ {
-			if prev, ok := t.swap(addrs[i]>>shift, i); ok {
-				ps.Hist[bucketOf(i-prev)]++
-			} else {
-				ps.Cold++
+			key := addrs[i]>>shift + 1
+			s := t.find(key)
+			if s.key == key {
+				ps.Hist[bucketOf(i-s.pos)]++
+				s.pos = i
+				continue
+			}
+			*s = touch{key, i}
+			ps.Cold++
+			t.used++
+			if 2*t.used > len(t.slots) {
+				t.grow()
 			}
 		}
-		cold += ps.Cold
 		start = end
 	}
-	return cold
 }
 
 // bucketOf maps a positive distance to its log2 bucket, clamped to the
@@ -173,12 +175,22 @@ func bucketOf(d int) int {
 // an open-addressed table with Fibonacci hashing and linear probing (the
 // idiom of memsim's TLB index). Keys are stored biased by +1 so a stored 0
 // means "empty"; units are addresses shifted right by at least LineShift,
-// so the bias never overflows. reset sizes the table to a power of two at
-// least twice the distinct-unit bound, so it is at most half full, and
-// nothing is ever deleted.
+// so the bias never overflows. Nothing is ever deleted.
+//
+// The table starts small and doubles as soon as an insert leaves it more
+// than half full (sketch checks after each new unit), rehashing into the
+// buffer the previous doubling vacated, or a new one when that is too
+// small. Both buffers stay with the table in the pool, so a warm table
+// grows without allocating. A real stream's distinct units are a small
+// fraction of its references, so sizing for the worst case up front would
+// clear and scatter over a table mostly empty. A stream whose distinct
+// units are a large share of its references pays more for the doublings
+// than the clear would have cost (DESIGN.md §11).
 type lastTouch struct {
 	slots []touch
-	shift uint // 64 - log2(len(slots))
+	spare []touch // the other buffer, reused by the next doubling
+	used  int     // occupied slots
+	shift uint    // 64 - log2(len(slots))
 }
 
 // touch is one table slot; key and position share a cache line.
@@ -189,39 +201,55 @@ type touch struct {
 
 var touchPool = sync.Pool{New: func() any { return new(lastTouch) }}
 
-// reset empties the table and sizes it for at most n distinct units,
-// reusing prior capacity.
+// minTouchSlots is the starting table size for streams long enough to
+// need it.
+const minTouchSlots = 1 << 12
+
+// reset empties the table and sizes it for a stream of n references: the
+// smallest power of two holding n units at most half full, capped at
+// minTouchSlots.
 func (t *lastTouch) reset(n int) {
 	size := 4
-	for size < 2*n {
+	for size < 2*n && size < minTouchSlots {
 		size <<= 1
 	}
-	if cap(t.slots) < size {
-		t.slots = make([]touch, size)
-	} else {
-		t.slots = t.slots[:size]
-		clear(t.slots)
-	}
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.slots = t.take(t.slots, size)
+	t.used = 0
 }
 
-// swap records pos as unit's last touch and returns the previous one, if
-// the unit was touched before.
-func (t *lastTouch) swap(unit uint64, pos int) (int, bool) {
-	key := unit + 1
+// take returns buf resized to size empty slots, allocating only when its
+// capacity is short, and points the hash shift at that size.
+func (t *lastTouch) take(buf []touch, size int) []touch {
+	if cap(buf) < size {
+		buf = make([]touch, size)
+	} else {
+		buf = buf[:size]
+		clear(buf)
+	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	return buf
+}
+
+// find returns key's slot, or the empty slot where it belongs.
+func (t *lastTouch) find(key uint64) *touch {
 	mask := uint64(len(t.slots) - 1)
 	for i := (key * 0x9E3779B97F4A7C15) >> t.shift; ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		switch s.key {
-		case key:
-			prev := s.pos
-			s.pos = pos
-			return prev, true
-		case 0:
-			s.key, s.pos = key, pos
-			return 0, false
+		if s := &t.slots[i]; s.key == key || s.key == 0 {
+			return s
 		}
 	}
+}
+
+// grow doubles the table, rehashing every entry into the spare buffer.
+func (t *lastTouch) grow() {
+	old := t.slots
+	t.slots = t.take(t.spare, 2*len(old))
+	for _, s := range old {
+		if s.key != 0 {
+			*t.find(s.key) = s
+		}
+	}
+	t.spare = old
 }
 
 // noveltyRate returns the client's distinct-unit rate Cold/Refs over the

@@ -175,3 +175,72 @@ func TestSummarizeConcurrentMatchesReference(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// distinctStream returns a stream touching units distinct lines in a
+// scrambled order, then all of them again in the same order, split into
+// phases of at most phase references.
+func distinctStream(units, phase int) ([]uint64, []int) {
+	addrs := make([]uint64, 0, 2*units)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < units; i++ {
+			// An odd multiplier permutes the 40-bit units: all distinct.
+			u := uint64(i) * 0x9E3779B97F4A7C15 & (1<<40 - 1)
+			addrs = append(addrs, u<<LineShift|uint64(i&7)<<3)
+		}
+	}
+	var ends []int
+	for end := phase; ; end += phase {
+		if end >= len(addrs) {
+			ends = append(ends, len(addrs))
+			break
+		}
+		ends = append(ends, end)
+	}
+	return addrs, ends
+}
+
+// TestSummarizeGrowsTable sketches a stream with more than 2^18 distinct
+// lines, which doubles the last-touch table several times past its
+// starting size mid-stream; the histograms must still equal the
+// reference's.
+func TestSummarizeGrowsTable(t *testing.T) {
+	addrs, ends := distinctStream(1<<18+1000, 100000)
+	checkSummarize(t, "2^18+ distinct lines", addrs, ends)
+}
+
+// TestSketchTableReuse drives one table through a large, a small and a
+// large stream again, the sequence the pool produces: a table sized and
+// filled by one stream must come back empty and right-sized for the next.
+// A warm table then sketches without allocating.
+func TestSketchTableReuse(t *testing.T) {
+	bigA, bigEnds := distinctStream(50000, 30000)
+	rng := rand.New(rand.NewSource(5))
+	small, smallEnds := randomStream(rng, 3, 200, 50, 0)
+	bigB, bigBEnds := randomStream(rng, 4, 40000, 30000, 0)
+	var tab lastTouch
+	for _, c := range []struct {
+		name  string
+		addrs []uint64
+		ends  []int
+	}{
+		{"large", bigA, bigEnds}, {"small", small, smallEnds}, {"large again", bigB, bigBEnds},
+		{"small again", small, smallEnds}, {"large first again", bigA, bigEnds},
+	} {
+		for _, shift := range []uint{LineShift, PageShift} {
+			got := make([]PhaseSum, len(c.ends))
+			want := make([]PhaseSum, len(c.ends))
+			sketch(&tab, c.addrs, c.ends, shift, got)
+			refSketch(c.addrs, c.ends, shift, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (shift %d): pooled table diverges from the reference sketch", c.name, shift)
+			}
+			if 2*tab.used > len(tab.slots) {
+				t.Fatalf("%s (shift %d): table %d slots holds %d units, over half full", c.name, shift, len(tab.slots), tab.used)
+			}
+		}
+	}
+	out := make([]PhaseSum, len(bigEnds))
+	if allocs := testing.AllocsPerRun(3, func() { sketch(&tab, bigA, bigEnds, LineShift, out) }); allocs != 0 {
+		t.Fatalf("warm table allocates %v times per sketch", allocs)
+	}
+}

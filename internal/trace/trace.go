@@ -100,7 +100,7 @@ func (p *Phase) Validate() error {
 		return errors.New("trace: phase has empty name")
 	case p.Footprint < 0:
 		return fmt.Errorf("trace: phase %q has negative footprint", p.Name)
-	case p.Reuse < 0 || p.Reuse > 1:
+	case !(p.Reuse >= 0 && p.Reuse <= 1): // also rejects NaN
 		return fmt.Errorf("trace: phase %q reuse %v outside [0,1]", p.Name, p.Reuse)
 	case p.Parallelism <= 0:
 		return fmt.Errorf("trace: phase %q has non-positive parallelism", p.Name)

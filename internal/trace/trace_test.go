@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -152,6 +153,11 @@ func TestWorkloadValidate(t *testing.T) {
 		{Benchmark: "b", BatchSize: 0, Phases: good.Phases},
 		{Benchmark: "b", BatchSize: 1},
 		{Benchmark: "b", BatchSize: 1, TransferBytes: -1, Phases: good.Phases},
+	}
+	for _, reuse := range []float64{-0.1, 1.1, math.NaN(), math.Inf(1)} {
+		p := good.Phases[0]
+		p.Reuse = reuse
+		bad = append(bad, &Workload{Benchmark: "b", BatchSize: 1, Phases: []Phase{p}})
 	}
 	for i, w := range bad {
 		if err := w.Validate(); err == nil {

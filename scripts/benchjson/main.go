@@ -124,7 +124,7 @@ func main() {
 // record and check mode run exactly this set so baseline entries and fresh
 // runs always cover the same names.
 var microbenchRuns = []struct{ pkg, pattern string }{
-	{"./internal/memsim", "BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkStreamNext"},
+	{"./internal/memsim", "BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkStreamNext|BenchmarkStreamFill"},
 	{"./internal/simcache", "BenchmarkSimCache"},
 	{"./internal/phasesum", "BenchmarkSummarize"},
 }
