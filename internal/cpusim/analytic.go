@@ -21,71 +21,20 @@ import (
 // stream, so it depends on the private cache geometry and the prefetcher.
 const memoDomainSum = "cpusim/sum"
 
-// summaryEntry is the memoized sketch; immutable once published.
-type summaryEntry struct{ sum phasesum.Summary }
-
-// privResultFor returns app w's private replay for slot ai — through the
-// memo when available (the same "cpusim/priv" entries the exact shared
-// path uses), cold otherwise.
-func privResultFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int) (privResult, error) {
-	compute := func() (privResult, error) {
-		l1, err := memsim.NewCache("l1", cfg.L1Bytes, cfg.L1Ways, 1)
-		if err != nil {
-			return privResult{}, err
-		}
-		l2, err := memsim.NewCache("l2", cfg.L2Bytes, cfg.L2Ways, 1)
-		if err != nil {
-			return privResult{}, err
-		}
-		count, maxPhase := 0, 0
-		for pi := range w.Phases {
-			if refs := w.Phases[pi].MemRefs(); refs > 0 {
-				k := memsim.SampleRefs(refs)
-				count += k
-				if k > maxPhase {
-					maxPhase = k
-				}
-			}
-		}
-		return privateReplay(cfg, w, ai, l1, l2, make([]uint64, maxPhase), make([]uint64, 0, count))
-	}
-	if memo == nil {
-		return compute()
-	}
-	key := simcache.Key{Domain: memoDomainPriv, Config: configKey(cfg), Workload: w.Fingerprint(), Slot: ai}
-	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
-		pr, err := compute()
-		if err != nil {
-			return nil, 0, err
-		}
-		return pr, pr.bytes(), nil
-	})
-	if err != nil {
-		return privResult{}, err
-	}
-	return v.(privResult), nil
-}
-
 // boundSummaryFor returns the memoized reuse sketch of app w's LLC-bound
 // stream at slot ai. pr must be the matching privResult (its bound/ends
-// are only read on a memo miss or when memo is nil).
-func boundSummaryFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int, pr privResult) (phasesum.Summary, error) {
-	if memo == nil {
-		return phasesum.Summarize(pr.bound, pr.ends), nil
-	}
-	key := simcache.Key{Domain: memoDomainSum, Config: configKey(cfg), Workload: w.Fingerprint(), Slot: ai}
-	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+// are only read when the sketch is computed).
+func boundSummaryFor(memo *simcache.Cache, cfgKey string, w *trace.Workload, ai int, pr privResult) (phasesum.Summary, error) {
+	key := simcache.Key{Domain: memoDomainSum, Config: cfgKey, Workload: w.Fingerprint(), Slot: ai}
+	sum, _, err := simcache.GetOrCompute(memo, key, func() (phasesum.Summary, int64, error) {
 		sum := phasesum.Summarize(pr.bound, pr.ends)
-		return summaryEntry{sum: sum}, sum.Bytes(), nil
+		return sum, sum.Bytes(), nil
 	})
-	if err != nil {
-		return phasesum.Summary{}, err
-	}
-	return v.(summaryEntry).sum, nil
+	return sum, err
 }
 
 // runSteadyAnalytic is the analytic counterpart of runSteady: exact
-// private phases (memo hits), closed-form shared-LLC miss estimates, then
+// private phases (privFor), closed-form shared-LLC miss estimates, then
 // the identical timing tail. Returns the model's gate: the combined
 // confidence, with low confidence as the only fallback reason. apps holds
 // two or more clients; phasesum.Run evaluates a lone client exactly.
@@ -96,14 +45,15 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 	rates := make([]int, n)
 	privs := make([]privResult, n)
 	isoMems := make([][]phaseMem, n)
+	cfgKey := configKey(cfg)
 	for ai := range apps {
 		w := apps[ai].Workload
-		pr, err := privResultFor(cfg, memo, w, ai)
+		pr, err := privFor(cfg, memo, cfgKey, w, ai)
 		if err != nil {
 			return nil, phasesum.Gate{}, err
 		}
 		privs[ai] = pr
-		sum, err := boundSummaryFor(cfg, memo, w, ai, pr)
+		sum, err := boundSummaryFor(memo, cfgKey, w, ai, pr)
 		if err != nil {
 			return nil, phasesum.Gate{}, err
 		}
@@ -113,11 +63,11 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 		// model predicts contention's *delta* on top of it. Slot-0
 		// streams differ from slot-ai ones only in seed/base, so the
 		// anchor transfers; the residual is what the oracle bounds.
-		isoMem, _, err := simulateMemory(cfg, memo, []App{{Workload: w, Threads: apps[ai].Threads}})
+		iso, err := isoFor(cfg, memo, cfgKey, App{Workload: w, Threads: apps[ai].Threads})
 		if err != nil {
 			return nil, phasesum.Gate{}, err
 		}
-		isoMems[ai] = isoMem[0]
+		isoMems[ai] = iso.mem[0]
 	}
 
 	shCfg := phasesum.SharedConfig{Capacity: float64(cfg.LLCytes) / memsim.LineSize}

@@ -174,33 +174,34 @@ func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 }
 
 // RunMemoFidelity is the simulator's tiered entry: the co-run of apps at
-// fidelity fid, memoized in memo when it is non-nil. Like a real co-run,
-// the execution is phased (phasesum.Run): all apps contend while
-// co-resident, and each app's exit releases its cores, cache share and
-// bandwidth to the survivors. Reported times are completion times and IPC
-// is lifetime IPC — what Linux perf attached to each process measures.
+// fidelity fid, memoized in memo. Like a real co-run, the execution is
+// phased (phasesum.Run): all apps contend while co-resident, and each
+// app's exit releases its cores, cache share and bandwidth to the
+// survivors. Reported times are completion times and IPC is lifetime IPC
+// — what Linux perf attached to each process measures.
 // Exact fidelity (and every single-app run) evaluates each step with
 // runSteady; fast and mixed use runSteadyAnalytic, whose only fallback
 // reason is low confidence (the CPU model has no share partitioning or
 // DRAM gate). Every workload is strictly read-only (see App.Workload), so
 // callers may share cached workloads across concurrent runs.
 //
-// A non-nil memo caches the pure simulation prefixes. Two pieces of
-// simulateMemory are pure functions of (cfg, workload, slot):
+// memo caches the pure simulation prefixes. Two pieces of simulateMemory
+// are pure functions of (cfg, workload, slot):
 //
 //   - the per-app private phase — stream generation, the L1/L2 replay with
 //     the stride prefetcher, the per-phase l1/l2 miss ratios and the
 //     LLC-bound miss list — which never observes the co-runner (seeds and
-//     address bases are slot-derived, and the private caches are reset per
-//     app);
+//     address bases are slot-derived, and each replay gets fresh private
+//     caches);
 //   - for single-app runs, the entire memory simulation including the LLC
 //     replay (one client, so nothing is shared).
 //
 // Shared structures (the LLC with more than one client, DRAM bandwidth
 // apportioning, the phased completion schedule) are always recomputed per
 // call. Outputs are bit-identical for every memo budget, including under
-// eviction pressure: cached entries are immutable and hold exactly the
-// bytes the cold path would recompute. A nil memo is the cold path.
+// eviction pressure: cached entries are immutable and hold exactly what
+// their compute functions return. A nil memo runs the same lookups and
+// retains nothing.
 func RunMemoFidelity(cfg Config, memo *simcache.Cache, apps []App, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
 	if err := validateApps(cfg, apps); err != nil {
 		return nil, phasesum.RunKind{}, err
@@ -425,30 +426,11 @@ func PhaseBreakdown(cfg Config, apps []App, app int) ([]PhaseTiming, error) {
 	return out, nil
 }
 
-// simScratch holds the buffers simulateMemory reuses across calls: the
-// flat LLC-bound address arena (worst case every sampled reference misses
-// L2, so the per-app capacity bound is exact and known up front) and the
-// per-phase address batch Stream.Fill writes into. Pooled because corpus
-// generation calls simulateMemory thousands of times, potentially from
-// concurrent measurement workers.
-type simScratch struct {
-	bound []uint64 // cold-path LLC-bound arena, capacity >= total
-	addrs []uint64 // per-phase fill batch, capacity >= maxPhase
-}
-
-// grow sizes the scratch buffers, reusing prior capacity.
-func (s *simScratch) grow(total, maxPhase int) {
-	if cap(s.bound) < total {
-		s.bound = make([]uint64, total)
-	}
-	if cap(s.addrs) < maxPhase {
-		s.addrs = make([]uint64, maxPhase)
-	}
-	s.bound = s.bound[:cap(s.bound)]
-	s.addrs = s.addrs[:cap(s.addrs)]
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(simScratch) }}
+// fillPool holds the per-phase address batch privateReplay's Stream.Fill
+// writes into. Pooled because corpus generation replays thousands of
+// private phases, potentially from concurrent measurement workers; the
+// batch is transient (only the L2 misses it produces are kept).
+var fillPool = sync.Pool{New: func() any { return new([]uint64) }}
 
 // Memo key domains (simcache.Key.Domain) for the two cached prefixes.
 const (
@@ -501,9 +483,8 @@ func (ir isoResult) bytes() int64 {
 // ratios, and append every L2 miss — the LLC-bound stream — to bound.
 // bound must have capacity for the worst case (every sampled reference
 // missing); the appends never reallocate. addrs is the reusable fill
-// batch. The result is a pure function of (cfg, w, ai) plus the caches'
-// reset state: l1/l2 must be fresh or Reset (state-identical by the
-// frozen-reference tests in memsim).
+// batch. The result is a pure function of (cfg, w, ai): l1/l2 must be
+// fresh.
 func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, addrs, bound []uint64) (privResult, error) {
 	mem := make([]phaseMem, len(w.Phases))
 	ends := make([]int, len(w.Phases))
@@ -561,152 +542,88 @@ func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, 
 	return privResult{mem: mem, bound: bound, ends: ends}, nil
 }
 
+// privFor returns app w's private replay for slot ai: the memoized
+// "cpusim/priv" entry, computed on a miss — and on every call when memo is
+// nil — with fresh L1/L2 caches, an exact-capacity LLC-bound slice (the
+// worst case is every sampled reference missing L2) and a pooled fill
+// batch. The exact shared path and the analytic tier both read it.
+func privFor(cfg Config, memo *simcache.Cache, cfgKey string, w *trace.Workload, ai int) (privResult, error) {
+	key := simcache.Key{Domain: memoDomainPriv, Config: cfgKey, Workload: w.Fingerprint(), Slot: ai}
+	pr, _, err := simcache.GetOrCompute(memo, key, func() (privResult, int64, error) {
+		l1, err := memsim.NewCache("l1", cfg.L1Bytes, cfg.L1Ways, 1)
+		if err != nil {
+			return privResult{}, 0, err
+		}
+		l2, err := memsim.NewCache("l2", cfg.L2Bytes, cfg.L2Ways, 1)
+		if err != nil {
+			return privResult{}, 0, err
+		}
+		count, maxPhase := 0, 0
+		for pi := range w.Phases {
+			if refs := w.Phases[pi].MemRefs(); refs > 0 {
+				k := memsim.SampleRefs(refs)
+				count += k
+				maxPhase = max(maxPhase, k)
+			}
+		}
+		buf := fillPool.Get().(*[]uint64)
+		defer fillPool.Put(buf)
+		if cap(*buf) < maxPhase {
+			*buf = make([]uint64, maxPhase)
+		}
+		pr, err := privateReplay(cfg, w, ai, l1, l2, (*buf)[:maxPhase], make([]uint64, 0, count))
+		return pr, pr.bytes(), err
+	})
+	return pr, err
+}
+
 // simulateMemory drives sampled synthetic streams for every phase of every
 // app through private L1/L2 hierarchies and one shared LLC, returning the
 // per-phase miss behaviour and per-app LLC statistics.
 //
-// With a non-nil memo, single-app calls are answered entirely from the
-// isolated-run memo (pure: one client shares nothing) and multi-app calls
-// reuse memoized private phases, replaying only the LLC-bound streams
-// through the genuinely shared LLC. Outputs are bit-identical to the cold
-// path at every budget.
+// Single-app calls are one "cpusim/iso" lookup (pure: one client shares
+// nothing); multi-app calls look up each app's private phase and replay
+// only the LLC-bound streams through the genuinely shared LLC. A nil memo
+// runs the same lookups, each computing its value and retaining nothing.
 func simulateMemory(cfg Config, memo *simcache.Cache, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
-	if memo != nil && len(apps) == 1 {
-		key := simcache.Key{
-			Domain:   memoDomainIso,
-			Config:   configKey(cfg),
-			Workload: apps[0].Workload.Fingerprint(),
-			Slot:     0,
-		}
-		v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
-			mem, stats, err := simulateMemoryShared(cfg, memo, apps)
-			if err != nil {
-				return nil, 0, err
-			}
-			ir := isoResult{mem: mem, stats: stats}
-			return ir, ir.bytes(), nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		ir := v.(isoResult)
-		return ir.mem, ir.stats, nil
+	cfgKey := configKey(cfg)
+	if len(apps) != 1 {
+		return simulateMemoryShared(cfg, memo, cfgKey, apps)
 	}
-	return simulateMemoryShared(cfg, memo, apps)
+	ir, err := isoFor(cfg, memo, cfgKey, apps[0])
+	return ir.mem, ir.stats, err
 }
 
-// simulateMemoryShared is the full memory simulation: private phases (memo
-// hits or cold replays) followed by the shared-LLC interleave.
-func simulateMemoryShared(cfg Config, memo *simcache.Cache, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
+// isoFor returns the memoized whole-run memory simulation of app alone.
+func isoFor(cfg Config, memo *simcache.Cache, cfgKey string, app App) (isoResult, error) {
+	key := simcache.Key{Domain: memoDomainIso, Config: cfgKey, Workload: app.Workload.Fingerprint()}
+	ir, _, err := simcache.GetOrCompute(memo, key, func() (isoResult, int64, error) {
+		mem, stats, err := simulateMemoryShared(cfg, memo, cfgKey, []App{app})
+		ir := isoResult{mem: mem, stats: stats}
+		return ir, ir.bytes(), err
+	})
+	return ir, err
+}
+
+// simulateMemoryShared is the full memory simulation: each app's private
+// phase (privFor) followed by the shared-LLC interleave.
+func simulateMemoryShared(cfg Config, memo *simcache.Cache, cfgKey string, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
 	llc, err := memsim.NewCache("llc", cfg.LLCytes, cfg.LLCWays, len(apps))
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Exact per-app sample counts: SampleRefs is a pure function of the
-	// workload, so arena windows and memo-entry capacities are known up
-	// front.
-	counts := make([]int, len(apps))
-	total, maxPhase := 0, 0
-	for ai := range apps {
-		w := apps[ai].Workload
-		for pi := range w.Phases {
-			if refs := w.Phases[pi].MemRefs(); refs > 0 {
-				k := memsim.SampleRefs(refs)
-				counts[ai] += k
-				if k > maxPhase {
-					maxPhase = k
-				}
-			}
-		}
-		total += counts[ai]
-	}
-
-	// Private L1/L2 pair and pooled scratch, created lazily: an all-hit
-	// memoized run touches neither. A fresh cache and a Reset cache are
-	// state-identical, so lazy creation cannot perturb outcomes.
-	var l1, l2 *memsim.Cache
-	var scratch *simScratch
-	defer func() {
-		if scratch != nil {
-			scratchPool.Put(scratch)
-		}
-	}()
-	getScratch := func() *simScratch {
-		if scratch == nil {
-			scratch = scratchPool.Get().(*simScratch)
-			scratch.grow(total, maxPhase)
-		}
-		return scratch
-	}
-	privCaches := func() (*memsim.Cache, *memsim.Cache, error) {
-		if l1 == nil {
-			var err error
-			if l1, err = memsim.NewCache("l1", cfg.L1Bytes, cfg.L1Ways, 1); err != nil {
-				return nil, nil, err
-			}
-			if l2, err = memsim.NewCache("l2", cfg.L2Bytes, cfg.L2Ways, 1); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			l1.Reset()
-			l2.Reset()
-		}
-		return l1, l2, nil
-	}
-
 	mem := make([][]phaseMem, len(apps))
 	bounds := make([][]uint64, len(apps))
 	ends := make([][]int, len(apps))
-	var cfgKey string
-	if memo != nil {
-		cfgKey = configKey(cfg)
-	}
-	off := 0
 	for ai := range apps {
-		w := apps[ai].Workload
-		if memo != nil {
-			key := simcache.Key{Domain: memoDomainPriv, Config: cfgKey, Workload: w.Fingerprint(), Slot: ai}
-			ai := ai // capture per-iteration for the compute closure
-			v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
-				cl1, cl2, err := privCaches()
-				if err != nil {
-					return nil, 0, err
-				}
-				// Exact-capacity heap slice: the entry outlives this call,
-				// so it cannot live in the pooled arena.
-				pr, err := privateReplay(cfg, w, ai, cl1, cl2, getScratch().addrs, make([]uint64, 0, counts[ai]))
-				if err != nil {
-					return nil, 0, err
-				}
-				return pr, pr.bytes(), nil
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			pr := v.(privResult)
-			// Private copy of the per-phase ratios: the shared replay
-			// accumulates llcMissN into it, and cached entries are
-			// immutable.
-			mem[ai] = append([]phaseMem(nil), pr.mem...)
-			bounds[ai], ends[ai] = pr.bound, pr.ends
-		} else {
-			cl1, cl2, err := privCaches()
-			if err != nil {
-				return nil, nil, err
-			}
-			s := getScratch()
-			// Zero-length full-capacity window into the arena: the appends
-			// in privateReplay never reallocate and never cross into a
-			// neighbour's window.
-			pr, err := privateReplay(cfg, w, ai, cl1, cl2, s.addrs, s.bound[off:off:off+counts[ai]])
-			if err != nil {
-				return nil, nil, err
-			}
-			off += counts[ai]
-			mem[ai] = pr.mem
-			bounds[ai], ends[ai] = pr.bound, pr.ends
+		pr, err := privFor(cfg, memo, cfgKey, apps[ai].Workload, ai)
+		if err != nil {
+			return nil, nil, err
 		}
+		// Private copy of the per-phase ratios: the shared replay
+		// accumulates llcMissN into it, and cached entries are immutable.
+		mem[ai] = append([]phaseMem(nil), pr.mem...)
+		bounds[ai], ends[ai] = pr.bound, pr.ends
 	}
 
 	// Shared-LLC phase: interleave every app's LLC-bound stream round-robin

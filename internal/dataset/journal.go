@@ -9,11 +9,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"mapc/internal/faultinject"
+	"mapc/internal/features"
 	"mapc/internal/fsatomic"
 	"mapc/internal/phasesum"
 )
@@ -116,6 +118,33 @@ type journalRecord struct {
 	Point Point  `json:"point"`
 }
 
+// wellFormed reports whether rec can be a point the generator measured for
+// its key: a bag of at least two members that are, as a multiset, the
+// key's "+"-separated members, with a feature vector of the bag's width
+// and one isolated CPU and GPU time per member. A record that decodes but
+// fails this is corrupt, exactly like a torn line.
+func (rec *journalRecord) wellFormed() bool {
+	p := &rec.Point
+	n := len(p.Members)
+	if n < 2 || len(p.CPUTimes) != n || len(p.GPUTimes) != n {
+		return false
+	}
+	if apps, err := features.BagSizeForWidth(len(p.X)); err != nil || apps != n {
+		return false
+	}
+	parts := strings.Split(rec.Key, "+")
+	if len(parts) != n {
+		return false
+	}
+	members := make([]string, n)
+	for i, m := range p.Members {
+		members[i] = m.String()
+	}
+	sort.Strings(parts)
+	sort.Strings(members)
+	return slices.Equal(parts, members)
+}
+
 // Journal is the append-only checkpoint log of completed measurement
 // points. Safe for concurrent use: the measurement pool appends from many
 // goroutines.
@@ -186,7 +215,8 @@ func OpenJournal(path string, cfg Config) (*Journal, error) {
 }
 
 // readJournal parses the header and records, truncating at the first
-// unparsable record (everything after a torn line is suspect).
+// unparsable or malformed record (everything after a torn line is
+// suspect).
 func readJournal(r io.Reader, wantFP string) (map[string]Point, int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
@@ -216,7 +246,7 @@ func readJournal(r io.Reader, wantFP string) (map[string]Point, int, error) {
 			continue
 		}
 		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
+		if err := json.Unmarshal(line, &rec); err != nil || !rec.wellFormed() {
 			// Torn or corrupt record: a crash between write and fsync can
 			// tear the final line. Discard it and everything after —
 			// those bags are simply re-measured on resume.

@@ -8,23 +8,31 @@ import (
 	"testing"
 
 	"mapc/internal/faultinject"
+	"mapc/internal/features"
 )
 
 // syntheticPoint builds a recognizable fake point for journal I/O tests
-// (no simulation required).
+// (no simulation required). It is well formed — a pair-width feature
+// vector and one time per member — so the loader keeps it when it is
+// journaled under syntheticKey(i).
 func syntheticPoint(i int) Point {
+	x := make([]float64, 2*features.PerApp+1)
+	x[0], x[1], x[len(x)-1] = float64(i), 1.5*float64(i), 0.125
 	return Point{
 		Members: []Member{
 			{Benchmark: "sift", Batch: 20 * (i + 1)},
 			{Benchmark: "surf", Batch: 20 * (i + 1)},
 		},
-		X:        []float64{float64(i), 1.5 * float64(i), 0.125},
+		X:        x,
 		Y:        0.001 * float64(i+1),
 		Fairness: 0.5,
 		CPUTimes: []float64{1, 2},
 		GPUTimes: []float64{3, 4},
 	}
 }
+
+// syntheticKey is the journal key of syntheticPoint(i).
+func syntheticKey(i int) string { return BagKeyOf(syntheticPoint(i).Members) }
 
 func journalPath(t *testing.T) string {
 	t.Helper()
@@ -181,7 +189,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append("good", syntheticPoint(0)); err != nil {
+	if err := j.Append(syntheticKey(0), syntheticPoint(0)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -203,7 +211,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if j2.Len() != 1 || j2.Dropped() != 1 {
 		t.Fatalf("Len=%d Dropped=%d, want 1/1", j2.Len(), j2.Dropped())
 	}
-	if _, ok := j2.Lookup("good"); !ok {
+	if _, ok := j2.Lookup(syntheticKey(0)); !ok {
 		t.Fatal("intact record lost")
 	}
 	if _, ok := j2.Lookup("torn"); ok {
@@ -232,7 +240,7 @@ func TestJournalCorruptMiddleTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append("a", syntheticPoint(0)); err != nil {
+	if err := j.Append(syntheticKey(0), syntheticPoint(0)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -257,6 +265,77 @@ func TestJournalCorruptMiddleTruncates(t *testing.T) {
 	}
 	if _, ok := j2.Lookup("b"); ok {
 		t.Fatal("record after corruption trusted")
+	}
+}
+
+// TestJournalMalformedRecordTruncates: a record that decodes but cannot be
+// the point measured for its key is corrupt — it and everything after it
+// are dropped — while a record whose members are a permutation of its
+// key's is kept.
+func TestJournalMalformedRecordTruncates(t *testing.T) {
+	good := syntheticPoint(1)
+	cases := []struct {
+		name string
+		key  string
+		mut  func(*Point)
+		keep bool
+	}{
+		{"well formed", syntheticKey(1), func(*Point) {}, true},
+		{"permuted members", syntheticKey(1), func(p *Point) {
+			p.Members[0], p.Members[1] = p.Members[1], p.Members[0]
+		}, true},
+		{"empty point", syntheticKey(1), func(p *Point) { *p = Point{} }, false},
+		{"one member", "sift/40", func(p *Point) {
+			p.Members, p.CPUTimes, p.GPUTimes = p.Members[:1], p.CPUTimes[:1], p.GPUTimes[:1]
+			p.X = p.X[:features.PerApp+1]
+		}, false},
+		{"members not the key's", "sift/40+sift/40", func(*Point) {}, false},
+		{"key has an extra member", syntheticKey(1) + "+knn/20", func(*Point) {}, false},
+		{"short feature vector", syntheticKey(1), func(p *Point) { p.X = p.X[:3] }, false},
+		{"feature vector of another bag size", syntheticKey(1), func(p *Point) {
+			p.X = append(p.X, make([]float64, features.PerApp)...)
+		}, false},
+		{"missing CPU time", syntheticKey(1), func(p *Point) { p.CPUTimes = p.CPUTimes[:1] }, false},
+		{"extra GPU time", syntheticKey(1), func(p *Point) { p.GPUTimes = append(p.GPUTimes, 5) }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			path := journalPath(t)
+			j, err := CreateJournal(path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(syntheticKey(0), syntheticPoint(0)); err != nil {
+				t.Fatal(err)
+			}
+			p := syntheticPoint(1)
+			tc.mut(&p)
+			if err := j.Append(tc.key, p); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(syntheticKey(2), syntheticPoint(2)); err != nil {
+				t.Fatal(err)
+			}
+			// Abandon j uncommitted: the records stay in append order.
+			j2, err := OpenJournal(path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			wantLen, wantDropped := 1, 2
+			if tc.keep {
+				wantLen, wantDropped = 3, 0
+			}
+			if j2.Len() != wantLen || j2.Dropped() != wantDropped {
+				t.Fatalf("Len=%d Dropped=%d, want %d/%d", j2.Len(), j2.Dropped(), wantLen, wantDropped)
+			}
+			if got, ok := j2.Lookup(tc.key); ok != tc.keep {
+				t.Fatalf("record kept=%v, want %v", ok, tc.keep)
+			} else if ok && got.Y != good.Y {
+				t.Fatalf("kept record Y=%v, want %v", got.Y, good.Y)
+			}
+		})
 	}
 }
 
@@ -289,7 +368,7 @@ func TestJournalKeepsRawValues(t *testing.T) {
 	}
 	p := syntheticPoint(1)
 	raw := append([]float64(nil), p.X...)
-	if err := j.Append("k", p); err != nil {
+	if err := j.Append(syntheticKey(1), p); err != nil {
 		t.Fatal(err)
 	}
 
@@ -299,7 +378,7 @@ func TestJournalKeepsRawValues(t *testing.T) {
 		p.X[i] *= 1e6
 	}
 	// ...nor must mutating a looked-up copy.
-	got, _ := j.Lookup("k")
+	got, _ := j.Lookup(syntheticKey(1))
 	for i := range got.X {
 		got.X[i] = -1
 	}
@@ -312,7 +391,7 @@ func TestJournalKeepsRawValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	reread, ok := j2.Lookup("k")
+	reread, ok := j2.Lookup(syntheticKey(1))
 	if !ok {
 		t.Fatal("record lost")
 	}
@@ -337,7 +416,7 @@ func TestJournalTornWriteFaultInjection(t *testing.T) {
 		{Site: FaultSiteJournalAppend, Index: 1, Kind: faultinject.KindTornWrite, KeepBytes: 10, Once: true},
 	}}))
 
-	if err := j.Append("a", syntheticPoint(0)); err != nil {
+	if err := j.Append(syntheticKey(0), syntheticPoint(0)); err != nil {
 		t.Fatal(err)
 	}
 	err = j.Append("b", syntheticPoint(1))

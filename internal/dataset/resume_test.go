@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync/atomic"
 	"testing"
 
@@ -286,5 +287,56 @@ func TestResumeNilJournal(t *testing.T) {
 	}
 	if _, err := gen.Resume(context.Background(), nil); err == nil {
 		t.Fatal("nil journal accepted")
+	}
+}
+
+// TestResumeMalformedRecordRemeasured: a journal record that decodes but
+// cannot be the point measured for its key (here an empty point under a
+// planned bag's key) is corrupt, like a torn line: resume drops it,
+// re-measures the bag and reproduces the uninterrupted corpus.
+func TestResumeMalformedRecordRemeasured(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Workers = 4
+	bags := mustBags(t, cfg)
+	path := journalPath(t)
+	j, err := CreateJournal(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(f, "{\"key\":%q,\"point\":{}}\n", BagKeyOf(bags[0])); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j2, err := OpenJournal(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &countingInjector{}
+	gen.SetFaultInjector(counter)
+	c, err := gen.Resume(context.Background(), j2)
+	if err != nil {
+		t.Fatalf("resume failed: %v", err)
+	}
+	if j2.Dropped() != 1 {
+		t.Errorf("Dropped=%d, want the malformed record dropped", j2.Dropped())
+	}
+	if measured := int(counter.n.Load()); measured != len(bags) {
+		t.Errorf("resume measured %d bags, want all %d", measured, len(bags))
+	}
+	if got := hashCorpus(c); got != goldenSmallCorpusHash {
+		t.Errorf("corpus after a malformed record hash = %s, want %s", got, goldenSmallCorpusHash)
 	}
 }

@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"sync"
+
 	"mapc/internal/memsim"
 	"mapc/internal/phasesum"
 	"mapc/internal/simcache"
@@ -20,8 +22,10 @@ import (
 // configurations.
 const memoDomainSum = "gpusim/sum"
 
-// summaryEntry is the memoized sketch; immutable once published.
-type summaryEntry struct{ sum phasesum.Summary }
+// scratchPool holds summarizeStream's transient stream copies. Pooled
+// because corpus generation sketches thousands of streams, potentially
+// from concurrent measurement workers.
+var scratchPool = sync.Pool{New: func() any { return new([]uint64) }}
 
 // summarizeStream sketches client w's stream for slot ai from a transient
 // copy: the stream is materialized into a pooled scratch arena, sketched,
@@ -29,9 +33,13 @@ type summaryEntry struct{ sum phasesum.Summary }
 // it to the "gpusim/stream" memo (8 bytes per sampled reference) would
 // only crowd out entries that are read again.
 func summarizeStream(w *trace.Workload, ai int) (phasesum.Summary, error) {
-	scratch := scratchPool.Get().(*simScratch)
-	defer scratchPool.Put(scratch)
-	se, err := materializeStream(w, ai, scratch.grow(sampleCount(w)))
+	buf := scratchPool.Get().(*[]uint64)
+	defer scratchPool.Put(buf)
+	n := sampleCount(w)
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
+	}
+	se, err := materializeStream(w, ai, (*buf)[:n])
 	if err != nil {
 		return phasesum.Summary{}, err
 	}
@@ -41,21 +49,12 @@ func summarizeStream(w *trace.Workload, ai int) (phasesum.Summary, error) {
 // streamSummaryFor returns the memoized reuse sketch of client w's stream
 // at slot ai; only the sketch is published, never the stream.
 func streamSummaryFor(memo *simcache.Cache, w *trace.Workload, ai int) (phasesum.Summary, error) {
-	if memo == nil {
-		return summarizeStream(w, ai)
-	}
 	key := simcache.Key{Domain: memoDomainSum, Workload: w.Fingerprint(), Slot: ai}
-	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+	sum, _, err := simcache.GetOrCompute(memo, key, func() (phasesum.Summary, int64, error) {
 		sum, err := summarizeStream(w, ai)
-		if err != nil {
-			return nil, 0, err
-		}
-		return summaryEntry{sum: sum}, sum.Bytes(), nil
+		return sum, sum.Bytes(), err
 	})
-	if err != nil {
-		return phasesum.Summary{}, err
-	}
-	return v.(summaryEntry).sum, nil
+	return sum, err
 }
 
 // runSteadyAnalytic is the analytic counterpart of runSteady: exact

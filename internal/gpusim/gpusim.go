@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"mapc/internal/isa"
 	"mapc/internal/memsim"
@@ -195,11 +194,11 @@ func RunMemo(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([]R
 }
 
 // RunMemoSharesFidelity is the simulator's tiered entry: the co-run of
-// workloads with SM partition shares at fidelity fid, memoized in memo
-// when it is non-nil. The execution is phased (phasesum.Run): all clients
-// contend while co-resident, and as each one finishes, the survivors are
-// re-simulated with the smaller client set (more SMs, less cache/TLB/
-// bandwidth interference). Exact fidelity (and every single-client run)
+// workloads with SM partition shares at fidelity fid, memoized in memo.
+// The execution is phased (phasesum.Run): all clients contend while
+// co-resident, and as each one finishes, the survivors are re-simulated
+// with the smaller client set (more SMs, less cache/TLB/bandwidth
+// interference). Exact fidelity (and every single-client run)
 // evaluates each step with runSteady, the reference every analytic
 // estimate is scored against; fast and mixed use runSteadyAnalytic, whose
 // gate bounces extreme share skew and demand far past the device bandwidth
@@ -214,13 +213,14 @@ func RunMemo(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([]R
 // the freed partition (renormalized over the active set), mirroring how the
 // equal split re-divides among survivors.
 //
-// A non-nil memo caches the pure prefixes of the memory simulation — the
+// memo caches the pure prefixes of the memory simulation — the
 // materialized per-slot reference streams ("gpusim/stream",
 // config-independent) and entire single-client simulations ("gpusim/iso")
 // — so repeated runs over the same workloads replay only the genuinely
 // shared TLB/L2 interleave. Outputs are bit-identical at every memo budget,
-// including nil: cached values are exactly the bytes the cold path
-// produces, and entries are immutable once published.
+// including nil, which runs the same lookups and retains nothing: cached
+// values are exactly what their compute functions return, and entries are
+// immutable once published.
 //
 // Read-only contract: no tier mutates the workloads — they may be shared
 // across concurrent calls and reused afterwards without cloning.
@@ -551,26 +551,6 @@ func occupancyScale(occ float64) float64 {
 	return occ
 }
 
-// simScratch holds a reusable stream arena: simulateMemory's cold path
-// partitions it among all clients' sampled reference addresses by exact
-// precomputed size, and the fast tier's summarizeStream sketches one
-// client's stream in it. Pooled because corpus generation makes thousands
-// of such calls, potentially from concurrent measurement workers.
-type simScratch struct {
-	addrs []uint64
-}
-
-// grow sizes the arena, reusing prior capacity, and returns it with length
-// total.
-func (s *simScratch) grow(total int) []uint64 {
-	if cap(s.addrs) < total {
-		s.addrs = make([]uint64, total)
-	}
-	return s.addrs[:cap(s.addrs)][:total]
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(simScratch) }}
-
 // Memo key domains (simcache.Key.Domain) for the two cached prefixes.
 const (
 	memoDomainStream = "gpusim/stream" // materialized per-slot reference stream
@@ -665,44 +645,26 @@ func materializeStream(w *trace.Workload, ai int, addrs []uint64) (streamEntry, 
 // the shared L2 and shared TLB, with periodic TLB flushes when more than
 // one client is resident.
 //
-// The hot path is allocation-free: per-client sample counts are exact
-// functions of the workload (SampleRefs is pure), so the stream arena is
-// sized once up front from a pooled scratch buffer and each phase's
-// references are generated through one batched Stream.Fill directly into
-// its arena segment.
-//
-// With a non-nil memo, single-client calls are answered entirely from the
-// isolated-run memo and multi-client calls reuse memoized streams,
-// replaying only the genuinely shared TLB/L2 interleave. Outputs are
-// bit-identical to the cold path at every budget.
+// Single-client calls are one "gpusim/iso" lookup; multi-client calls
+// look up each client's materialized stream (each phase generated through
+// one batched Stream.Fill into an exact-capacity slice) and replay only
+// the genuinely shared TLB/L2 interleave. A nil memo runs the same
+// lookups, each computing its value and retaining nothing.
 func simulateMemory(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
-	if memo != nil && len(workloads) == 1 {
-		key := simcache.Key{
-			Domain:   memoDomainIso,
-			Config:   configKey(cfg),
-			Workload: workloads[0].Fingerprint(),
-			Slot:     0,
-		}
-		v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
-			mem, l2s, tlbs, err := simulateMemoryShared(cfg, memo, workloads)
-			if err != nil {
-				return nil, 0, err
-			}
-			ir := isoResult{mem: mem, l2Stats: l2s, tlbStats: tlbs}
-			return ir, ir.bytes(), nil
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ir := v.(isoResult)
-		return ir.mem, ir.l2Stats, ir.tlbStats, nil
+	if len(workloads) != 1 {
+		return simulateMemoryShared(cfg, memo, workloads)
 	}
-	return simulateMemoryShared(cfg, memo, workloads)
+	key := simcache.Key{Domain: memoDomainIso, Config: configKey(cfg), Workload: workloads[0].Fingerprint()}
+	ir, _, err := simcache.GetOrCompute(memo, key, func() (isoResult, int64, error) {
+		mem, l2s, tlbs, err := simulateMemoryShared(cfg, memo, workloads)
+		ir := isoResult{mem: mem, l2Stats: l2s, tlbStats: tlbs}
+		return ir, ir.bytes(), err
+	})
+	return ir.mem, ir.l2Stats, ir.tlbStats, err
 }
 
-// simulateMemoryShared is the full memory simulation: stream
-// materialization (memo hits or cold fills) followed by the shared TLB/L2
-// interleave.
+// simulateMemoryShared is the full memory simulation: each client's
+// "gpusim/stream" lookup followed by the shared TLB/L2 interleave.
 func simulateMemoryShared(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
 	n := len(workloads)
 	l2, err := memsim.NewCache("gpul2", cfg.L2Bytes, cfg.L2Ways, n)
@@ -715,55 +677,18 @@ func simulateMemoryShared(cfg Config, memo *simcache.Cache, workloads []*trace.W
 	}
 
 	mem := make([][]phaseMem, n)
-	counts := make([]int, n)
-	total := 0
-	for ai, w := range workloads {
-		mem[ai] = make([]phaseMem, len(w.Phases))
-		counts[ai] = sampleCount(w)
-		total += counts[ai]
-	}
-
-	// Pooled arena, acquired lazily: an all-hit memoized run never touches
-	// it.
-	var scratch *simScratch
-	var arena []uint64
-	defer func() {
-		if scratch != nil {
-			scratchPool.Put(scratch)
-		}
-	}()
-	off := 0
 	streams := make([][]uint64, n)
 	ends := make([][]int, n)
 	for ai, w := range workloads {
-		if memo != nil {
-			w, ai := w, ai // capture per-iteration for the compute closure
-			key := simcache.Key{Domain: memoDomainStream, Workload: w.Fingerprint(), Slot: ai}
-			v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
-				// Exact-capacity heap slice: the entry outlives this
-				// call, so it cannot live in the pooled arena.
-				se, err := materializeStream(w, ai, make([]uint64, counts[ai]))
-				if err != nil {
-					return nil, 0, err
-				}
-				return se, se.bytes(), nil
-			})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			se := v.(streamEntry)
-			streams[ai], ends[ai] = se.addrs, se.ends
-			continue
-		}
-		if scratch == nil {
-			scratch = scratchPool.Get().(*simScratch)
-			arena = scratch.grow(total)
-		}
-		se, err := materializeStream(w, ai, arena[off:off+counts[ai]])
+		mem[ai] = make([]phaseMem, len(w.Phases))
+		key := simcache.Key{Domain: memoDomainStream, Workload: w.Fingerprint(), Slot: ai}
+		se, _, err := simcache.GetOrCompute(memo, key, func() (streamEntry, int64, error) {
+			se, err := materializeStream(w, ai, make([]uint64, sampleCount(w)))
+			return se, se.bytes(), err
+		})
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		off += counts[ai]
 		streams[ai], ends[ai] = se.addrs, se.ends
 	}
 
@@ -789,7 +714,7 @@ func simulateMemoryShared(cfg Config, memo *simcache.Cache, workloads []*trace.W
 	// schedule without two integer divisions per client per step. The TLB
 	// flush on every TLBFlushPeriod-th issued reference likewise becomes a
 	// countdown instead of a modulo. Both are pinned bit-identical by the
-	// golden corpus hashes and the memoized-vs-cold differential tests.
+	// golden corpus hashes and the memo on/off differential tests.
 	er := make([]int, n)
 	flushEvery := n > 1 && cfg.TLBFlushPeriod > 0
 	flushIn := cfg.TLBFlushPeriod

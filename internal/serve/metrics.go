@@ -95,11 +95,12 @@ type histogram struct {
 	n      int64
 }
 
-// newLatencyHistogram covers 1ms..60s exponentially — sub-millisecond cache
-// hits land in the first bucket, cold multi-simulation requests in the top.
+// newLatencyHistogram covers 2^-17 s (~7.6µs) to 64 s in doublings: a
+// warm cache hit (a few hundred µs) resolves to within a factor of two,
+// and cold multi-simulation requests land in the top buckets.
 func newLatencyHistogram() histogram {
 	var bounds []float64
-	for b := 0.001; b <= 64; b *= 2 {
+	for b := 0x1p-17; b <= 64; b *= 2 {
 		bounds = append(bounds, b)
 	}
 	return histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}

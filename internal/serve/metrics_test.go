@@ -7,6 +7,19 @@ import (
 	"time"
 )
 
+// TestHistogramResolvesWarmRequests: warm cache hits take a few hundred
+// microseconds, so the histogram must place 300µs in its own doubling
+// bucket, (2^-12, 2^-11] s, rather than interpolating inside [0, 1ms].
+func TestHistogramResolvesWarmRequests(t *testing.T) {
+	h := newLatencyHistogram()
+	for i := 0; i < 1000; i++ {
+		h.observe(300e-6)
+	}
+	if q := h.quantile(0.5); q <= 0x1p-12 || q > 0x1p-11 {
+		t.Errorf("p50 of 1000 observations of 300µs = %v s, want in (2^-12, 2^-11] s", q)
+	}
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	h := newLatencyHistogram()
 	if q := h.quantile(0.5); q != 0 {

@@ -26,7 +26,7 @@ var (
 
 // fixture trains a tiny full-scheme model (sift+surf, 2 batch sizes) once
 // per package: big enough to serve, fast enough for CI.
-func fixture(t *testing.T) (*dataset.Generator, *core.Predictor) {
+func fixture(t testing.TB) (*dataset.Generator, *core.Predictor) {
 	t.Helper()
 	fixOnce.Do(func() {
 		cfg := dataset.DefaultConfig()
@@ -52,7 +52,7 @@ func fixture(t *testing.T) (*dataset.Generator, *core.Predictor) {
 	return fixGen, fixMod
 }
 
-func newTestServer(t *testing.T, mut func(*Config)) *Server {
+func newTestServer(t testing.TB, mut func(*Config)) *Server {
 	t.Helper()
 	gen, mod := fixture(t)
 	cfg := Config{Model: mod, Generator: gen, Workers: 2}

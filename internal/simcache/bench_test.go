@@ -11,13 +11,13 @@ import (
 func BenchmarkSimCacheHit(b *testing.B) {
 	c := MustNew(1 << 20)
 	k := Key{Domain: "bench", Config: "cfg", Workload: 1}
-	if _, _, err := c.GetOrCompute(k, func() (any, int64, error) { return 42, 64, nil }); err != nil {
+	if _, _, err := GetOrCompute(c, k, func() (any, int64, error) { return 42, 64, nil }); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, hit, err := c.GetOrCompute(k, nil)
+		v, hit, err := GetOrCompute[any](c, k, nil)
 		if err != nil || !hit || v != 42 {
 			b.Fatalf("v=%v hit=%v err=%v", v, hit, err)
 		}
@@ -33,7 +33,7 @@ func BenchmarkSimCacheHitRotating(b *testing.B) {
 	c := MustNew(keys * 128)
 	for i := 0; i < keys; i++ {
 		k := Key{Domain: "bench", Config: "cfg", Workload: uint64(i)}
-		if _, _, err := c.GetOrCompute(k, func() (any, int64, error) { return i, 64, nil }); err != nil {
+		if _, _, err := GetOrCompute(c, k, func() (any, int64, error) { return i, 64, nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkSimCacheHitRotating(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := Key{Domain: "bench", Config: "cfg", Workload: uint64(i % keys)}
-		if _, hit, err := c.GetOrCompute(k, nil); err != nil || !hit {
+		if _, hit, err := GetOrCompute[any](c, k, nil); err != nil || !hit {
 			b.Fatalf("hit=%v err=%v", hit, err)
 		}
 	}
@@ -56,14 +56,14 @@ func BenchmarkSimCacheMissEvict(b *testing.B) {
 	// Seed a tenant so the very first timed insert already evicts (b.N can
 	// be 1 during calibration).
 	seed := Key{Domain: "bench", Config: "cfg", Workload: ^uint64(0)}
-	if _, _, err := c.GetOrCompute(seed, func() (any, int64, error) { return 0, 64, nil }); err != nil {
+	if _, _, err := GetOrCompute(c, seed, func() (any, int64, error) { return 0, 64, nil }); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := Key{Domain: "bench", Config: "cfg", Workload: uint64(i)}
-		if _, _, err := c.GetOrCompute(k, func() (any, int64, error) { return i, 64, nil }); err != nil {
+		if _, _, err := GetOrCompute(c, k, func() (any, int64, error) { return i, 64, nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -83,10 +83,10 @@ func TestLookupOutcomes(t *testing.T) {
 func TestGetOrComputeDelegates(t *testing.T) {
 	c := MustNew(1 << 20)
 	k := Key{Domain: "t/legacy", Config: "cfg"}
-	if _, hit, _ := c.GetOrCompute(k, okCompute(1, 8)); hit {
+	if _, hit, _ := GetOrCompute(c, k, okCompute(1, 8)); hit {
 		t.Error("first GetOrCompute reported hit=true")
 	}
-	if _, hit, _ := c.GetOrCompute(k, okCompute(2, 8)); !hit {
+	if _, hit, _ := GetOrCompute(c, k, okCompute(2, 8)); !hit {
 		t.Error("second GetOrCompute reported hit=false")
 	}
 }

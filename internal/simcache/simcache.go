@@ -9,9 +9,9 @@
 // (single-client) memory simulation. This cache lets cpusim and gpusim
 // compute each of those prefixes exactly once per (config, workload, slot)
 // and replay only the genuinely shared structures (LLC, device L2, TLB)
-// per bag — with guaranteed bit-identical outputs, because every cached
-// value is exactly the bytes the cold path would have produced and entries
-// are immutable once published.
+// per bag — with guaranteed bit-identical outputs, because a cached value
+// is exactly what its compute function returns and entries are immutable
+// once published.
 //
 // Concurrency: lookups singleflight — concurrent requests for the same key
 // block on one computation (the measurement worker pool frequently asks
@@ -25,8 +25,9 @@
 // total exceeds the configured budget the least-recently-used entries are
 // dropped. Eviction changes only *when* values are recomputed, never what
 // they are, so outputs are bit-identical at every budget — including zero,
-// which is expressed as a nil *Cache (all methods are nil-safe no-ops and
-// callers fall back to the cold path).
+// which is expressed as a nil *Cache: every lookup runs its compute
+// function and nothing is retained, so callers keep one code path whether
+// the memo is on, evicted or disabled.
 package simcache
 
 import (
@@ -88,8 +89,8 @@ type entry struct {
 }
 
 // Cache is the bounded memo. The zero value is not usable; create with
-// New. A nil *Cache is the documented "disabled" state: GetOrCompute runs
-// the compute function every time and Stats returns zeros.
+// New. A nil *Cache is the documented "disabled" state: GetOrCompute and
+// Lookup run the compute function every time and Stats returns zeros.
 type Cache struct {
 	budget int64 // bytes; > 0 (New rejects other values)
 
@@ -142,23 +143,27 @@ const (
 // GetOrCompute returns the memoized value for key, running compute at most
 // once per resident generation of the key. compute reports the value and
 // its approximate resident size in bytes; the value MUST be immutable
-// after return (callers receive the same value concurrently).
+// after return (callers receive the same value concurrently). V is the
+// caller's value type: each Key.Domain holds values of one type, so the
+// cached value is returned as it was computed.
 //
 // The second return is true on a cache hit (including waiting on another
 // goroutine's in-flight computation). Errors are never cached: a failed or
 // panicked compute unpublishes the key so the next lookup retries.
 //
-// A nil receiver runs compute directly — the cold path, bit-identical by
-// construction.
-func (c *Cache) GetOrCompute(key Key, compute func() (value any, bytes int64, err error)) (any, bool, error) {
-	v, outcome, err := c.Lookup(key, compute)
-	return v, outcome != OutcomeComputed, err
+// A nil cache runs compute on every call and retains nothing, so a
+// disabled memo executes exactly the code a cache miss executes.
+func GetOrCompute[V any](c *Cache, key Key, compute func() (V, int64, error)) (V, bool, error) {
+	v, outcome, err := c.Lookup(key, func() (any, int64, error) { return compute() })
+	val, _ := v.(V) // v is nil when another goroutine's compute failed
+	return val, outcome != OutcomeComputed, err
 }
 
-// Lookup is GetOrCompute with the hit bool refined into an Outcome; see
-// Outcome for when the distinction matters. Counter semantics are
-// unchanged: OutcomeHit and OutcomeWaited both count as hits, only
-// OutcomeComputed counts as a miss.
+// Lookup is GetOrCompute with the hit bool refined into an Outcome and the
+// value left untyped; see Outcome for when the distinction matters.
+// Counter semantics are the same: OutcomeHit and OutcomeWaited both count
+// as hits, only OutcomeComputed counts as a miss. A nil cache runs compute
+// and reports OutcomeComputed.
 func (c *Cache) Lookup(key Key, compute func() (value any, bytes int64, err error)) (any, Outcome, error) {
 	if c == nil {
 		v, _, err := compute()

@@ -27,11 +27,11 @@ func TestGetOrComputeMissThenHit(t *testing.T) {
 	calls := 0
 	compute := func() (any, int64, error) { calls++; return "value", 5, nil }
 
-	v, hit, err := c.GetOrCompute(key(1), compute)
+	v, hit, err := GetOrCompute(c, key(1), compute)
 	if err != nil || hit || v != "value" {
 		t.Fatalf("first lookup: v=%v hit=%v err=%v", v, hit, err)
 	}
-	v, hit, err = c.GetOrCompute(key(1), compute)
+	v, hit, err = GetOrCompute(c, key(1), compute)
 	if err != nil || !hit || v != "value" {
 		t.Fatalf("second lookup: v=%v hit=%v err=%v", v, hit, err)
 	}
@@ -51,7 +51,7 @@ func TestNilCacheRunsComputeEveryTime(t *testing.T) {
 	var c *Cache
 	calls := 0
 	for i := 0; i < 3; i++ {
-		v, hit, err := c.GetOrCompute(key(1), func() (any, int64, error) { calls++; return calls, 1, nil })
+		v, hit, err := GetOrCompute(c, key(1), func() (any, int64, error) { calls++; return calls, 1, nil })
 		if err != nil || hit {
 			t.Fatalf("nil cache lookup %d: hit=%v err=%v", i, hit, err)
 		}
@@ -75,7 +75,7 @@ func TestErrorsAreNeverCached(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
 	for i := 0; i < 2; i++ {
-		_, hit, err := c.GetOrCompute(key(1), func() (any, int64, error) { calls++; return nil, 0, boom })
+		_, hit, err := GetOrCompute(c, key(1), func() (any, int64, error) { calls++; return nil, 0, boom })
 		if !errors.Is(err, boom) || hit {
 			t.Fatalf("lookup %d: hit=%v err=%v", i, hit, err)
 		}
@@ -84,11 +84,11 @@ func TestErrorsAreNeverCached(t *testing.T) {
 		t.Fatalf("failed compute ran %d times; want 2 (errors must not be cached)", calls)
 	}
 	// A subsequent success is cached normally.
-	v, _, err := c.GetOrCompute(key(1), func() (any, int64, error) { return 7, 1, nil })
+	v, _, err := GetOrCompute(c, key(1), func() (any, int64, error) { return 7, 1, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("recovery lookup: v=%v err=%v", v, err)
 	}
-	if _, hit, _ := c.GetOrCompute(key(1), func() (any, int64, error) { t.Fatal("recomputed"); return nil, 0, nil }); !hit {
+	if _, hit, _ := GetOrCompute(c, key(1), func() (any, int64, error) { t.Fatal("recomputed"); return nil, 0, nil }); !hit {
 		t.Fatal("recovered entry not cached")
 	}
 }
@@ -97,14 +97,14 @@ func TestLRUEvictionOrderAndAccounting(t *testing.T) {
 	c := MustNew(100)
 	put := func(i int, size int64) {
 		t.Helper()
-		if _, _, err := c.GetOrCompute(key(i), func() (any, int64, error) { return i, size, nil }); err != nil {
+		if _, _, err := GetOrCompute(c, key(i), func() (any, int64, error) { return i, size, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	put(1, 40)
 	put(2, 40)
 	// Touch 1 so 2 becomes least-recently-used.
-	if _, hit, _ := c.GetOrCompute(key(1), func() (any, int64, error) { return 1, 40, nil }); !hit {
+	if _, hit, _ := GetOrCompute(c, key(1), func() (any, int64, error) { return 1, 40, nil }); !hit {
 		t.Fatal("key 1 missing")
 	}
 	put(3, 40) // exceeds 100: evicts key 2 (LRU), not key 1
@@ -112,18 +112,18 @@ func TestLRUEvictionOrderAndAccounting(t *testing.T) {
 	if st.Evictions != 1 || st.Bytes != 80 || st.Entries != 2 {
 		t.Fatalf("after eviction: %+v", st)
 	}
-	if _, hit, _ := c.GetOrCompute(key(1), func() (any, int64, error) { return 1, 40, nil }); !hit {
+	if _, hit, _ := GetOrCompute(c, key(1), func() (any, int64, error) { return 1, 40, nil }); !hit {
 		t.Fatal("recently-used key 1 was evicted; LRU order broken")
 	}
 	recomputed := false
-	if _, hit, _ := c.GetOrCompute(key(2), func() (any, int64, error) { recomputed = true; return 2, 40, nil }); hit || !recomputed {
+	if _, hit, _ := GetOrCompute(c, key(2), func() (any, int64, error) { recomputed = true; return 2, 40, nil }); hit || !recomputed {
 		t.Fatal("least-recently-used key 2 survived; LRU order broken")
 	}
 }
 
 func TestOversizedEntryReturnedButNotRetained(t *testing.T) {
 	c := MustNew(10)
-	v, _, err := c.GetOrCompute(key(1), func() (any, int64, error) { return "big", 1000, nil })
+	v, _, err := GetOrCompute(c, key(1), func() (any, int64, error) { return "big", 1000, nil })
 	if err != nil || v != "big" {
 		t.Fatalf("oversized compute: v=%v err=%v", v, err)
 	}
@@ -145,7 +145,7 @@ func TestSingleflightComputesOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			v, _, err := c.GetOrCompute(key(1), func() (any, int64, error) {
+			v, _, err := GetOrCompute(c, key(1), func() (any, int64, error) {
 				calls.Add(1)
 				<-release // hold the flight open so everyone piles on
 				return "shared", 8, nil
@@ -174,7 +174,7 @@ func TestPanickingComputePoisonsNobody(t *testing.T) {
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		c.GetOrCompute(key(1), func() (any, int64, error) {
+		GetOrCompute(c, key(1), func() (any, int64, error) {
 			close(entered)
 			<-release
 			panic("kaboom")
@@ -205,7 +205,7 @@ func TestPanickingComputePoisonsNobody(t *testing.T) {
 		t.Fatal("waiter on a panicked flight would get nil error; want retryable error")
 	}
 	// The key is unpublished: the next lookup recomputes cleanly.
-	v, hit, err := c.GetOrCompute(key(1), func() (any, int64, error) { return 42, 1, nil })
+	v, hit, err := GetOrCompute(c, key(1), func() (any, int64, error) { return 42, 1, nil })
 	if err != nil || hit || v != 42 {
 		t.Fatalf("post-panic lookup: v=%v hit=%v err=%v", v, hit, err)
 	}
@@ -226,7 +226,7 @@ func TestConcurrentHammer(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 2000; i++ {
 				k := rng.Intn(32)
-				v, _, err := c.GetOrCompute(key(k), func() (any, int64, error) {
+				v, _, err := GetOrCompute(c, key(k), func() (any, int64, error) {
 					return fmt.Sprintf("v%d", k), 16, nil
 				})
 				if err != nil {
