@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -327,5 +329,201 @@ func TestRouterHedgeWinsOnSlowReplica(t *testing.T) {
 	}
 	if rt.metrics.hedges.Load() == 0 || rt.metrics.hedgeWins.Load() == 0 {
 		t.Errorf("hedges=%d hedgeWins=%d, want both ≥ 1", rt.metrics.hedges.Load(), rt.metrics.hedgeWins.Load())
+	}
+}
+
+// stallingServer drains each request, then answers nothing until stall
+// elapses or the caller goes away (draining first is what lets the server
+// notice the disconnect).
+func stallingServer(t *testing.T, stall time.Duration) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		select {
+		case <-time.After(stall):
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// closedURL returns the address of a listener that is already closed, so
+// a forward to it fails fast with a refused connection.
+func closedURL(t *testing.T) string {
+	t.Helper()
+	ts := httptest.NewServer(http.NotFoundHandler())
+	ts.Close()
+	return ts.URL
+}
+
+// syntheticBagFor returns a bag of made-up benchmarks whose first
+// candidate is url. The router never validates names, so tests whose
+// replicas are stand-ins can aim any number of bags without depending on
+// how the few fixture keys happen to hash.
+func syntheticBagFor(t *testing.T, pool *Pool, url string) []serve.Member {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		ms := []serve.Member{{Benchmark: fmt.Sprintf("synthetic%d", i), Batch: 20}, {Benchmark: "synthetic", Batch: 20}}
+		if pool.Route(serve.CanonicalKey(ms))[0] == url {
+			return ms
+		}
+	}
+	t.Fatalf("no synthetic bag routes first to %s", url)
+	return nil
+}
+
+func batchBody(t *testing.T, bags ...[]serve.Member) string {
+	t.Helper()
+	req := serve.PredictRequest{}
+	for _, ms := range bags {
+		req.Bags = append(req.Bags, serve.Bag{Members: ms})
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestRouterClientCancelDoesNotChargeReplica: a client that gives up while
+// the owning replica is still working gets a 504, and the healthy replica
+// is not reported — with FailAfter 1 a single wrongful report would eject
+// it and open its breaker. Both with and without a (not yet fired) hedge.
+func TestRouterClientCancelDoesNotChargeReplica(t *testing.T) {
+	for _, hedge := range []time.Duration{0, time.Second} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			_, live := newReplica(t)
+			owner := stallingServer(t, 2*time.Second)
+			pool, err := NewPool(PoolConfig{Replicas: []string{live.URL, owner.URL}, FailAfter: 1, ReviveAfter: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := NewRouter(RouterConfig{Pool: pool, HedgeDelay: hedge})
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := batchBody(t, syntheticBagFor(t, pool, owner.URL))
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)).WithContext(ctx)
+			rr := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rr, req)
+			if rr.Code != http.StatusGatewayTimeout {
+				t.Fatalf("cancelled request answered %d, want 504: %s", rr.Code, rr.Body)
+			}
+			if n := pool.Ejections(); n != 0 {
+				t.Errorf("client cancel ejected %d replica(s): %+v", n, pool.Status())
+			}
+			if got := pool.BreakerState(owner.URL); got != "closed" {
+				t.Errorf("owner breaker %q after a client cancel, want closed", got)
+			}
+		})
+	}
+}
+
+// TestRouterHedgeFailureModes covers the hedged single-bag path beyond the
+// slow-owner win: a dead owner replaced by the hedge, a tier where both
+// candidates fail inside a one-unit budget, and a client error that comes
+// back before the hedge timer.
+func TestRouterHedgeFailureModes(t *testing.T) {
+	dead := closedURL
+	live := func(t *testing.T) string {
+		_, ts := newReplica(t)
+		return ts.URL
+	}
+	cases := []struct {
+		name     string
+		replicas []func(*testing.T) string // the first owns the request's bag
+		budget   int
+		body     string // "" means a fixture bag owned by the first replica
+		wantCode int
+		wantBody string
+		hedges   int64
+		wins     int64
+		retries  int64
+		spent    int64 // budgetExhausted
+	}{
+		{name: "dead owner, hedge answers", replicas: []func(*testing.T) string{dead, live},
+			wantCode: http.StatusOK, wantBody: "predicted_gpu_bag_time_sec", hedges: 1, wins: 1, retries: 1},
+		{name: "both fail, budget 1", replicas: []func(*testing.T) string{dead, dead}, budget: 1,
+			wantCode: http.StatusBadGateway, wantBody: "retry budget (1) exhausted", hedges: 1, retries: 2, spent: 1},
+		{name: "owner answers 400", replicas: []func(*testing.T) string{live, live},
+			body:     pairBody("nosuch", 20, "surf", 20),
+			wantCode: http.StatusBadRequest, wantBody: "nosuch"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			urls := make([]string, len(tc.replicas))
+			for i, mk := range tc.replicas {
+				urls[i] = mk(t)
+			}
+			pool, err := NewPool(PoolConfig{Replicas: urls, FailAfter: 1, ReviveAfter: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := NewRouter(RouterConfig{
+				Pool:           pool,
+				Timeout:        30 * time.Second,
+				RetryBudget:    tc.budget,
+				RetryBaseDelay: time.Millisecond,
+				RetryMaxDelay:  5 * time.Millisecond,
+				HedgeDelay:     50 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := tc.body
+			if body == "" {
+				body = bagRoutedFirstTo(t, pool, urls[0])
+			}
+			rr := post(t, rt.Handler(), body)
+			if rr.Code != tc.wantCode || !strings.Contains(rr.Body.String(), tc.wantBody) {
+				t.Fatalf("answered %d, want %d containing %q: %s", rr.Code, tc.wantCode, tc.wantBody, rr.Body)
+			}
+			m := rt.metrics
+			if m.hedges.Load() != tc.hedges || m.hedgeWins.Load() != tc.wins ||
+				m.retries.Load() != tc.retries || m.budgetExhausted.Load() != tc.spent {
+				t.Errorf("hedges=%d wins=%d retries=%d budgetExhausted=%d, want %d/%d/%d/%d",
+					m.hedges.Load(), m.hedgeWins.Load(), m.retries.Load(), m.budgetExhausted.Load(),
+					tc.hedges, tc.wins, tc.retries, tc.spent)
+			}
+		})
+	}
+}
+
+// TestRouterClientErrorDoesNotWaitForStalledGroup: in a batch, a group
+// whose replica answers 400 goes back to the client at once; a sibling
+// group stalled on another replica is abandoned rather than waited out to
+// its AttemptTimeout, and its replica is not charged for the abandonment.
+func TestRouterClientErrorDoesNotWaitForStalledGroup(t *testing.T) {
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "bag rejected"})
+	}))
+	t.Cleanup(bad.Close)
+	stalled := stallingServer(t, 30*time.Second)
+	pool, err := NewPool(PoolConfig{Replicas: []string{bad.URL, stalled.URL}, FailAfter: 1, ReviveAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const attempt = 5 * time.Second
+	rt, err := NewRouter(RouterConfig{Pool: pool, Timeout: 30 * time.Second, AttemptTimeout: attempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := batchBody(t, syntheticBagFor(t, pool, stalled.URL), syntheticBagFor(t, pool, bad.URL))
+
+	start := time.Now()
+	rr := post(t, rt.Handler(), body)
+	elapsed := time.Since(start)
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "bag rejected") {
+		t.Fatalf("answered %d, want the replica's 400: %s", rr.Code, rr.Body)
+	}
+	if elapsed > attempt/4 {
+		t.Errorf("400 took %v; the router waited for the stalled group (AttemptTimeout %v)", elapsed, attempt)
+	}
+	if got := pool.BreakerState(stalled.URL); got != "closed" {
+		t.Errorf("stalled replica breaker %q after being abandoned, want closed", got)
 	}
 }

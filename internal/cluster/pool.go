@@ -24,9 +24,9 @@ const (
 	DefaultBreakerCooldown = 5 * time.Second
 )
 
-// breakerState is the per-replica circuit-breaker state. It moves in
-// lockstep with the health bit: closed ⇔ healthy; open and half-open are
-// both "ejected" as far as Route ordering is concerned.
+// breakerState is the per-replica circuit-breaker state, and the only
+// health record: closed is healthy; open and half-open are both "ejected"
+// as far as Route ordering is concerned.
 type breakerState int
 
 const (
@@ -79,11 +79,10 @@ type PoolConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// replicaState tracks one member's health and breaker state. The two
-// agree by construction: healthy is true exactly when brk == brkClosed.
+// replicaState tracks one member's breaker state; the member is healthy
+// exactly when brk == brkClosed.
 type replicaState struct {
 	url       string
-	healthy   bool
 	succ      int // consecutive probe successes
 	fail      int // consecutive probe failures (or reported ones)
 	lastError string
@@ -102,10 +101,10 @@ type ReplicaStatus struct {
 }
 
 // Pool is the health-checked membership set: a fixed replica list, a
-// consistent-hash ring over all of it, and a health bit plus circuit
-// breaker per replica. Probes and request-path reports feed the same
-// state machine, so the breaker and the prober never disagree about a
-// replica. All methods are safe for concurrent use.
+// consistent-hash ring over all of it, and a circuit breaker per replica
+// whose closed state is its health. Probes and request-path reports feed
+// that one state machine, so the breaker and the prober never disagree
+// about a replica. All methods are safe for concurrent use.
 type Pool struct {
 	cfg  PoolConfig
 	ring *Ring
@@ -153,7 +152,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	}
 	p := &Pool{cfg: cfg, ring: ring, now: time.Now}
 	for _, u := range cfg.Replicas {
-		p.replicas = append(p.replicas, &replicaState{url: u, healthy: true, brk: brkClosed})
+		p.replicas = append(p.replicas, &replicaState{url: u, brk: brkClosed})
 	}
 	return p, nil
 }
@@ -169,7 +168,7 @@ func (p *Pool) Route(key string) []string {
 	p.mu.Lock()
 	healthy := make(map[string]bool, len(p.replicas))
 	for _, r := range p.replicas {
-		healthy[r.url] = r.healthy
+		healthy[r.url] = r.brk == brkClosed
 	}
 	p.mu.Unlock()
 	// Stable partition: healthy candidates keep ring order, then ejected
@@ -275,7 +274,6 @@ func (p *Pool) failLocked(r *replicaState, msg string) {
 		if r.fail >= p.cfg.FailAfter {
 			r.brk = brkOpen
 			r.openedAt = p.now()
-			r.healthy = false
 			p.ejections++
 			p.cfg.Logf("cluster: ejecting %s after %d consecutive failures, breaker open (%s)", r.url, r.fail, msg)
 		}
@@ -304,7 +302,6 @@ func (p *Pool) succeedLocked(r *replicaState) {
 // closeLocked re-admits a replica: breaker closed, healthy again.
 func (p *Pool) closeLocked(r *replicaState, why string) {
 	r.brk = brkClosed
-	r.healthy = true
 	r.trial = false
 	r.fail = 0
 	p.readmissions++
@@ -411,7 +408,7 @@ func (p *Pool) Status() []ReplicaStatus {
 	defer p.mu.Unlock()
 	out := make([]ReplicaStatus, len(p.replicas))
 	for i, r := range p.replicas {
-		out[i] = ReplicaStatus{URL: r.url, Healthy: r.healthy, Breaker: r.brk.String(), LastError: r.lastError}
+		out[i] = ReplicaStatus{URL: r.url, Healthy: r.brk == brkClosed, Breaker: r.brk.String(), LastError: r.lastError}
 	}
 	return out
 }
@@ -422,7 +419,7 @@ func (p *Pool) HealthyCount() int {
 	defer p.mu.Unlock()
 	n := 0
 	for _, r := range p.replicas {
-		if r.healthy {
+		if r.brk == brkClosed {
 			n++
 		}
 	}

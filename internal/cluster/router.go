@@ -127,23 +127,16 @@ func (rt *Router) Handler() http.Handler {
 // Pool exposes the membership (for probe wiring in cmd/mapc-router).
 func (rt *Router) Pool() *Pool { return rt.pool }
 
-// writeJSON mirrors the serve layer's response shape (pretty-printed).
-func writeJSON(w http.ResponseWriter, code int, v any) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-	return code
-}
-
 // bagCall tracks one bag through forwarding: its original position, its
-// canonical key's candidate replicas, and which have been tried.
+// canonical key's candidate replicas, which have been tried, how many of
+// its attempts are still in flight, and whether one has answered it.
 type bagCall struct {
-	index   int
-	members []serve.Member
-	cands   []string
-	tried   []bool
+	index    int
+	members  []serve.Member
+	cands    []string
+	tried    []bool
+	inflight int
+	answered bool
 }
 
 func newBagCall(index int, members []serve.Member, cands []string) *bagCall {
@@ -180,34 +173,40 @@ type forwardError struct {
 	retryAfter string
 }
 
+// outcome is one attempt's report: the replica and bags it carried, and
+// exactly one of forward's three results.
+type outcome struct {
+	replica string
+	group   []*bagCall
+	resp    *serve.PredictResponse
+	ferr    *forwardError
+	err     error
+}
+
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	startTime := time.Now()
 	code := rt.servePredict(w, r)
 	rt.metrics.observe(code, time.Since(startTime))
 }
 
+// servePredict runs every forward of one client request from a single
+// event loop. Each attempt is a goroutine reporting one outcome. A round
+// sends every pending bag to its next candidate, grouped by replica, and
+// ends when none of its attempts is in flight; the bags that failed in it
+// back off and go again. A single-bag request with HedgeDelay > 0 also
+// arms a timer that races the bag's next candidate against the first
+// attempt. Retries and the hedge share the request's retry budget.
 func (rt *Router) servePredict(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		return writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "use POST"})
+		return serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "use POST"})
 	}
-	body := http.MaxBytesReader(w, r.Body, routerMaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req serve.PredictRequest
-	if err := dec.Decode(&req); err != nil {
-		return writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
-	}
-	// Same trailing-data contract as the replicas: exactly one JSON value.
-	if tok, err := dec.Token(); err != io.EOF {
-		return writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{
-			Error: fmt.Sprintf("request body carries trailing data after the JSON value (next token %v); send exactly one JSON object", tok)})
-	}
-	bags, err := req.BagList()
+	bags, err := serve.ReadBags(http.MaxBytesReader(w, r.Body, routerMaxBodyBytes))
 	if err != nil {
-		return writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
+		return serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
 	}
 
+	// Cancelling ctx on return also abandons every attempt still running.
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.Timeout)
 	defer cancel()
 
@@ -217,56 +216,87 @@ func (rt *Router) servePredict(w http.ResponseWriter, r *http.Request) int {
 		calls[i] = newBagCall(i, ms, rt.pool.Route(serve.CanonicalKey(ms)))
 	}
 
-	if len(calls) == 1 && rt.cfg.HedgeDelay > 0 {
-		return rt.servePredictHedged(ctx, w, calls[0], degradedOK)
+	outcomes := make(chan outcome)
+	inflight := 0
+	launch := func(replica string, group []*bagCall) {
+		inflight++
+		for _, c := range group {
+			c.inflight++
+		}
+		go func() {
+			o := outcome{replica: replica, group: group}
+			o.resp, o.ferr, o.err = rt.forward(ctx, replica, group, degradedOK)
+			// Once the loop has answered nobody receives; ctx is then
+			// cancelled, so an abandoned attempt never blocks here.
+			select {
+			case outcomes <- o:
+			case <-ctx.Done():
+			}
+		}()
 	}
 
-	results := make([]serve.BagResult, len(bags))
+	var hedge <-chan time.Time
+	hedgedTo := ""
+	if len(calls) == 1 && rt.cfg.HedgeDelay > 0 {
+		t := time.NewTimer(rt.cfg.HedgeDelay)
+		defer t.Stop()
+		hedge = t.C
+	}
+
+	results := make([]serve.BagResult, len(calls))
+	unanswered := len(calls)
 	scheme := ""
 	degraded := false
 	budget := rt.cfg.RetryBudget
-	round := 0
 	pending := calls
-	for len(pending) > 0 {
+	for round := 0; ; round++ {
+		if round > 0 {
+			if err := rt.backoff(ctx, round-1); err != nil {
+				return serve.WriteJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{
+					Error: fmt.Sprintf("request deadline (%s) exceeded during retry backoff", rt.cfg.Timeout)})
+			}
+		}
 		// Group this round's bags by the replica each should try next.
 		groups := make(map[string][]*bagCall)
 		for _, c := range pending {
 			replica, ok := c.pick(rt.pool)
 			if !ok {
-				return writeJSON(w, http.StatusBadGateway, serve.ErrorResponse{
+				return serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{
 					Error: fmt.Sprintf("bag %d: every replica failed; last candidate list %v", c.index, c.cands)})
 			}
 			groups[replica] = append(groups[replica], c)
 		}
+		for replica, group := range groups {
+			launch(replica, group)
+		}
 
-		// Forward the groups concurrently; collect per-group outcomes.
-		replicas := make([]string, 0, len(groups))
-		for rep := range groups {
-			replicas = append(replicas, rep)
-		}
-		sort.Strings(replicas)
-		type outcome struct {
-			replica string
-			resp    *serve.PredictResponse
-			ferr    *forwardError // replica answered non-200
-			netErr  error         // transport-level failure → retry next candidate
-		}
-		outcomes := make([]outcome, len(replicas))
-		var wg sync.WaitGroup
-		for i, rep := range replicas {
-			wg.Add(1)
-			go func(i int, rep string) {
-				defer wg.Done()
-				resp, ferr, netErr := rt.forward(ctx, rep, groups[rep], degradedOK)
-				outcomes[i] = outcome{replica: rep, resp: resp, ferr: ferr, netErr: netErr}
-			}(i, rep)
-		}
-		wg.Wait()
+		// The round lasts while an attempt is in flight or the hedge timer
+		// can still launch one.
+		for inflight > 0 || hedge != nil {
+			var o outcome
+			select {
+			case o = <-outcomes:
+				inflight--
+				for _, c := range o.group {
+					c.inflight--
+				}
+			case <-hedge:
+				// The timer fires in round 0, before any failure has spent
+				// budget, so the hedge's unit is always there to spend.
+				hedge = nil
+				if replica, ok := calls[0].pick(rt.pool); ok {
+					budget--
+					hedgedTo = replica
+					rt.metrics.hedges.Add(1)
+					rt.cfg.Logf("cluster: hedging bag to %s after %s", replica, rt.cfg.HedgeDelay)
+					launch(replica, calls)
+				}
+				continue
+			case <-ctx.Done():
+				o.err = ctx.Err() // answered 504 below, charged to no replica
+			}
 
-		pending = pending[:0]
-		for _, o := range outcomes {
-			group := groups[o.replica]
-			retryErr := o.netErr
+			retryErr := o.err
 			if retryErr == nil && o.ferr != nil && o.ferr.status >= 500 && o.ferr.status != http.StatusServiceUnavailable {
 				// A non-503 5xx (replica panic, injected fault) is
 				// replica-specific, not bag-specific: another candidate may
@@ -274,65 +304,83 @@ func (rt *Router) servePredict(w http.ResponseWriter, r *http.Request) int {
 				retryErr = fmt.Errorf("replica answered %d: %s", o.ferr.status, o.ferr.body.Error)
 			}
 			switch {
+			case retryErr != nil && ctx.Err() != nil:
+				// The request's own deadline or the client's cancel ended
+				// it, not the replica: report nothing to the pool. (An
+				// attempt's own AttemptTimeout leaves ctx alive and is
+				// charged below.)
+				return serve.WriteJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{
+					Error: fmt.Sprintf("request deadline (%s) exceeded", rt.cfg.Timeout)})
 			case retryErr != nil:
 				// Transport-class failure: report to the pool (passive
-				// ejection + breaker) and retry every bag in the group at
-				// its next candidate, spending retry budget.
+				// ejection + breaker) and retry the group's bags at their
+				// next candidates, spending retry budget.
 				rt.pool.ReportFailure(o.replica, retryErr)
-				rt.metrics.retries.Add(int64(len(group)))
-				rt.cfg.Logf("cluster: forward to %s failed (%v); retrying %d bag(s)", o.replica, retryErr, len(group))
+				rt.metrics.retries.Add(int64(len(o.group)))
+				rt.cfg.Logf("cluster: forward to %s failed (%v); retrying %d bag(s)", o.replica, retryErr, len(o.group))
+				if o.group[0].inflight > 0 || hedge != nil {
+					// Only a hedged single bag has a race partner. While it,
+					// or the armed hedge timer, can still answer, spend
+					// nothing yet.
+					continue
+				}
 				// One failed forward spends one budget unit regardless of
 				// how many bags rode in it: the cost to the tier is per
 				// HTTP attempt, and a single sick replica must not burn a
 				// large batch's whole budget in one round.
 				if budget < 1 {
 					rt.metrics.budgetExhausted.Add(1)
-					return writeJSON(w, http.StatusBadGateway, serve.ErrorResponse{
+					return serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{
 						Error: fmt.Sprintf("retry budget (%d) exhausted; last error from %s: %v", rt.cfg.RetryBudget, o.replica, retryErr)})
 				}
 				budget--
-				pending = append(pending, group...)
 			case o.ferr != nil:
 				// The replica answered a client-class HTTP error or a 503:
-				// propagate it as-is — a 400 means the bag itself is
-				// invalid everywhere, a 503 means the owner is shedding
-				// (the client's backpressure signal; rerouting would defeat
-				// admission control).
+				// propagate it as-is, without waiting for the rest of the
+				// round — a 400 means the bag itself is invalid everywhere,
+				// a 503 means the owner is shedding (the client's
+				// backpressure signal; rerouting would defeat admission
+				// control).
 				rt.pool.ReportSuccess(o.replica)
 				if o.ferr.retryAfter != "" {
 					w.Header().Set("Retry-After", o.ferr.retryAfter)
 				}
-				return writeJSON(w, o.ferr.status, o.ferr.body)
+				return serve.WriteJSON(w, o.ferr.status, o.ferr.body)
 			default:
 				rt.pool.ReportSuccess(o.replica)
 				if scheme == "" {
 					scheme = o.resp.ModelScheme
 				} else if scheme != o.resp.ModelScheme {
-					return writeJSON(w, http.StatusBadGateway, serve.ErrorResponse{
+					return serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{
 						Error: fmt.Sprintf("replicas disagree on the model scheme (%q vs %q); the tier is misconfigured", scheme, o.resp.ModelScheme)})
+				}
+				if o.replica == hedgedTo {
+					rt.metrics.hedgeWins.Add(1)
 				}
 				degraded = degraded || o.resp.Degraded
 				for j, br := range o.resp.Results {
-					results[group[j].index] = br
+					results[o.group[j].index] = br
+					o.group[j].answered = true
 				}
-				rt.metrics.forwarded(o.replica, len(group))
+				rt.metrics.forwarded(o.replica, len(o.group))
+				unanswered -= len(o.group)
+				if unanswered == 0 {
+					rt.metrics.bags.Add(int64(len(results)))
+					if degraded {
+						w.Header().Set(serve.HeaderDegraded, "1")
+					}
+					return serve.WriteJSON(w, http.StatusOK, serve.PredictResponse{ModelScheme: scheme, Results: results, Degraded: degraded})
+				}
 			}
 		}
 
-		if len(pending) > 0 {
-			if err := rt.backoff(ctx, round); err != nil {
-				return writeJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{
-					Error: fmt.Sprintf("request deadline (%s) exceeded during retry backoff", rt.cfg.Timeout)})
+		pending = nil
+		for _, c := range calls {
+			if !c.answered {
+				pending = append(pending, c)
 			}
-			round++
 		}
 	}
-
-	rt.metrics.bags.Add(int64(len(results)))
-	if degraded {
-		w.Header().Set(serve.HeaderDegraded, "1")
-	}
-	return writeJSON(w, http.StatusOK, serve.PredictResponse{ModelScheme: scheme, Results: results, Degraded: degraded})
 }
 
 // backoff sleeps the jittered exponential retry delay for round:
@@ -352,127 +400,6 @@ func (rt *Router) backoff(ctx context.Context, round int) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// servePredictHedged handles a single-bag request with tail-latency
-// hedging: the first attempt races a delayed second attempt on the next
-// candidate, first answer wins, losers are cancelled. Hedges and retries
-// share the request's retry budget.
-func (rt *Router) servePredictHedged(ctx context.Context, w http.ResponseWriter, c *bagCall, degradedOK string) int {
-	type attempt struct {
-		replica string
-		resp    *serve.PredictResponse
-		ferr    *forwardError
-		netErr  error
-	}
-	resCh := make(chan attempt, len(c.cands))
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
-
-	budget := rt.cfg.RetryBudget
-	inflight := 0
-	launch := func(rep string) {
-		actx, cancel := context.WithCancel(ctx)
-		cancels = append(cancels, cancel)
-		inflight++
-		go func() {
-			resp, ferr, netErr := rt.forward(actx, rep, []*bagCall{c}, degradedOK)
-			resCh <- attempt{replica: rep, resp: resp, ferr: ferr, netErr: netErr}
-		}()
-	}
-
-	first, ok := c.pick(rt.pool)
-	if !ok {
-		return writeJSON(w, http.StatusBadGateway, serve.ErrorResponse{
-			Error: fmt.Sprintf("bag 0: every replica failed; last candidate list %v", c.cands)})
-	}
-	launch(first)
-	hedgeTimer := time.NewTimer(rt.cfg.HedgeDelay)
-	defer hedgeTimer.Stop()
-	hedgeArmed := true
-	round := 0
-
-	for {
-		select {
-		case <-ctx.Done():
-			return writeJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{
-				Error: fmt.Sprintf("request deadline (%s) exceeded", rt.cfg.Timeout)})
-		case <-hedgeTimer.C:
-			hedgeArmed = false
-			if budget >= 1 {
-				if rep, ok := c.pick(rt.pool); ok {
-					budget--
-					rt.metrics.hedges.Add(1)
-					rt.cfg.Logf("cluster: hedging bag to %s after %s", rep, rt.cfg.HedgeDelay)
-					launch(rep)
-					continue
-				}
-			}
-			if inflight == 0 {
-				// The first attempt already failed and the hedge can't
-				// launch: nothing can answer anymore.
-				rt.metrics.budgetExhausted.Add(1)
-				return writeJSON(w, http.StatusBadGateway, serve.ErrorResponse{
-					Error: fmt.Sprintf("retry budget (%d) or candidate list exhausted for bag 0 (%v)", rt.cfg.RetryBudget, c.cands)})
-			}
-		case a := <-resCh:
-			inflight--
-			retryErr := a.netErr
-			if retryErr == nil && a.ferr != nil && a.ferr.status >= 500 && a.ferr.status != http.StatusServiceUnavailable {
-				retryErr = fmt.Errorf("replica answered %d: %s", a.ferr.status, a.ferr.body.Error)
-			}
-			switch {
-			case retryErr != nil:
-				rt.pool.ReportFailure(a.replica, retryErr)
-				rt.metrics.retries.Add(1)
-				rt.cfg.Logf("cluster: forward to %s failed (%v)", a.replica, retryErr)
-				if inflight > 0 || hedgeArmed {
-					// The race partner (or the armed hedge timer) can still
-					// answer; don't spend budget yet.
-					continue
-				}
-				if budget < 1 {
-					rt.metrics.budgetExhausted.Add(1)
-					return writeJSON(w, http.StatusBadGateway, serve.ErrorResponse{
-						Error: fmt.Sprintf("retry budget (%d) exhausted; last error from %s: %v", rt.cfg.RetryBudget, a.replica, retryErr)})
-				}
-				rep, ok := c.pick(rt.pool)
-				if !ok {
-					return writeJSON(w, http.StatusBadGateway, serve.ErrorResponse{
-						Error: fmt.Sprintf("bag 0: every replica failed; last candidate list %v", c.cands)})
-				}
-				budget--
-				if err := rt.backoff(ctx, round); err != nil {
-					return writeJSON(w, http.StatusGatewayTimeout, serve.ErrorResponse{
-						Error: fmt.Sprintf("request deadline (%s) exceeded during retry backoff", rt.cfg.Timeout)})
-				}
-				round++
-				launch(rep)
-			case a.ferr != nil:
-				rt.pool.ReportSuccess(a.replica)
-				if a.ferr.retryAfter != "" {
-					w.Header().Set("Retry-After", a.ferr.retryAfter)
-				}
-				return writeJSON(w, a.ferr.status, a.ferr.body)
-			default:
-				rt.pool.ReportSuccess(a.replica)
-				if a.replica != first {
-					rt.metrics.hedgeWins.Add(1)
-				}
-				rt.metrics.forwarded(a.replica, 1)
-				rt.metrics.bags.Add(1)
-				if a.resp.Degraded {
-					w.Header().Set(serve.HeaderDegraded, "1")
-				}
-				return writeJSON(w, http.StatusOK, serve.PredictResponse{
-					ModelScheme: a.resp.ModelScheme, Results: a.resp.Results, Degraded: a.resp.Degraded})
-			}
-		}
 	}
 }
 
@@ -546,7 +473,7 @@ type RouterHealth struct {
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "GET only"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "GET only"})
 		return
 	}
 	status := rt.pool.Status()
@@ -563,7 +490,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if healthy == 0 {
 		code, state = http.StatusServiceUnavailable, "degraded"
 	}
-	writeJSON(w, code, RouterHealth{
+	serve.WriteJSON(w, code, RouterHealth{
 		Status:    state,
 		Healthy:   healthy,
 		Replicas:  status,
@@ -607,7 +534,7 @@ func (m *routerMetrics) forwarded(replica string, bags int) {
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "GET only"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "GET only"})
 		return
 	}
 	m := rt.metrics

@@ -25,7 +25,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -262,7 +261,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 				s.metrics.Panic()
 				log.Printf("serve: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
 				if !tw.wrote {
-					s.metrics.ObserveOther(writeJSON(tw, http.StatusInternalServerError,
+					s.metrics.ObserveOther(WriteJSON(tw, http.StatusInternalServerError,
 						ErrorResponse{"internal error: request handler panicked (see server logs)"}))
 				}
 			}
@@ -321,11 +320,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return srv.Shutdown(ctx)
 }
 
-// parseBags validates and flattens the request into a list of member
-// sequences (wire types live in wire.go, shared with the cluster router).
-// Every bag's size must match the model's trained bag size.
-func (s *Server) parseBags(req *PredictRequest) ([][]Member, error) {
-	bags, err := req.BagList()
+// parseBags decodes the request body with ReadBags (the front door the
+// cluster router shares) and layers the model- and registry-level checks
+// on top: every bag's size must match the model's trained bag size.
+func (s *Server) parseBags(body io.Reader) ([][]Member, error) {
+	bags, err := ReadBags(body)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +365,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		return writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"POST only"})
+		return WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"POST only"})
 	}
 
 	// Bounded admission with brownout, shedding only as the last resort:
@@ -389,7 +388,7 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 			if s.degradedSlots == nil {
 				s.metrics.RejectSaturated()
 				w.Header().Set("Retry-After", "1")
-				return writeJSON(w, http.StatusServiceUnavailable,
+				return WriteJSON(w, http.StatusServiceUnavailable,
 					ErrorResponse{fmt.Sprintf("server saturated: %d requests in flight", s.cfg.MaxInFlight)})
 			}
 			degraded = true
@@ -409,7 +408,7 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 			default:
 				s.metrics.RejectSaturated()
 				w.Header().Set("Retry-After", "1")
-				return writeJSON(w, http.StatusServiceUnavailable,
+				return WriteJSON(w, http.StatusServiceUnavailable,
 					ErrorResponse{fmt.Sprintf("server saturated: exact (%d) and degraded (%d) admission pools full",
 						cap(s.inflight), cap(s.degradedSlots))})
 			}
@@ -456,26 +455,10 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	var req PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.metrics.RejectValidation()
-		return writeJSON(w, http.StatusBadRequest, ErrorResponse{"decoding request: " + err.Error()})
-	}
-	// Reject trailing data after the first JSON value ({"a":…}{"b":…},
-	// {"a":…}garbage, …): the old decoder silently ignored everything past
-	// the first value, masking client bugs. Token returns io.EOF only
-	// when nothing but whitespace remains.
-	if tok, err := dec.Token(); err != io.EOF {
-		s.metrics.RejectValidation()
-		return writeJSON(w, http.StatusBadRequest, ErrorResponse{fmt.Sprintf(
-			"request body carries trailing data after the JSON value (next token %v); send exactly one JSON object", tok)})
-	}
-	bags, err := s.parseBags(&req)
+	bags, err := s.parseBags(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.metrics.RejectValidation()
-		return writeJSON(w, http.StatusBadRequest, ErrorResponse{err.Error()})
+		return WriteJSON(w, http.StatusBadRequest, ErrorResponse{err.Error()})
 	}
 
 	// Fan the bags out over the measurement worker pool, bounded by the
@@ -523,13 +506,13 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 	select {
 	case <-ctx.Done():
 		s.metrics.RejectTimeout()
-		return writeJSON(w, http.StatusGatewayTimeout,
+		return WriteJSON(w, http.StatusGatewayTimeout,
 			ErrorResponse{fmt.Sprintf("deadline of %v exceeded", timeout)})
 	case err := <-done:
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) {
 				s.metrics.RejectTimeout()
-				return writeJSON(w, http.StatusGatewayTimeout,
+				return WriteJSON(w, http.StatusGatewayTimeout,
 					ErrorResponse{fmt.Sprintf("deadline of %v exceeded", timeout)})
 			}
 			if panicRelated(err) {
@@ -538,10 +521,10 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 				// out of the response, and keep serving.
 				s.metrics.Panic()
 				log.Printf("serve: recovered panic in /v1/predict: %v", err)
-				return writeJSON(w, http.StatusInternalServerError,
+				return WriteJSON(w, http.StatusInternalServerError,
 					ErrorResponse{"internal error: prediction task panicked (see server logs)"})
 			}
-			return writeJSON(w, http.StatusInternalServerError, ErrorResponse{err.Error()})
+			return WriteJSON(w, http.StatusInternalServerError, ErrorResponse{err.Error()})
 		}
 	}
 	s.metrics.Predictions(len(bags))
@@ -549,7 +532,7 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 		s.metrics.Degraded()
 		w.Header().Set(HeaderDegraded, "1")
 	}
-	return writeJSON(w, http.StatusOK, PredictResponse{
+	return WriteJSON(w, http.StatusOK, PredictResponse{
 		ModelScheme: s.cfg.Model.Scheme().Name,
 		Results:     results,
 		Degraded:    degraded,
@@ -559,10 +542,10 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		s.metrics.ObserveOther(writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"GET only"}))
+		s.metrics.ObserveOther(WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"GET only"}))
 		return
 	}
-	s.metrics.ObserveOther(writeJSON(w, http.StatusOK, HealthResponse{
+	s.metrics.ObserveOther(WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:          "ok",
 		ModelScheme:     s.cfg.Model.Scheme().Name,
 		ModelFeatures:   s.cfg.Model.NumFeatures(),
@@ -577,21 +560,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		s.metrics.ObserveOther(writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"GET only"}))
+		s.metrics.ObserveOther(WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"GET only"}))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = s.metrics.WriteTo(w)
 	s.metrics.ObserveOther(http.StatusOK)
-}
-
-// writeJSON writes v with the status code and returns the code.
-func writeJSON(w http.ResponseWriter, code int, v any) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-	return code
 }

@@ -209,7 +209,7 @@ func fetchPeerEntry(client *http.Client, baseURL, key string, timeout time.Durat
 func (s *Server) handleCacheSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		s.metrics.ObserveOther(writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"GET only"}))
+		s.metrics.ObserveOther(WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"GET only"}))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -224,18 +224,18 @@ func (s *Server) handleCacheSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		s.metrics.ObserveOther(writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"GET only"}))
+		s.metrics.ObserveOther(WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"GET only"}))
 		return
 	}
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		s.metrics.ObserveOther(writeJSON(w, http.StatusBadRequest, ErrorResponse{"missing key parameter"}))
+		s.metrics.ObserveOther(WriteJSON(w, http.StatusBadRequest, ErrorResponse{"missing key parameter"}))
 		return
 	}
 	fv, ok := s.cache.peek(key)
 	if !ok {
-		s.metrics.ObserveOther(writeJSON(w, http.StatusNotFound, ErrorResponse{fmt.Sprintf("bag %q is not cached here", key)}))
+		s.metrics.ObserveOther(WriteJSON(w, http.StatusNotFound, ErrorResponse{fmt.Sprintf("bag %q is not cached here", key)}))
 		return
 	}
-	s.metrics.ObserveOther(writeJSON(w, http.StatusOK, CacheEntryResponse{Key: key, X: fv.x, Fairness: fv.fairness}))
+	s.metrics.ObserveOther(WriteJSON(w, http.StatusOK, CacheEntryResponse{Key: key, X: fv.x, Fairness: fv.fairness}))
 }

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"sort"
 
 	"mapc/internal/dataset"
@@ -100,6 +103,36 @@ func (r *PredictRequest) BagList() ([][]Member, error) {
 		return nil, errors.New("no bags: provide {\"a\":…,\"b\":…}, {\"bag\":[…]} or {\"bags\":[…]}")
 	}
 	return bags, nil
+}
+
+// ReadBags decodes one /v1/predict request body and flattens it with
+// BagList. It is the front door the server and the cluster router share:
+// unknown fields are rejected, and so is anything after the first JSON
+// value ({"a":…}{"b":…}, {"a":…}garbage, …) — silently ignoring it would
+// mask client bugs.
+func ReadBags(r io.Reader) ([][]Member, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req PredictRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	// Token returns io.EOF only when nothing but whitespace remains.
+	if tok, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("request body carries trailing data after the JSON value (next token %v); send exactly one JSON object", tok)
+	}
+	return req.BagList()
+}
+
+// WriteJSON writes v pretty-printed with the status code and returns the
+// code; the router answers in the same shape as the replicas.
+func WriteJSON(w http.ResponseWriter, code int, v any) int {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+	return code
 }
 
 // CanonicalKey is the permutation-invariant identity of a bag on the wire:

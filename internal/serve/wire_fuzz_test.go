@@ -2,13 +2,12 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"slices"
 	"testing"
 )
 
-// FuzzBagList drives arbitrary request bodies through the server's decoder
-// and PredictRequest.BagList. Neither may panic; on success every bag is
+// FuzzBagList drives arbitrary request bodies through ReadBags, the decoder
+// the server and the router share. It may not panic; on success every bag is
 // non-empty and its CanonicalKey is the same when the members are
 // reversed, which is what routes every permutation of a bag to one
 // replica and one cache entry.
@@ -25,13 +24,7 @@ func FuzzBagList(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req PredictRequest
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		bags, err := req.BagList()
+		bags, err := ReadBags(bytes.NewReader(body))
 		if err != nil {
 			return
 		}
