@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"sort"
 	"strconv"
 	"syscall"
 	"text/tabwriter"
@@ -176,6 +177,15 @@ func main() {
 	if st := gen.SimCacheStats(); st.Hits+st.Misses > 0 {
 		fmt.Fprintf(os.Stderr, "mapc-datagen: simcache: %.1f%% hit rate (%d hits, %d misses, %d evictions, %.1f MiB resident)\n",
 			100*st.HitRate(), st.Hits, st.Misses, st.Evictions, float64(st.Bytes)/(1<<20))
+		domains := gen.SimCacheDomainBytes()
+		names := make([]string, 0, len(domains))
+		for d := range domains {
+			names = append(names, d)
+		}
+		sort.Strings(names)
+		for _, d := range names {
+			fmt.Fprintf(os.Stderr, "mapc-datagen: simcache: %s %.1f MiB resident (%d bytes)\n", d, float64(domains[d])/(1<<20), domains[d])
+		}
 	}
 
 	if *oracleFrac > 0 {

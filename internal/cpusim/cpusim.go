@@ -426,11 +426,17 @@ func PhaseBreakdown(cfg Config, apps []App, app int) ([]PhaseTiming, error) {
 	return out, nil
 }
 
-// fillPool holds the per-phase address batch privateReplay's Stream.Fill
-// writes into. Pooled because corpus generation replays thousands of
-// private phases, potentially from concurrent measurement workers; the
-// batch is transient (only the L2 misses it produces are kept).
-var fillPool = sync.Pool{New: func() any { return new([]uint64) }}
+// replayScratch is privateReplay's transient working set: fill is the
+// per-phase address batch Stream.Fill writes into, and bound collects the
+// LLC-bound (L2-miss) stream at worst-case capacity.
+type replayScratch struct {
+	fill, bound []uint64
+}
+
+// fillPool holds replayScratch buffers. Pooled because corpus generation
+// replays thousands of private phases, potentially from concurrent
+// measurement workers; privFor keeps only an exact-length copy of bound.
+var fillPool = sync.Pool{New: func() any { return new(replayScratch) }}
 
 // Memo key domains (simcache.Key.Domain) for the two cached prefixes.
 const (
@@ -442,8 +448,13 @@ const (
 // cache entry only when every field of the simulated machine is identical.
 func configKey(cfg Config) string { return fmt.Sprintf("%+v", cfg) }
 
-// phaseMemBytes is the resident size of one phaseMem (3 float64 + uint64).
-const phaseMemBytes = 32
+// Fixed per-entry allowances on top of the backing arrays an entry's
+// bytes() counts: the value's own slice headers plus the memo's key, map
+// cell and list links.
+const (
+	privEntryBytes = 96
+	isoEntryBytes  = 128
+)
 
 // privResult is the memoized pure prefix of one app's memory simulation:
 // everything that depends only on (cfg, workload, slot), not on the
@@ -457,7 +468,7 @@ type privResult struct {
 
 // bytes reports the entry's approximate resident size for LRU accounting.
 func (pr privResult) bytes() int64 {
-	return int64(len(pr.mem))*phaseMemBytes + int64(cap(pr.bound))*8 + int64(len(pr.ends))*8 + 96
+	return privEntryBytes + simcache.SliceBytes(pr.mem) + simcache.SliceBytes(pr.bound) + simcache.SliceBytes(pr.ends)
 }
 
 // isoResult is the memoized outcome of a whole single-app simulateMemory
@@ -469,11 +480,10 @@ type isoResult struct {
 }
 
 func (ir isoResult) bytes() int64 {
-	var n int64 = 128
+	n := isoEntryBytes + simcache.SliceBytes(ir.mem) + simcache.SliceBytes(ir.stats)
 	for _, m := range ir.mem {
-		n += int64(len(m)) * phaseMemBytes
+		n += simcache.SliceBytes(m)
 	}
-	n += int64(len(ir.stats)) * 32
 	return n
 }
 
@@ -482,9 +492,9 @@ func (ir isoResult) bytes() int64 {
 // the stride prefetcher in front of L2), record the per-phase l1/l2 miss
 // ratios, and append every L2 miss — the LLC-bound stream — to bound.
 // bound must have capacity for the worst case (every sampled reference
-// missing); the appends never reallocate. addrs is the reusable fill
-// batch. The result is a pure function of (cfg, w, ai): l1/l2 must be
-// fresh.
+// missing); the appends never reallocate, so the returned bound aliases
+// the caller's buffer. addrs is the reusable fill batch. The result is a
+// pure function of (cfg, w, ai): l1/l2 must be fresh.
 func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, addrs, bound []uint64) (privResult, error) {
 	mem := make([]phaseMem, len(w.Phases))
 	ends := make([]int, len(w.Phases))
@@ -544,9 +554,10 @@ func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, 
 
 // privFor returns app w's private replay for slot ai: the memoized
 // "cpusim/priv" entry, computed on a miss — and on every call when memo is
-// nil — with fresh L1/L2 caches, an exact-capacity LLC-bound slice (the
-// worst case is every sampled reference missing L2) and a pooled fill
-// batch. The exact shared path and the analytic tier both read it.
+// nil — with fresh L1/L2 caches and pooled scratch. The entry keeps an
+// exact-length copy of the LLC-bound list: the worst-case buffer the replay
+// appends into (every sampled reference missing L2) goes back to the pool.
+// The exact shared path and the analytic tier both read it.
 func privFor(cfg Config, memo *simcache.Cache, cfgKey string, w *trace.Workload, ai int) (privResult, error) {
 	key := simcache.Key{Domain: memoDomainPriv, Config: cfgKey, Workload: w.Fingerprint(), Slot: ai}
 	pr, _, err := simcache.GetOrCompute(memo, key, func() (privResult, int64, error) {
@@ -566,13 +577,22 @@ func privFor(cfg Config, memo *simcache.Cache, cfgKey string, w *trace.Workload,
 				maxPhase = max(maxPhase, k)
 			}
 		}
-		buf := fillPool.Get().(*[]uint64)
-		defer fillPool.Put(buf)
-		if cap(*buf) < maxPhase {
-			*buf = make([]uint64, maxPhase)
+		sc := fillPool.Get().(*replayScratch)
+		defer fillPool.Put(sc)
+		if cap(sc.fill) < maxPhase {
+			sc.fill = make([]uint64, maxPhase)
 		}
-		pr, err := privateReplay(cfg, w, ai, l1, l2, (*buf)[:maxPhase], make([]uint64, 0, count))
-		return pr, pr.bytes(), err
+		if cap(sc.bound) < count {
+			sc.bound = make([]uint64, 0, count)
+		}
+		pr, err := privateReplay(cfg, w, ai, l1, l2, sc.fill[:maxPhase], sc.bound[:0])
+		if err != nil {
+			return privResult{}, 0, err
+		}
+		bound := make([]uint64, len(pr.bound))
+		copy(bound, pr.bound)
+		pr.bound = bound
+		return pr, pr.bytes(), nil
 	})
 	return pr, err
 }
@@ -622,7 +642,9 @@ func simulateMemoryShared(cfg Config, memo *simcache.Cache, cfgKey string, apps 
 		}
 		// Private copy of the per-phase ratios: the shared replay
 		// accumulates llcMissN into it, and cached entries are immutable.
-		mem[ai] = append([]phaseMem(nil), pr.mem...)
+		// Exact length, because an isolated run's cpusim/iso entry keeps it.
+		mem[ai] = make([]phaseMem, len(pr.mem))
+		copy(mem[ai], pr.mem)
 		bounds[ai], ends[ai] = pr.bound, pr.ends
 	}
 

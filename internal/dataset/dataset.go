@@ -426,6 +426,19 @@ func (g *Generator) Config() Config { return g.cfg }
 // the mapc-datagen end-of-run summary.
 func (g *Generator) SimCacheStats() simcache.Stats { return g.memo.Stats() }
 
+// SimCacheDomainBytes splits the simulation memo's resident bytes by key
+// domain (e.g. "cpusim/priv"), walking the published entries at call time;
+// empty when the memo is disabled or holds nothing. Exposed on mapc-serve
+// /metrics and in the mapc-datagen end-of-run summary.
+func (g *Generator) SimCacheDomainBytes() map[string]int64 {
+	out := map[string]int64{}
+	g.memo.Items(func(key simcache.Key, _ any, bytes int64) bool {
+		out[key.Domain] += bytes
+		return true
+	})
+	return out
+}
+
 // SetFaultInjector installs a chaos-testing hook fired once per bag index
 // at FaultSitePoint before the bag is measured. Production code never
 // calls this; the nil default costs one pointer check per bag.

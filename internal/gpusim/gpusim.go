@@ -573,9 +573,17 @@ type streamEntry struct {
 	ends  []int
 }
 
+// Fixed per-entry allowances on top of the backing arrays an entry's
+// bytes() counts: the value's own slice headers plus the memo's key, map
+// cell and list links.
+const (
+	streamEntryBytes = 64
+	isoEntryBytes    = 128
+)
+
 // bytes reports the entry's approximate resident size for LRU accounting.
 func (se streamEntry) bytes() int64 {
-	return int64(cap(se.addrs))*8 + int64(len(se.ends))*8 + 64
+	return streamEntryBytes + simcache.SliceBytes(se.addrs) + simcache.SliceBytes(se.ends)
 }
 
 // isoResult is the memoized outcome of a whole single-client simulateMemory
@@ -589,11 +597,10 @@ type isoResult struct {
 }
 
 func (ir isoResult) bytes() int64 {
-	var n int64 = 128
+	n := isoEntryBytes + simcache.SliceBytes(ir.mem) + simcache.SliceBytes(ir.l2Stats) + simcache.SliceBytes(ir.tlbStats)
 	for _, m := range ir.mem {
-		n += int64(len(m)) * 16
+		n += simcache.SliceBytes(m)
 	}
-	n += int64(len(ir.l2Stats)+len(ir.tlbStats)) * 16
 	return n
 }
 

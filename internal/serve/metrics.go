@@ -53,6 +53,10 @@ type Metrics struct {
 	// SetSimCacheSource installs one, in which case zeros are rendered.
 	simStats func() simcache.Stats
 
+	// simDomains splits the memo's resident bytes by key domain at
+	// exposition time; nil renders no per-domain series.
+	simDomains func() map[string]int64
+
 	// featStats snapshots the bounded feature cache's LRU counters
 	// (evictions, resident bytes/entries); nil renders zeros.
 	featStats func() simcache.Stats
@@ -167,6 +171,11 @@ func (m *Metrics) DegradedTotal() int64 { return m.degraded.Load() }
 // mapc_simcache_* metrics (typically dataset.Generator.SimCacheStats).
 // Call before serving begins; the source itself must be concurrency-safe.
 func (m *Metrics) SetSimCacheSource(src func() simcache.Stats) { m.simStats = src }
+
+// SetSimCacheDomainSource installs the snapshot function behind
+// mapc_simcache_domain_bytes (typically
+// dataset.Generator.SimCacheDomainBytes). Call before serving begins.
+func (m *Metrics) SetSimCacheDomainSource(src func() map[string]int64) { m.simDomains = src }
 
 // SetFeatureCacheSource installs the snapshot function behind the
 // feature-cache eviction/residency metrics (featureCache.Stats). Call
@@ -290,6 +299,19 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		metricLine{"mapc_simcache_bytes", sim.Bytes},
 		metricLine{"mapc_simcache_hit_ratio", sim.HitRate()},
 	)
+	// Resident bytes per memo domain, so the total can be attributed to
+	// the simulation prefix that holds it.
+	if m.simDomains != nil {
+		domains := m.simDomains()
+		names := make([]string, 0, len(domains))
+		for d := range domains {
+			names = append(names, d)
+		}
+		sort.Strings(names)
+		for _, d := range names {
+			lines = append(lines, metricLine{fmt.Sprintf("mapc_simcache_domain_bytes{domain=%q}", d), domains[d]})
+		}
+	}
 	// Fidelity-tier counters: which simulator answered the contended
 	// co-runs behind served features. A rising fallback count under mixed
 	// fidelity is the live signal that the analytic model's confidence is

@@ -98,3 +98,31 @@ func TestMetricsWriteTo(t *testing.T) {
 		t.Errorf("in-flight gauge %d", m.InFlight())
 	}
 }
+
+// TestMetricsSimCacheDomainBytes pins the per-domain memo residency
+// series: one labelled line per domain, sorted by domain, and none
+// without a source.
+func TestMetricsSimCacheDomainBytes(t *testing.T) {
+	m := NewMetrics()
+	var sb strings.Builder
+	if _, err := m.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "mapc_simcache_domain_bytes") {
+		t.Errorf("per-domain series rendered without a source:\n%s", sb.String())
+	}
+
+	m.SetSimCacheDomainSource(func() map[string]int64 {
+		return map[string]int64{"gpusim/iso": 4096, "cpusim/priv": 123456789}
+	})
+	sb.Reset()
+	if _, err := m.WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	priv := strings.Index(out, `mapc_simcache_domain_bytes{domain="cpusim/priv"} 123456789`+"\n")
+	iso := strings.Index(out, `mapc_simcache_domain_bytes{domain="gpusim/iso"} 4096`+"\n")
+	if priv < 0 || iso < 0 || priv > iso {
+		t.Errorf("want both domain lines, cpusim/priv first, in:\n%s", out)
+	}
+}

@@ -190,6 +190,7 @@ func New(cfg Config) (*Server, error) {
 	// bags, the simcache dedupes the pure simulation prefixes *inside*
 	// fresh bags.
 	s.metrics.SetSimCacheSource(cfg.Generator.SimCacheStats)
+	s.metrics.SetSimCacheDomainSource(cfg.Generator.SimCacheDomainBytes)
 	s.metrics.SetFeatureCacheSource(s.cache.Stats)
 	s.metrics.SetFidelitySource(cfg.Generator.FidelityStats)
 	s.featuresFn = s.cachedFeatures

@@ -89,3 +89,32 @@ func TestSimCacheMetricsAndMemoParity(t *testing.T) {
 		}
 	}
 }
+
+// TestSimCacheDomainBytesSumToTotal checks the live per-domain series: a
+// served prediction leaves CPU private-replay entries in the memo, and the
+// domains together account for exactly mapc_simcache_bytes.
+func TestSimCacheDomainBytesSumToTotal(t *testing.T) {
+	h := newTestServer(t, nil).Handler()
+	body := `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`
+	if rr := doJSON(t, h, http.MethodPost, "/v1/predict", body); rr.Code != http.StatusOK {
+		t.Fatalf("predict: code %d body %s", rr.Code, rr.Body)
+	}
+	exp := doJSON(t, h, http.MethodGet, "/metrics", "").Body.String()
+	re := regexp.MustCompile(`(?m)^mapc_simcache_domain_bytes\{domain="([^"]+)"\} (\S+)$`)
+	var sum float64
+	domains := map[string]bool{}
+	for _, m := range re.FindAllStringSubmatch(exp, -1) {
+		v, err := strconv.ParseFloat(m[2], 64)
+		if err != nil {
+			t.Fatalf("domain %s value %q: %v", m[1], m[2], err)
+		}
+		domains[m[1]] = true
+		sum += v
+	}
+	if !domains["cpusim/priv"] {
+		t.Errorf("no cpusim/priv series after a served prediction:\n%s", exp)
+	}
+	if total := metricValue(t, exp, "mapc_simcache_bytes"); sum != total {
+		t.Errorf("domain bytes sum to %v, mapc_simcache_bytes = %v", sum, total)
+	}
+}

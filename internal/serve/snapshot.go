@@ -194,14 +194,48 @@ func fetchPeerEntry(client *http.Client, baseURL, key string, timeout time.Durat
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, false
 	}
-	var e CacheEntryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		return nil, 0, false
-	}
-	if e.Key != key || len(e.X) != width {
+	e, err := decodePeerEntry(resp.Body, key, width)
+	if err != nil {
 		return nil, 0, false // a confused peer must not poison the cache
 	}
 	return e.X, e.Fairness, true
+}
+
+// peerEntryLimit bounds the body of a peer-fill answer for key at width
+// features. handleCacheEntry's pretty-printed encoding takes at most 6
+// bytes per key byte (\u escapes) and ~30 per float; the limit doubles the
+// float allowance and adds room for the field names and indentation.
+func peerEntryLimit(key string, width int) int64 {
+	return 512 + 6*int64(len(key)) + 64*int64(width)
+}
+
+// decodePeerEntry decodes one peer-fill answer for key from r. It reads
+// at most peerEntryLimit(key, width) bytes, so a peer streaming an endless
+// body cannot make the replica buffer it, and refuses a body that reaches
+// the limit, carries trailing data after the JSON value, answers another
+// key, has other than width features or a fairness outside (0, 1].
+func decodePeerEntry(r io.Reader, key string, width int) (CacheEntryResponse, error) {
+	limit := peerEntryLimit(key, width)
+	lr := &io.LimitedReader{R: r, N: limit}
+	dec := json.NewDecoder(lr)
+	var e CacheEntryResponse
+	if err := dec.Decode(&e); err != nil {
+		return CacheEntryResponse{}, fmt.Errorf("serve: decoding peer entry: %w", err)
+	}
+	// Token returns io.EOF only when nothing but whitespace remains.
+	if tok, err := dec.Token(); err != io.EOF {
+		return CacheEntryResponse{}, fmt.Errorf("serve: peer entry carries trailing data after the JSON value (next token %v)", tok)
+	}
+	if lr.N == 0 {
+		return CacheEntryResponse{}, fmt.Errorf("serve: peer entry body reaches the %d-byte limit", limit)
+	}
+	if e.Key != key || len(e.X) != width {
+		return CacheEntryResponse{}, fmt.Errorf("serve: peer answered key %q with %d features, want %q with %d", e.Key, len(e.X), key, width)
+	}
+	if !(e.Fairness > 0 && e.Fairness <= 1) {
+		return CacheEntryResponse{}, fmt.Errorf("serve: peer entry fairness %v outside (0, 1]", e.Fairness)
+	}
+	return e, nil
 }
 
 // handleCacheSnapshot serves GET /v1/cache/snapshot: the whole published

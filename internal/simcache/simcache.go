@@ -33,6 +33,7 @@ package simcache
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
 // Key identifies one memoized simulation prefix. All fields participate in
@@ -121,6 +122,15 @@ func MustNew(budgetBytes int64) *Cache {
 		panic(err)
 	}
 	return c
+}
+
+// SliceBytes is the backing-array size s retains, cap(s) times the element
+// size: the per-slice term of an entry's reported bytes. It counts
+// capacity, not length, because the slack of an over-allocated slice is
+// resident too.
+func SliceBytes[E any](s []E) int64 {
+	var e E
+	return int64(cap(s)) * int64(unsafe.Sizeof(e))
 }
 
 // Outcome classifies how a Lookup was satisfied. Callers that only need
