@@ -59,7 +59,9 @@ type Member struct {
 	Batch     int
 }
 
-func (m Member) String() string { return fmt.Sprintf("%s/%d", m.Benchmark, m.Batch) }
+// String is the member's key form, "<benchmark>/<batch>": BagKeyOf of the
+// one-member bag.
+func (m Member) String() string { return BagKeyOf([]Member{m}) }
 
 // Point is one data point: a k-application bag with its feature vector and
 // measured GPU bag execution time. The paper's corpus uses k=2; the
@@ -407,7 +409,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 			return nil, fmt.Errorf("dataset: Benchmarks[%d] duplicates Benchmarks[%d] (%q); each benchmark may appear once", i, j, n)
 		}
 		seen[n] = i
-		if _, err := vision.ByName(n); err != nil {
+		if err := vision.CheckName(n); err != nil {
 			return nil, fmt.Errorf("dataset: Benchmarks[%d]: %w", i, err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -63,15 +64,27 @@ func BagKey(a, b Member) string {
 	return BagKeyOf([]Member{a, b})
 }
 
-// BagKeyOf is BagKey for k-member bags: members joined by "+" in
-// enumeration order. For k=2 it produces exactly the legacy pair key, so
-// v1 journals written by the pair pipeline resume unchanged.
+// BagKeyOf is BagKey for k-member bags: members as "<benchmark>/<batch>"
+// (batch in decimal) joined by "+" in enumeration order. For k=2 it
+// produces exactly the legacy pair key, so v1 journals written by the pair
+// pipeline resume unchanged.
 func BagKeyOf(bag []Member) string {
-	parts := make([]string, len(bag))
-	for i, m := range bag {
-		parts[i] = m.String()
+	n := 0
+	for _, m := range bag {
+		n += len(m.Benchmark) + 9 // '/', seven digits up to vision.MaxBatch, '+'
 	}
-	return strings.Join(parts, "+")
+	var b strings.Builder
+	b.Grow(n)
+	var digits [20]byte
+	for i, m := range bag {
+		if i > 0 {
+			b.WriteByte('+')
+		}
+		b.WriteString(m.Benchmark)
+		b.WriteByte('/')
+		b.Write(strconv.AppendInt(digits[:0], int64(m.Batch), 10))
+	}
+	return b.String()
 }
 
 // Fingerprint is a stable digest of every Config field that influences

@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"mapc/internal/faultinject"
+	"mapc/internal/features"
 	"mapc/internal/parallel"
+	"mapc/internal/vision"
 )
 
 // This file is the k-app-bag property suite: it pins the generalization
@@ -526,5 +528,35 @@ func TestChaosKillAndResumeK4(t *testing.T) {
 	if measured == 0 || measured >= nBags {
 		t.Errorf("resume re-measured %d of %d bags; expected a strict subset after the kill",
 			measured, nBags)
+	}
+}
+
+// TestBagKeyOfMatchesFmtForm pins the builder-based key to the fmt form it
+// replaced ("%s/%d" per member joined by "+"), byte for byte, at k = 1..8
+// and batches from 1 to vision.MaxBatch: journals, golden hashes and
+// routing keys all hash these strings.
+func TestBagKeyOfMatchesFmtForm(t *testing.T) {
+	fmtKey := func(bag []Member) string {
+		parts := make([]string, len(bag))
+		for i, m := range bag {
+			parts[i] = fmt.Sprintf("%s/%d", m.Benchmark, m.Batch)
+		}
+		return strings.Join(parts, "+")
+	}
+	names := vision.Names()
+	batches := []int{1, 9, 10, 20, 320, 99999, vision.MaxBatch}
+	for k := 1; k <= features.MaxApps; k++ {
+		for off := range batches {
+			bag := make([]Member, k)
+			for i := range bag {
+				bag[i] = Member{Benchmark: names[(i+off)%len(names)], Batch: batches[(i+off)%len(batches)]}
+			}
+			if got, want := BagKeyOf(bag), fmtKey(bag); got != want {
+				t.Errorf("k=%d: BagKeyOf %q, fmt form %q", k, got, want)
+			}
+			if k == 1 && bag[0].String() != fmtKey(bag) {
+				t.Errorf("Member.String %q, fmt form %q", bag[0].String(), fmtKey(bag))
+			}
+		}
 	}
 }

@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 	"runtime/debug"
-	"sort"
+	"slices"
 
 	"mapc/internal/dataset"
 	"mapc/internal/phasesum"
@@ -133,14 +133,8 @@ func newStubFeatureCache(compute func(bag []dataset.Member, fid phasesum.Fidelit
 // cache key and the member sequence to compute with.
 func (c *featureCache) key(bag []dataset.Member) (string, []dataset.Member) {
 	if c.canonical {
-		s := append([]dataset.Member(nil), bag...)
-		sort.Slice(s, func(i, j int) bool {
-			if s[i].Benchmark != s[j].Benchmark {
-				return s[i].Benchmark < s[j].Benchmark
-			}
-			return s[i].Batch < s[j].Batch
-		})
-		bag = s
+		bag = slices.Clone(bag)
+		sortCanonical(bag)
 	}
 	return dataset.BagKeyOf(bag), bag
 }

@@ -342,7 +342,7 @@ func (s *Server) parseBags(body io.Reader) ([][]Member, error) {
 			if strings.TrimSpace(m.Benchmark) == "" {
 				return nil, fmt.Errorf("bag %d: empty benchmark name", i)
 			}
-			if _, err := vision.ByName(m.Benchmark); err != nil {
+			if err := vision.CheckName(m.Benchmark); err != nil {
 				return nil, fmt.Errorf("bag %d: %v (known: %s)", i, err, strings.Join(vision.Names(), ", "))
 			}
 			if m.Batch <= 0 {
@@ -482,14 +482,13 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 			for j, m := range bags[i] {
 				bag[j] = m.member()
 			}
-			label := dataset.BagKeyOf(bag)
 			x, fairness, hit, err := s.featuresFn(bag, fid)
 			if err != nil {
-				return fmt.Errorf("bag %d (%s): %w", i, label, err)
+				return fmt.Errorf("bag %d (%s): %w", i, dataset.BagKeyOf(bag), err)
 			}
 			pred, err := s.cfg.Model.PredictRaw(x)
 			if err != nil {
-				return fmt.Errorf("bag %d (%s): %w", i, label, err)
+				return fmt.Errorf("bag %d (%s): %w", i, dataset.BagKeyOf(bag), err)
 			}
 			results[i] = BagResult{
 				Members:      bags[i],

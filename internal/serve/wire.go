@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 
 	"mapc/internal/dataset"
 )
@@ -145,13 +147,19 @@ func CanonicalKey(ms []Member) string {
 	for i, m := range ms {
 		s[i] = m.member()
 	}
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Benchmark != s[j].Benchmark {
-			return s[i].Benchmark < s[j].Benchmark
-		}
-		return s[i].Batch < s[j].Batch
-	})
+	sortCanonical(s)
 	return dataset.BagKeyOf(s)
+}
+
+// sortCanonical sorts bag members by (benchmark, batch) in place: the
+// canonical member order of CanonicalKey and the feature cache.
+func sortCanonical(s []dataset.Member) {
+	slices.SortFunc(s, func(a, b dataset.Member) int {
+		if c := strings.Compare(a.Benchmark, b.Benchmark); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Batch, b.Batch)
+	})
 }
 
 // BagResult is one bag's answer; Members lists the bag in request order,

@@ -156,33 +156,70 @@ func scaleWorkload(w *trace.Workload, factor float64) {
 	}
 }
 
-// All returns the nine benchmarks in the paper's canonical plotting order
+// registry is the Table-II suite in the paper's canonical plotting order
 // (Figures 1-4): FAST, HoG, KNN, ObjRec, ORB, SIFT, SURF, SVM, FaceDet.
+// Each name is what its constructor's Name returns. Looking a name up
+// reads only this table; constructing a benchmark (ORB draws its BRIEF
+// pattern, FaceDet builds its cascade) happens only in All and ByName.
+var registry = [...]struct {
+	name  string
+	build func() Benchmark
+}{
+	{"fast", func() Benchmark { return NewFAST() }},
+	{"hog", func() Benchmark { return NewHoG() }},
+	{"knn", func() Benchmark { return NewKNN() }},
+	{"objrec", func() Benchmark { return NewObjRec() }},
+	{"orb", func() Benchmark { return NewORB() }},
+	{"sift", func() Benchmark { return NewSIFT() }},
+	{"surf", func() Benchmark { return NewSURF() }},
+	{"svm", func() Benchmark { return NewSVM() }},
+	{"facedet", func() Benchmark { return NewFaceDet() }},
+}
+
+// All returns fresh instances of the nine benchmarks in the paper's
+// canonical plotting order.
 func All() []Benchmark {
-	return []Benchmark{
-		NewFAST(), NewHoG(), NewKNN(), NewObjRec(), NewORB(),
-		NewSIFT(), NewSURF(), NewSVM(), NewFaceDet(),
+	bs := make([]Benchmark, len(registry))
+	for i, e := range registry {
+		bs[i] = e.build()
 	}
+	return bs
 }
 
 // Names returns the canonical benchmark names in plotting order.
 func Names() []string {
-	bs := All()
-	names := make([]string, len(bs))
-	for i, b := range bs {
-		names[i] = b.Name()
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
 	return names
 }
 
-// ByName returns the benchmark with the given canonical name.
+// ByName returns a fresh instance of the benchmark with the given
+// canonical name.
 func ByName(name string) (Benchmark, error) {
-	for _, b := range All() {
-		if b.Name() == name {
-			return b, nil
+	i, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return registry[i].build(), nil
+}
+
+// CheckName returns nil when name is a canonical benchmark name and
+// ByName's error otherwise, constructing nothing.
+func CheckName(name string) error {
+	_, err := lookup(name)
+	return err
+}
+
+// lookup returns name's index in registry.
+func lookup(name string) (int, error) {
+	for i, e := range registry {
+		if e.name == name {
+			return i, nil
 		}
 	}
 	known := Names()
 	sort.Strings(known)
-	return nil, fmt.Errorf("vision: unknown benchmark %q (known: %v)", name, known)
+	return -1, fmt.Errorf("vision: unknown benchmark %q (known: %v)", name, known)
 }

@@ -169,6 +169,60 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestRegistryTableMatchesConstructors holds the name table to what the
+// constructors build: the same names in the same plotting order, a fresh
+// instance on every ByName, and one error for every unknown name whether
+// it was looked up to build or only to check.
+func TestRegistryTableMatchesConstructors(t *testing.T) {
+	names, all := Names(), All()
+	if len(names) != len(all) {
+		t.Fatalf("%d names, %d benchmarks", len(names), len(all))
+	}
+	again := All()
+	for i, n := range names {
+		if all[i].Name() != n {
+			t.Errorf("Names()[%d] = %q, All()[%d].Name() = %q", i, n, i, all[i].Name())
+		}
+		if all[i] == again[i] {
+			t.Errorf("All() returned the same %s instance twice", n)
+		}
+		a, errA := ByName(n)
+		b, errB := ByName(n)
+		if errA != nil || errB != nil {
+			t.Fatalf("ByName(%q): %v, %v", n, errA, errB)
+		}
+		if a == b {
+			t.Errorf("ByName(%q) returned the same instance twice", n)
+		}
+		if err := CheckName(n); err != nil {
+			t.Errorf("CheckName(%q) = %v", n, err)
+		}
+	}
+	const want = `vision: unknown benchmark "nope" (known: [facedet fast hog knn objrec orb sift surf svm])`
+	if _, err := ByName("nope"); err == nil || err.Error() != want {
+		t.Errorf("ByName(nope) error %v, want %s", err, want)
+	}
+	if err := CheckName("nope"); err == nil || err.Error() != want {
+		t.Errorf("CheckName(nope) error %v, want %s", err, want)
+	}
+}
+
+// TestCheckNameAllocatesNothing pins that validating a known name builds
+// no benchmark (ORB alone allocates its BRIEF pattern).
+func TestCheckNameAllocatesNothing(t *testing.T) {
+	names := Names()
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, n := range names {
+			if err := CheckName(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CheckName allocates %.0f objects per pass over the suite, want 0", allocs)
+	}
+}
+
 func TestNamesMatchesPaperOrder(t *testing.T) {
 	want := []string{"fast", "hog", "knn", "objrec", "orb", "sift", "surf", "svm", "facedet"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
