@@ -54,7 +54,7 @@ func main() {
 	batches := flag.String("batches", "", "comma-separated batch sizes (empty = 20,40,80,160,320)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of corpus generation to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
-	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact (cycle-level replay), mixed (analytic when confident, exact otherwise), fast (always analytic); isolated runs are exact at every tier")
+	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact | fast (exact is cycle-level replay, fast the closed-form model); isolated runs are exact at every tier")
 	shares := flag.String("shares", "", "MPS share profile for every shared GPU co-run: k slash- or comma-separated relative weights, e.g. 0.7/0.2/0.1 (empty = equal split)")
 	scenarios := flag.String("scenarios", "", "run a k × share-skew scenario matrix instead of one corpus: semicolon-separated cells ('2;2:0.7/0.3;4:0.85/0.05/0.05/0.05'), or 'default' for the benchmarked skew suite")
 	scenariosJSON := flag.String("scenarios-json", "", "with -scenarios, also write the matrix report as JSON to this file")
@@ -165,14 +165,9 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, msg+")")
 	}
-	if fs := gen.FidelityStats(); fs.AnalyticRuns+fs.ExactFallbacks > 0 {
-		msg := fmt.Sprintf("mapc-datagen: fidelity %s: %d analytic co-run(s), %d exact fallback(s)",
-			fs.Fidelity, fs.AnalyticRuns, fs.ExactFallbacks)
-		if fs.ExactFallbacks > 0 {
-			msg += fmt.Sprintf(" (low-confidence %d, sub-SM-share %d, bandwidth-gate %d)",
-				fs.FallbackLowConfidence, fs.FallbackSubSMShare, fs.FallbackBandwidthGate)
-		}
-		fmt.Fprintln(os.Stderr, msg)
+	if fs := gen.FidelityStats(); fs.AnalyticRuns > 0 {
+		fmt.Fprintf(os.Stderr, "mapc-datagen: fidelity %s: %d analytic co-run(s), %d under confidence %g\n",
+			fs.Fidelity, fs.AnalyticRuns, fs.LowConfidenceRuns, phasesum.DefaultMinConfidence)
 	}
 	if st := gen.SimCacheStats(); st.Hits+st.Misses > 0 {
 		fmt.Fprintf(os.Stderr, "mapc-datagen: simcache: %.1f%% hit rate (%d hits, %d misses, %d evictions, %.1f MiB resident)\n",
@@ -204,10 +199,10 @@ func main() {
 }
 
 // runScenarioMatrix generates every cell of a k × share-skew matrix,
-// prints a per-cell table (coverage, throughput, oracle error) to stdout
-// and optionally writes the full report as JSON. -max-oracle-err gates the
-// worst cell, so a CI invocation fails loudly when skew pushes the
-// analytic tier out of its exactness envelope.
+// prints a per-cell table (throughput, low-confidence runs, oracle error)
+// to stdout and optionally writes the full report as JSON.
+// -max-oracle-err gates the worst cell, so a CI invocation fails loudly
+// when skew pushes the analytic tier out of its exactness envelope.
 func runScenarioMatrix(cfg dataset.Config, spec, jsonPath string, oracleFrac float64, oracleSeed uint64, maxOracleErr float64) {
 	var (
 		specs []dataset.ScenarioSpec
@@ -224,21 +219,19 @@ func runScenarioMatrix(cfg dataset.Config, spec, jsonPath string, oracleFrac flo
 	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scenario\tpoints\tpts/sec\tanalytic\tfallbacks (lowconf/share/bw)\toracle max gpu err")
+	fmt.Fprintf(tw, "scenario\tpoints\tpts/sec\tconf < %g\toracle max gpu err\n", phasesum.DefaultMinConfidence)
 	for _, s := range rep.Scenarios {
 		oracle := "-"
 		if s.Oracle != nil {
 			oracle = strconv.FormatFloat(s.Oracle.MaxRelErrGPU, 'g', 3, 64)
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f%%\t%d/%d/%d\t%s\n",
-			s.Name, s.Points, s.PointsPerSec, 100*s.AnalyticCoverage,
-			s.FallbackLowConfidence, s.FallbackSubSMShare, s.FallbackBandwidthGate, oracle)
+		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%d\t%s\n",
+			s.Name, s.Points, s.PointsPerSec, s.LowConfidenceRuns, oracle)
 	}
 	if err := tw.Flush(); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "mapc-datagen: scenarios (%s): min analytic coverage %.1f%%, max oracle gpu err %.4g\n",
-		rep.Fidelity, 100*rep.MinAnalyticCoverage(), rep.MaxRelErrGPU())
+	fmt.Fprintf(os.Stderr, "mapc-datagen: scenarios (%s): max oracle gpu err %.4g\n", rep.Fidelity, rep.MaxRelErrGPU())
 
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)

@@ -26,7 +26,7 @@ func main() {
 	simCacheMB := flag.Int("simcache-mb", dataset.DefaultSimCacheMB, "simulation memo budget in MiB (0 = off); output is identical at every budget")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of artifact regeneration to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
-	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact | mixed | fast (figures regenerate faster at analytic tiers, with model-bounded deviations)")
+	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact | fast (figures regenerate faster at the fast tier, with model-bounded deviations)")
 	flag.Parse()
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)

@@ -37,7 +37,7 @@ func main() {
 	modelPath := flag.String("model", "", "load a saved model (mapc-train -o) instead of training")
 	workers := flag.Int("workers", 0, "measurement worker goroutines (0 = NumCPU, 1 = serial); predictions are identical for every value")
 	simCacheMB := flag.Int("simcache-mb", dataset.DefaultSimCacheMB, "simulation memo budget in MiB (0 = off); output is identical at every budget")
-	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact | mixed | fast (analytic co-runs trade accuracy for speed; isolated runs stay exact)")
+	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact | fast (analytic co-runs trade accuracy for speed; isolated runs stay exact)")
 	shares := flag.String("shares", "", "MPS share profile for every shared GPU co-run: k slash- or comma-separated relative weights, e.g. 0.7/0.3 (empty = equal split)")
 	flag.Parse()
 

@@ -30,7 +30,7 @@ func main() {
 	k := flag.Int("k", 2, "bag size: applications co-scheduled per corpus point (2 = the paper's 91-run pair corpus, up to 8)")
 	workers := flag.Int("workers", 0, "measurement/fold worker goroutines (0 = NumCPU, 1 = serial); results are identical for every value")
 	simCacheMB := flag.Int("simcache-mb", dataset.DefaultSimCacheMB, "simulation memo budget in MiB (0 = off); output is identical at every budget")
-	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact | mixed | fast (analytic co-runs trade accuracy for speed; isolated runs stay exact)")
+	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact | fast (analytic co-runs trade accuracy for speed; isolated runs stay exact)")
 	flag.Parse()
 
 	scheme, ok := core.SchemeByName(*schemeName)

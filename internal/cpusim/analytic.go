@@ -35,10 +35,10 @@ func boundSummaryFor(memo *simcache.Cache, cfgKey string, w *trace.Workload, ai 
 
 // runSteadyAnalytic is the analytic counterpart of runSteady: exact
 // private phases (privFor), closed-form shared-LLC miss estimates, then
-// the identical timing tail. Returns the model's gate: the combined
-// confidence, with low confidence as the only fallback reason. apps holds
-// two or more clients; phasesum.Run evaluates a lone client exactly.
-func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, phasesum.Gate, error) {
+// the identical timing tail. Also returns the model's combined confidence.
+// apps holds two or more clients; phasesum.Run evaluates a lone client
+// exactly.
+func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, float64, error) {
 	n := len(apps)
 	mem := make([][]phaseMem, n)
 	sums := make([][]phasesum.PhaseSum, n)
@@ -50,12 +50,12 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 		w := apps[ai].Workload
 		pr, err := privFor(cfg, memo, cfgKey, w, ai)
 		if err != nil {
-			return nil, phasesum.Gate{}, err
+			return nil, 0, err
 		}
 		privs[ai] = pr
 		sum, err := boundSummaryFor(memo, cfgKey, w, ai, pr)
 		if err != nil {
-			return nil, phasesum.Gate{}, err
+			return nil, 0, err
 		}
 		sums[ai] = sum.Line
 		rates[ai] = sum.TotalRefs
@@ -65,7 +65,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 		// anchor transfers; the residual is what the oracle bounds.
 		iso, err := isoFor(cfg, memo, cfgKey, App{Workload: w, Threads: apps[ai].Threads})
 		if err != nil {
-			return nil, phasesum.Gate{}, err
+			return nil, 0, err
 		}
 		isoMems[ai] = iso.mem[0]
 	}
@@ -104,6 +104,5 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 			llcRates[ai] = missSum / boundSum
 		}
 	}
-	gate := phasesum.Gate{Conf: conf, Reason: phasesum.FallbackLowConfidence}
-	return steadyFromMem(cfg, apps, mem, llcRates), gate, nil
+	return steadyFromMem(cfg, apps, mem, llcRates), conf, nil
 }

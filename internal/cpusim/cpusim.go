@@ -180,10 +180,10 @@ func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 // survivors. Reported times are completion times and IPC is lifetime IPC
 // — what Linux perf attached to each process measures.
 // Exact fidelity (and every single-app run) evaluates each step with
-// runSteady; fast and mixed use runSteadyAnalytic, whose only fallback
-// reason is low confidence (the CPU model has no share partitioning or
-// DRAM gate). Every workload is strictly read-only (see App.Workload), so
-// callers may share cached workloads across concurrent runs.
+// runSteady; fast uses runSteadyAnalytic and reports its confidence in
+// the returned RunKind. Every workload is strictly read-only (see
+// App.Workload), so callers may share cached workloads across concurrent
+// runs.
 //
 // memo caches the pure simulation prefixes. Two pieces of simulateMemory
 // are pure functions of (cfg, workload, slot):
@@ -218,7 +218,7 @@ func RunMemoFidelity(cfg Config, memo *simcache.Cache, apps []App, fid phasesum.
 		Exact: func(active []int) ([]Result, error) {
 			return runSteady(cfg, memo, sub(active))
 		},
-		Analytic: func(active []int) ([]Result, phasesum.Gate, error) {
+		Analytic: func(active []int) ([]Result, float64, error) {
 			return runSteadyAnalytic(cfg, memo, sub(active))
 		},
 		Time: func(r Result) float64 { return r.TimeSec },

@@ -40,14 +40,12 @@ func TestFidelitySingleAppAlwaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fid := range []phasesum.Fidelity{phasesum.Mixed, phasesum.Fast} {
-		got, kind, err := RunMemoFidelity(cfg, nil, apps, fid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !kind.UsedExact || !reflect.DeepEqual(got, want) {
-			t.Fatalf("fidelity %q: isolated run must be the exact path", fid)
-		}
+	got, kind, err := RunMemoFidelity(cfg, nil, apps, phasesum.Fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != (phasesum.RunKind{UsedExact: true, Conf: 1}) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fast fidelity: isolated run must be the exact path (kind %+v)", kind)
 	}
 }
 
@@ -73,6 +71,9 @@ func TestFidelityFastBounded(t *testing.T) {
 	if kind.UsedExact {
 		t.Fatal("fast fidelity must not fall back to exact")
 	}
+	if kind.Conf < 0 || kind.Conf > 1 {
+		t.Fatalf("reported confidence %v out of [0,1]", kind.Conf)
+	}
 	for i, r := range fast {
 		if r.TimeSec <= 0 || math.IsNaN(r.TimeSec) || math.IsInf(r.TimeSec, 0) {
 			t.Fatalf("app %d: bad time %v", i, r.TimeSec)
@@ -86,37 +87,6 @@ func TestFidelityFastBounded(t *testing.T) {
 		if r.Instructions != exact[i].Instructions {
 			t.Fatalf("app %d: instruction count changed under the analytic tier", i)
 		}
-	}
-}
-
-// TestFidelityMixedFallsBackOrMatches: mixed either trusts the model (then
-// it must agree with fast) or falls back (then it must agree with exact) —
-// never a third behaviour.
-func TestFidelityMixedFallsBackOrMatches(t *testing.T) {
-	cfg := DefaultConfig()
-	memo := simcache.MustNew(128 << 20)
-	apps := []App{
-		{Workload: memoryBound("x"), Threads: 8},
-		{Workload: memoryBound("y"), Threads: 8},
-	}
-	exact, err := RunMemo(cfg, memo, apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, _, err := RunMemoFidelity(cfg, memo, apps, phasesum.Fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, kind, err := RunMemoFidelity(cfg, memo, apps, phasesum.Mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind.UsedExact {
-		if !reflect.DeepEqual(mixed, exact) {
-			t.Fatal("mixed fallback diverged from the exact simulator")
-		}
-	} else if !reflect.DeepEqual(mixed, fast) {
-		t.Fatal("mixed trusted the model but diverged from fast")
 	}
 }
 

@@ -141,10 +141,9 @@ type Config struct {
 	// Fidelity selects how contended co-runs (the shared CPU run behind
 	// fairness and the shared GPU run behind the target) are computed:
 	// exact reference-by-reference simulation (the zero value — the legacy
-	// bit-identical path), the closed-form phase-summary tier ("fast"), or
-	// confidence-gated mixing of the two ("mixed"). Isolated runs are
-	// always exact. Unlike Workers/SimCacheMB this changes measured
-	// values, so any non-exact tier is folded into the journal
+	// bit-identical path) or the closed-form phase-summary tier ("fast").
+	// Isolated runs are always exact. Unlike Workers/SimCacheMB this
+	// changes measured values, so the fast tier is folded into the journal
 	// fingerprint; the differential oracle (RunOracle) bounds the error.
 	Fidelity phasesum.Fidelity
 	// Shares is the bag's MPS SM partitioning: relative weights, indexed
@@ -282,15 +281,14 @@ type Generator struct {
 	fault faultinject.Injector
 
 	// Fidelity-tier counters (atomic): how many contended co-runs the
-	// analytic model answered, how many the mixed tier bounced back to the
-	// exact simulators (split by the gate that bounced them), and how many
-	// were asked for at the exact tier.
+	// analytic model answered (and how many of those under
+	// phasesum.DefaultMinConfidence), how many the exact simulator
+	// answered at the fast tier, and how many were asked for at the exact
+	// tier.
 	analyticRuns      atomic.Uint64
+	lowConfidenceRuns atomic.Uint64
 	exactFallbacks    atomic.Uint64
 	exactRuns         atomic.Uint64
-	fallbackLowConf   atomic.Uint64
-	fallbackSubShare  atomic.Uint64
-	fallbackBandwidth atomic.Uint64
 
 	// samples holds each (benchmark, sample count)'s sampled vision run,
 	// shared by every batch that extrapolates from it; it is bounded by the
@@ -304,24 +302,19 @@ type Generator struct {
 // FidelityStats is a snapshot of the generator's fidelity-tier counters,
 // exposed on mapc-serve /metrics and in the mapc-datagen summary.
 type FidelityStats struct {
-	// Fidelity is the configured tier ("exact", "mixed" or "fast").
+	// Fidelity is the configured tier ("exact" or "fast").
 	Fidelity string
 	// AnalyticRuns counts contended co-runs answered by the closed-form
 	// phase-summary model.
 	AnalyticRuns uint64
-	// ExactFallbacks counts contended co-runs the mixed tier bounced back
-	// to the exact simulators; the three FallbackX fields split it by the
-	// gate that bounced the run and sum to it.
+	// LowConfidenceRuns counts the analytic runs whose model confidence
+	// sat under phasesum.DefaultMinConfidence: answers outside the model's
+	// calibrated scope (a rising count says the traffic strains it).
+	LowConfidenceRuns uint64
+	// ExactFallbacks counts co-runs asked for at the fast tier that the
+	// exact simulator answered; the engine does that only for a single
+	// client, so bag co-runs never add to it.
 	ExactFallbacks uint64
-	// FallbackLowConfidence: the phase sketches' own confidence fell
-	// under the mixed gate.
-	FallbackLowConfidence uint64
-	// FallbackSubSMShare: the fractional-share penalty (a client's SM
-	// partition well under one SM) demoted the run.
-	FallbackSubSMShare uint64
-	// FallbackBandwidthGate: aggregate DRAM demand exceeded the device
-	// bandwidth by more than phasesum.BandwidthGateRatio.
-	FallbackBandwidthGate uint64
 	// ExactRuns counts contended co-runs asked for at the exact tier: the
 	// configured tier's, and the reference runs of RunOracle (so zero
 	// under pure fast fidelity until the oracle runs).
@@ -331,13 +324,11 @@ type FidelityStats struct {
 // FidelityStats returns a snapshot of the fidelity-tier counters.
 func (g *Generator) FidelityStats() FidelityStats {
 	return FidelityStats{
-		Fidelity:              g.cfg.Fidelity.String(),
-		AnalyticRuns:          g.analyticRuns.Load(),
-		ExactFallbacks:        g.exactFallbacks.Load(),
-		FallbackLowConfidence: g.fallbackLowConf.Load(),
-		FallbackSubSMShare:    g.fallbackSubShare.Load(),
-		FallbackBandwidthGate: g.fallbackBandwidth.Load(),
-		ExactRuns:             g.exactRuns.Load(),
+		Fidelity:          g.cfg.Fidelity.String(),
+		AnalyticRuns:      g.analyticRuns.Load(),
+		LowConfidenceRuns: g.lowConfidenceRuns.Load(),
+		ExactFallbacks:    g.exactFallbacks.Load(),
+		ExactRuns:         g.exactRuns.Load(),
 	}
 }
 
@@ -348,16 +339,11 @@ func (g *Generator) countFidelity(fid phasesum.Fidelity, kind phasesum.RunKind) 
 	switch {
 	case !kind.UsedExact:
 		g.analyticRuns.Add(1)
+		if kind.Conf < phasesum.DefaultMinConfidence {
+			g.lowConfidenceRuns.Add(1)
+		}
 	case fid.Analytic():
 		g.exactFallbacks.Add(1)
-		switch kind.Fallback {
-		case phasesum.FallbackSubSMShare:
-			g.fallbackSubShare.Add(1)
-		case phasesum.FallbackBandwidthGate:
-			g.fallbackBandwidth.Add(1)
-		default:
-			g.fallbackLowConf.Add(1)
-		}
 	default:
 		g.exactRuns.Add(1)
 	}
@@ -386,8 +372,8 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.K != 0 && (cfg.K < 2 || cfg.K > features.MaxApps) {
 		return nil, fmt.Errorf("dataset: bag size %d outside [2, %d] (0 means 2)", cfg.K, features.MaxApps)
 	}
-	if !cfg.Fidelity.Valid() {
-		return nil, fmt.Errorf("dataset: unknown fidelity %q (want exact, mixed or fast)", string(cfg.Fidelity))
+	if _, err := phasesum.ParseFidelity(string(cfg.Fidelity)); err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	if cfg.Shares != nil {
 		if len(cfg.Shares) != cfg.EffectiveK() {
@@ -655,8 +641,8 @@ func (g *Generator) BagFeatures(bag []Member) (x []float64, fairness float64, er
 // per-member measurements are shared across tiers — only the contended
 // co-run switches.
 func (g *Generator) BagFeaturesFidelity(bag []Member, fid phasesum.Fidelity) (x []float64, fairness float64, err error) {
-	if !fid.Valid() {
-		return nil, 0, fmt.Errorf("dataset: unknown fidelity %q (want exact, mixed or fast)", string(fid))
+	if _, err := phasesum.ParseFidelity(string(fid)); err != nil {
+		return nil, 0, fmt.Errorf("dataset: %w", err)
 	}
 	ms, err := g.measureBag(bag)
 	if err != nil {

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mapc/internal/phasesum"
@@ -17,21 +18,33 @@ func fidelityConfig(fid phasesum.Fidelity) Config {
 	return cfg
 }
 
+// TestFidelityValidation: an unknown tier, including the retired "mixed",
+// is refused by NewGenerator and by a per-call BagFeaturesFidelity, with
+// an error that lists the two tiers.
 func TestFidelityValidation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Fidelity = "approximate"
-	if _, err := NewGenerator(cfg); err == nil {
-		t.Fatal("NewGenerator accepted an unknown fidelity")
+	gen, err := NewGenerator(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bag := []Member{{Benchmark: "fast", Batch: 20}, {Benchmark: "hog", Batch: 20}}
+	for _, fid := range []phasesum.Fidelity{"approximate", "mixed"} {
+		cfg := smallConfig()
+		cfg.Fidelity = fid
+		if _, err := NewGenerator(cfg); err == nil || !strings.Contains(err.Error(), "want exact or fast") {
+			t.Errorf("NewGenerator with fidelity %q: %v; want an error listing exact and fast", fid, err)
+		}
+		if _, _, err := gen.BagFeaturesFidelity(bag, fid); err == nil || !strings.Contains(err.Error(), "want exact or fast") {
+			t.Errorf("BagFeaturesFidelity(%q): %v; want an error listing exact and fast", fid, err)
+		}
 	}
 }
 
 // TestFidelityFingerprint pins the journal-compat contract: exact (and the
-// zero value) keep the legacy fingerprint, analytic tiers change it, and
-// no two tiers share one.
+// zero value) keep the legacy fingerprint, and the fast tier changes it.
 func TestFidelityFingerprint(t *testing.T) {
 	base := smallConfig()
 	fps := map[phasesum.Fidelity]string{}
-	for _, fid := range []phasesum.Fidelity{"", phasesum.Exact, phasesum.Mixed, phasesum.Fast} {
+	for _, fid := range []phasesum.Fidelity{"", phasesum.Exact, phasesum.Fast} {
 		cfg := base
 		cfg.Fidelity = fid
 		fps[fid] = cfg.Fingerprint()
@@ -39,9 +52,8 @@ func TestFidelityFingerprint(t *testing.T) {
 	if fps[""] != fps[phasesum.Exact] {
 		t.Error("zero-value fidelity must fingerprint like exact (legacy journals)")
 	}
-	if fps[phasesum.Fast] == fps[phasesum.Exact] || fps[phasesum.Mixed] == fps[phasesum.Exact] ||
-		fps[phasesum.Fast] == fps[phasesum.Mixed] {
-		t.Error("analytic tiers must not share fingerprints with each other or with exact")
+	if fps[phasesum.Fast] == fps[phasesum.Exact] {
+		t.Error("the fast tier must not share a fingerprint with exact")
 	}
 }
 
@@ -98,27 +110,9 @@ func TestFidelityFastCorpus(t *testing.T) {
 	if st.ExactRuns != 0 || st.ExactFallbacks != 0 {
 		t.Fatalf("fast generation ran exact co-runs: %+v", st)
 	}
-}
-
-// TestFidelityMixedCounters: the mixed tier routes every contended co-run
-// either through the model or through the exact fallback, never through
-// the unconditional-exact counter.
-func TestFidelityMixedCounters(t *testing.T) {
-	gen, err := NewGenerator(fidelityConfig(phasesum.Mixed))
-	if err != nil {
-		t.Fatal(err)
+	if st.LowConfidenceRuns > st.AnalyticRuns {
+		t.Fatalf("more low-confidence runs than analytic ones: %+v", st)
 	}
-	if _, err := gen.Generate(); err != nil {
-		t.Fatal(err)
-	}
-	st := gen.FidelityStats()
-	if st.AnalyticRuns+st.ExactFallbacks == 0 {
-		t.Fatal("mixed generation recorded no co-runs at all")
-	}
-	if st.ExactRuns != 0 {
-		t.Fatalf("mixed generation used the unconditional-exact counter: %+v", st)
-	}
-	t.Logf("mixed stats: %+v", st)
 }
 
 // TestFidelityExactCounters: exact-by-configuration co-runs land in
@@ -257,7 +251,7 @@ func TestOracleRejectsBadFraction(t *testing.T) {
 // co-run — and is the points/sec figure recorded in BENCH_baseline.json
 // ("phase-replay" entry) and gated by scripts/benchjson.
 func BenchmarkFidelityCorpus(b *testing.B) {
-	for _, fid := range []phasesum.Fidelity{phasesum.Exact, phasesum.Mixed, phasesum.Fast} {
+	for _, fid := range []phasesum.Fidelity{phasesum.Exact, phasesum.Fast} {
 		b.Run(string(fid), func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.Fidelity = fid

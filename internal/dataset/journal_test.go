@@ -9,6 +9,7 @@ import (
 
 	"mapc/internal/faultinject"
 	"mapc/internal/features"
+	"mapc/internal/phasesum"
 )
 
 // syntheticPoint builds a recognizable fake point for journal I/O tests
@@ -133,12 +134,35 @@ func TestOpenJournalRejectsConfigMismatch(t *testing.T) {
 	}
 	j.Close()
 
-	other := cfg
-	other.Seed = cfg.Seed + 1
-	if _, err := OpenJournal(path, other); err == nil {
-		t.Fatal("journal resumed under a different configuration")
-	} else if !strings.Contains(err.Error(), "different configuration") {
-		t.Errorf("undescriptive mismatch error: %v", err)
+	for name, mut := range map[string]func(*Config){
+		"seed": func(c *Config) { c.Seed++ },
+		"fast": func(c *Config) { c.Fidelity = phasesum.Fast },
+	} {
+		other := cfg
+		mut(&other)
+		if _, err := OpenJournal(path, other); err == nil {
+			t.Fatalf("%s: journal resumed under a different configuration", name)
+		} else if !strings.Contains(err.Error(), "different configuration") {
+			t.Errorf("%s: undescriptive mismatch error: %v", name, err)
+		}
+	}
+
+	// A journal written at the retired "mixed" tier carries a fingerprint
+	// no valid configuration produces, so neither tier resumes it.
+	mixed := cfg
+	mixed.Fidelity = "mixed"
+	mixedPath := journalPath(t)
+	jm, err := CreateJournal(mixedPath, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jm.Close()
+	for _, fid := range []phasesum.Fidelity{phasesum.Exact, phasesum.Fast} {
+		other := cfg
+		other.Fidelity = fid
+		if _, err := OpenJournal(mixedPath, other); err == nil || !strings.Contains(err.Error(), "different configuration") {
+			t.Errorf("%s: mixed-tier journal not refused: %v", fid, err)
+		}
 	}
 
 	// Worker count must NOT invalidate a journal (outputs are

@@ -9,14 +9,14 @@ import (
 	"mapc/internal/vision"
 )
 
-// The scenario matrix: a k × share-skew grid replayed through the analytic
-// fidelity tiers, each cell a full corpus generation with its own sampled
+// The scenario matrix: a k × share-skew grid replayed through the fast
+// fidelity tier, each cell a full corpus generation with its own sampled
 // differential oracle. This is the regime map the fractional-share and
 // DRAM-contention closed forms unlock — before them, every skewed cell
-// fell back to exact simulation and the grid cost hours instead of
-// seconds. mapc-datagen -scenarios drives it interactively; benchjson
-// records DefaultSkewScenarios into BENCH_baseline.json and CI gates the
-// recorded analytic coverage and oracle bounds.
+// needed exact simulation and the grid cost hours instead of seconds.
+// mapc-datagen -scenarios drives it interactively (CI gates every cell's
+// live oracle); benchjson records DefaultSkewScenarios into
+// BENCH_baseline.json and gates the recorded oracle bounds.
 
 // ScenarioSpec is one cell of the matrix: a bag size and a share profile.
 type ScenarioSpec struct {
@@ -156,14 +156,9 @@ type ScenarioResult struct {
 	// throughput (wall clock, including its share of warm memo reuse).
 	Points       int     `json:"points"`
 	PointsPerSec float64 `json:"points_per_sec"`
-	// AnalyticCoverage is the fraction of contended co-runs (CPU fairness
-	// and GPU bag time) the closed-form model answered; fallbacks and
-	// exact-by-configuration runs count against it.
-	AnalyticCoverage float64 `json:"analytic_coverage"`
-	// Fallback reasons, when any co-run fell back (mixed tier only).
-	FallbackLowConfidence uint64 `json:"fallback_low_confidence,omitempty"`
-	FallbackSubSMShare    uint64 `json:"fallback_sub_sm_share,omitempty"`
-	FallbackBandwidthGate uint64 `json:"fallback_bandwidth_gate,omitempty"`
+	// LowConfidenceRuns counts the cell's analytic co-runs (CPU fairness
+	// and GPU bag time) under phasesum.DefaultMinConfidence.
+	LowConfidenceRuns uint64 `json:"low_confidence_runs"`
 	// Oracle is the cell's sampled differential-oracle report (nil when
 	// the matrix ran without oracle sampling).
 	Oracle *OracleReport `json:"oracle,omitempty"`
@@ -177,18 +172,6 @@ type ScenarioReport struct {
 	OracleFrac float64          `json:"oracle_frac,omitempty"`
 	OracleSeed uint64           `json:"oracle_seed,omitempty"`
 	Scenarios  []ScenarioResult `json:"scenarios"`
-}
-
-// MinAnalyticCoverage is the matrix's worst per-cell coverage (1 for an
-// empty report — nothing fell back).
-func (r *ScenarioReport) MinAnalyticCoverage() float64 {
-	min := 1.0
-	for _, s := range r.Scenarios {
-		if s.AnalyticCoverage < min {
-			min = s.AnalyticCoverage
-		}
-	}
-	return min
 }
 
 // MaxRelErrGPU is the worst sampled GPU bag-time error across cells.
@@ -208,7 +191,7 @@ func (r *ScenarioReport) MaxRelErrGPU() float64 {
 // that fraction of each cell's bags through the exact simulators
 // (RunOracle) with the generation share vector threaded through. Cells
 // run sequentially — each already parallelizes internally — and each gets
-// a fresh generator, so per-cell coverage counters are exact.
+// a fresh generator, so per-cell counters are exact.
 func RunScenarios(base Config, specs []ScenarioSpec, oracleFrac float64, oracleSeed uint64) (*ScenarioReport, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("dataset: no scenarios to run")
@@ -233,23 +216,15 @@ func RunScenarios(base Config, specs []ScenarioSpec, oracleFrac float64, oracleS
 			return nil, fmt.Errorf("dataset: scenario %s: %w", spec.Name(), err)
 		}
 		elapsed := time.Since(start).Seconds()
-		// Coverage from the generation-time counters only: RunOracle's
-		// re-measurements tally into the same generator, so snapshot first.
-		st := gen.FidelityStats()
 		res := ScenarioResult{
-			Name:                  spec.Name(),
-			K:                     spec.K,
-			Shares:                sharesLabel(spec.Shares),
-			Points:                len(corpus.Points),
-			FallbackLowConfidence: st.FallbackLowConfidence,
-			FallbackSubSMShare:    st.FallbackSubSMShare,
-			FallbackBandwidthGate: st.FallbackBandwidthGate,
+			Name:              spec.Name(),
+			K:                 spec.K,
+			Shares:            sharesLabel(spec.Shares),
+			Points:            len(corpus.Points),
+			LowConfidenceRuns: gen.FidelityStats().LowConfidenceRuns,
 		}
 		if elapsed > 0 {
 			res.PointsPerSec = float64(len(corpus.Points)) / elapsed
-		}
-		if total := st.AnalyticRuns + st.ExactFallbacks + st.ExactRuns; total > 0 {
-			res.AnalyticCoverage = float64(st.AnalyticRuns) / float64(total)
 		}
 		if oracleFrac > 0 {
 			orep, err := gen.RunOracle(oracleFrac, oracleSeed)

@@ -96,8 +96,9 @@ func TestUniformSharesCorpusBitIdentical(t *testing.T) {
 }
 
 // TestSkewedSharesStayAnalytic is the acceptance criterion: skewed
-// corpora with minority shares down to 0.05 at k ∈ {2,4} keep >= 90% of
-// contended co-runs analytic under mixed fidelity, with the full-corpus
+// corpora with minority shares down to 0.05 at k ∈ {2,4} answer every
+// contended co-run analytically at the fast tier, keep full confidence
+// (no co-run under DefaultMinConfidence), and hold the full-corpus
 // differential oracle inside 5% on the GPU bag time.
 func TestSkewedSharesStayAnalytic(t *testing.T) {
 	cases := []struct {
@@ -112,7 +113,7 @@ func TestSkewedSharesStayAnalytic(t *testing.T) {
 		cfg.MixedPairs = 2
 		cfg.K = c.k
 		cfg.Shares = c.shares
-		cfg.Fidelity = phasesum.Mixed
+		cfg.Fidelity = phasesum.Fast
 		gen, err := NewGenerator(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -121,12 +122,12 @@ func TestSkewedSharesStayAnalytic(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := gen.FidelityStats()
-		total := st.AnalyticRuns + st.ExactFallbacks + st.ExactRuns
-		if total == 0 {
-			t.Fatalf("k=%d: no contended co-runs counted", c.k)
+		if st.AnalyticRuns == 0 || st.ExactFallbacks+st.ExactRuns != 0 {
+			t.Errorf("k=%d shares %v: want every contended co-run analytic: %+v", c.k, c.shares, st)
 		}
-		if cov := float64(st.AnalyticRuns) / float64(total); cov < 0.9 {
-			t.Errorf("k=%d shares %v: analytic coverage %.2f < 0.90 (%+v)", c.k, c.shares, cov, st)
+		if st.LowConfidenceRuns != 0 {
+			t.Errorf("k=%d shares %v: %d of %d co-runs under the confidence floor, want none: %+v",
+				c.k, c.shares, st.LowConfidenceRuns, st.AnalyticRuns, st)
 		}
 		rep, err := gen.RunOracle(1, 7)
 		if err != nil {
@@ -138,12 +139,24 @@ func TestSkewedSharesStayAnalytic(t *testing.T) {
 	}
 }
 
-// TestFallbackReasonSplit: extreme share skew leaves the minority client a
-// fifth of an SM, so mixed-tier GPU co-runs must fall back with the
-// sub-SM-share reason — and the reason counters must sum to the fallback
-// total.
-func TestFallbackReasonSplit(t *testing.T) {
-	cfg := fidelityConfig(phasesum.Mixed)
+// TestLowConfidenceRunsCounted: the generator counts exactly the analytic
+// co-runs whose reported confidence sits under the floor (not those at or
+// above it, and never an exact answer). Extreme share skew, which leaves
+// the minority client a fifth of an SM, puts fast-tier GPU co-runs under
+// the floor while they stay analytic.
+func TestLowConfidenceRunsCounted(t *testing.T) {
+	g := &Generator{}
+	for _, kind := range []phasesum.RunKind{
+		{Conf: 0}, {Conf: 0.7499}, {Conf: phasesum.DefaultMinConfidence}, {Conf: 0.7501}, {Conf: 1},
+		{UsedExact: true, Conf: 1},
+	} {
+		g.countFidelity(phasesum.Fast, kind)
+	}
+	if st := g.FidelityStats(); st.AnalyticRuns != 5 || st.LowConfidenceRuns != 2 || st.ExactFallbacks != 1 || st.ExactRuns != 0 {
+		t.Errorf("counters %+v, want 5 analytic of which 2 under the floor, 1 exact fallback", st)
+	}
+
+	cfg := fidelityConfig(phasesum.Fast)
 	cfg.Shares = []float64{0.995, 0.005}
 	gen, err := NewGenerator(cfg)
 	if err != nil {
@@ -153,11 +166,12 @@ func TestFallbackReasonSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := gen.FidelityStats()
-	if st.FallbackSubSMShare == 0 {
-		t.Errorf("no sub-SM-share fallbacks under a 0.2-SM minority partition: %+v", st)
+	if st.ExactFallbacks+st.ExactRuns != 0 {
+		t.Errorf("skewed fast generation ran exact co-runs: %+v", st)
 	}
-	if sum := st.FallbackLowConfidence + st.FallbackSubSMShare + st.FallbackBandwidthGate; sum != st.ExactFallbacks {
-		t.Errorf("fallback reasons sum to %d, want %d: %+v", sum, st.ExactFallbacks, st)
+	// One CPU and one GPU co-run per bag; only the GPU side is partitioned.
+	if st.LowConfidenceRuns == 0 || st.LowConfidenceRuns > st.AnalyticRuns/2 {
+		t.Errorf("want the sub-SM GPU co-runs (at most half the runs) under the floor: %+v", st)
 	}
 }
 
@@ -238,26 +252,24 @@ func TestParseScenarios(t *testing.T) {
 	}
 }
 
-// TestRunScenarios: a two-cell matrix at the fast tier produces full
-// analytic coverage, per-cell oracle reports, and canonical names.
+// TestRunScenarios: a three-cell matrix at the fast tier produces per-cell
+// oracle reports inside the bound and canonical names, and the sub-SM
+// cell reports low-confidence runs.
 func TestRunScenarios(t *testing.T) {
 	base := smallConfig()
 	base.MixedPairs = 0
 	base.Benchmarks = []string{"fast", "knn"}
 	base.BatchSizes = []int{20, 40}
 	base.Fidelity = phasesum.Fast
-	specs := []ScenarioSpec{{K: 2}, {K: 2, Shares: []float64{0.7, 0.3}}}
+	specs := []ScenarioSpec{{K: 2}, {K: 2, Shares: []float64{0.7, 0.3}}, {K: 2, Shares: []float64{0.995, 0.005}}}
 	rep, err := RunScenarios(base, specs, 0.5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Fidelity != "fast" || len(rep.Scenarios) != 2 {
+	if rep.Fidelity != "fast" || len(rep.Scenarios) != 3 {
 		t.Fatalf("report shape: %+v", rep)
 	}
 	for _, s := range rep.Scenarios {
-		if s.AnalyticCoverage != 1 {
-			t.Errorf("cell %s: fast-tier coverage %v, want 1", s.Name, s.AnalyticCoverage)
-		}
 		if s.Oracle == nil || !s.Oracle.Within(0.05) {
 			t.Errorf("cell %s: oracle missing or out of bounds: %+v", s.Name, s.Oracle)
 		}
@@ -268,8 +280,8 @@ func TestRunScenarios(t *testing.T) {
 	if rep.Scenarios[0].Name != "k2:uniform" || rep.Scenarios[1].Name != "k2:0.7/0.3" {
 		t.Errorf("cell names: %q, %q", rep.Scenarios[0].Name, rep.Scenarios[1].Name)
 	}
-	if rep.MinAnalyticCoverage() != 1 {
-		t.Errorf("MinAnalyticCoverage %v, want 1", rep.MinAnalyticCoverage())
+	if uniform, skew := rep.Scenarios[0].LowConfidenceRuns, rep.Scenarios[2].LowConfidenceRuns; skew == 0 || skew <= uniform {
+		t.Errorf("low-confidence runs: uniform %d, 0.995/0.005 %d; want the sub-SM cell above", uniform, skew)
 	}
 	if rep.MaxRelErrGPU() > 0.05 {
 		t.Errorf("MaxRelErrGPU %v > 0.05", rep.MaxRelErrGPU())

@@ -59,12 +59,10 @@ func streamSummaryFor(memo *simcache.Cache, w *trace.Workload, ai int) (phasesum
 
 // runSteadyAnalytic is the analytic counterpart of runSteady: exact
 // isolated anchors (memo hits), closed-form shared-L2 and shared-TLB miss
-// estimates, then the identical timing tail. Returns the model's gate:
-// the combined confidence after the share and bandwidth terms and, when
-// it sits under phasesum.DefaultMinConfidence, which term pushed it there.
-// workloads holds two or more clients; phasesum.Run evaluates a lone
-// client exactly.
-func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, phasesum.Gate, error) {
+// estimates, then the identical timing tail. Also returns the model's
+// combined confidence after the share and bandwidth terms. workloads holds
+// two or more clients; phasesum.Run evaluates a lone client exactly.
+func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, float64, error) {
 	n := len(workloads)
 	lineSums := make([][]phasesum.PhaseSum, n)
 	pageSums := make([][]phasesum.PhaseSum, n)
@@ -73,7 +71,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 	for ai, w := range workloads {
 		sum, err := streamSummaryFor(memo, w, ai)
 		if err != nil {
-			return nil, phasesum.Gate{}, err
+			return nil, 0, err
 		}
 		lineSums[ai] = sum.Line
 		pageSums[ai] = sum.Page
@@ -84,7 +82,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 		// anchor transfers; the residual is what the oracle bounds.
 		isoMem, _, _, err := simulateMemory(cfg, memo, []*trace.Workload{w})
 		if err != nil {
-			return nil, phasesum.Gate{}, err
+			return nil, 0, err
 		}
 		isoMems[ai] = isoMem[0]
 	}
@@ -141,29 +139,22 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 	// bandwidth floor applies). The bound fraction raises confidence —
 	// saturated phase times are pinned by bytes/bandwidth and stop caring
 	// about threshold-straddling reuse mass — while demand far past the
-	// device bandwidth trips a hard regime gate. See phasesum/shares.go.
+	// device bandwidth leaves the model's regime: zero confidence. See
+	// phasesum/shares.go.
 	demands := make([]phasesum.BandwidthDemand, n)
 	for ai, w := range workloads {
 		cycles, bytes := appCycles(cfg, w, mem[ai], smShares[ai], n, 0)
 		demands[ai] = phasesum.BandwidthDemand{Bytes: bytes, Sec: cycles / (cfg.FreqGHz * 1e9)}
 	}
-	gate := phasesum.Gate{Conf: conf}
 	if phasesum.TotalBandwidthDemand(demands) > phasesum.BandwidthGateRatio*cfg.DRAMBandwidth {
-		gate = phasesum.Gate{Conf: 0, Reason: phasesum.FallbackBandwidthGate}
+		conf = 0
 	} else {
-		bwConf := phasesum.BandwidthConfidence(conf, phasesum.BandwidthBoundFrac(cfg.DRAMBandwidth, demands))
 		// The share penalty replaces the former sub-SM hard refusal: a
 		// continuous effective-capacity deflation by the thinnest client's
 		// partition (phasesum.ShareConfidence), applied after the
-		// bandwidth blend so extreme skew still demotes saturated bags.
-		gate.Conf = bwConf * phasesum.ShareConfidence(smShares)
-		if gate.Conf < phasesum.DefaultMinConfidence {
-			if bwConf >= phasesum.DefaultMinConfidence {
-				gate.Reason = phasesum.FallbackSubSMShare
-			} else {
-				gate.Reason = phasesum.FallbackLowConfidence
-			}
-		}
+		// bandwidth blend so extreme skew still lowers saturated bags.
+		conf = phasesum.BandwidthConfidence(conf, phasesum.BandwidthBoundFrac(cfg.DRAMBandwidth, demands)) *
+			phasesum.ShareConfidence(smShares)
 	}
-	return steadyFromMem(cfg, workloads, shares, mem, l2Rates, tlbRates), gate, nil
+	return steadyFromMem(cfg, workloads, shares, mem, l2Rates, tlbRates), conf, nil
 }

@@ -11,10 +11,9 @@ import (
 	"mapc/internal/trace"
 )
 
-// Fidelity-tier tests for RunMemoSharesFidelity, centred on the satellite
-// requirement: under extreme share skew the mixed tier must degrade to
-// exact simulation (bit-identical results) rather than emit out-of-bound
-// analytic estimates.
+// Fidelity-tier tests for RunMemoSharesFidelity: the exact tier delegates
+// bit-identically, and the fast tier stays sane and bounded under extreme
+// share skew while reporting its confidence in the run.
 
 func TestFidelityExactDelegatesBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
@@ -44,42 +43,12 @@ func TestFidelitySingleClientAlwaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fid := range []phasesum.Fidelity{phasesum.Mixed, phasesum.Fast} {
-		got, kind, err := RunMemoSharesFidelity(cfg, nil, ws, nil, fid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !kind.UsedExact || !reflect.DeepEqual(got, want) {
-			t.Fatalf("fidelity %q: isolated run must be the exact path", fid)
-		}
-	}
-}
-
-// TestFidelityMixedDegradesUnderShareSkew: a 0.99/0.01 split leaves the
-// minority client 0.4 of an SM — outside the analytic model's regime — so
-// mixed must fall back to exact simulation, bit-identically.
-func TestFidelityMixedDegradesUnderShareSkew(t *testing.T) {
-	cfg := DefaultConfig()
-	memo := simcache.MustNew(64 << 20)
-	ws := []*trace.Workload{computeKernel("big"), memKernel("small")}
-	shares := []float64{0.99, 0.01}
-
-	want, err := exactShares(cfg, memo, ws, shares)
+	got, kind, err := RunMemoSharesFidelity(cfg, nil, ws, nil, phasesum.Fast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, kind, err := RunMemoSharesFidelity(cfg, memo, ws, shares, phasesum.Mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !kind.UsedExact {
-		t.Fatal("mixed fidelity trusted the model on a sub-SM partition")
-	}
-	if kind.Fallback != phasesum.FallbackSubSMShare {
-		t.Fatalf("fallback reason %q, want %q", kind.Fallback, phasesum.FallbackSubSMShare)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("mixed fallback diverged from the exact simulator")
+	if kind != (phasesum.RunKind{UsedExact: true, Conf: 1}) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("fast fidelity: isolated run must be the exact path (kind %+v)", kind)
 	}
 }
 
@@ -124,10 +93,35 @@ func TestFidelityFastBoundedUnderShareSkew(t *testing.T) {
 	checkSane(t, fast, exact)
 }
 
+// TestFidelityFastLowConfidenceUnderShareSkew: a 0.99/0.01 split leaves the
+// minority client 0.4 of an SM, outside the analytic model's calibrated
+// regime. The fast tier still answers analytically but reports the run's
+// confidence under the floor, while the equal split of the same bag stays
+// above it.
+func TestFidelityFastLowConfidenceUnderShareSkew(t *testing.T) {
+	cfg := DefaultConfig()
+	memo := simcache.MustNew(64 << 20)
+	ws := []*trace.Workload{computeKernel("big"), memKernel("small")}
+
+	_, skew, err := RunMemoSharesFidelity(cfg, memo, ws, []float64{0.99, 0.01}, phasesum.Fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skew.UsedExact || skew.Conf >= phasesum.DefaultMinConfidence {
+		t.Fatalf("sub-SM partition: kind %+v, want analytic at confidence under %v", skew, phasesum.DefaultMinConfidence)
+	}
+
+	_, equal, err := RunMemoSharesFidelity(cfg, memo, ws, nil, phasesum.Fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if equal.UsedExact || equal.Conf < phasesum.DefaultMinConfidence {
+		t.Fatalf("equal split: kind %+v, want analytic at confidence >= %v", equal, phasesum.DefaultMinConfidence)
+	}
+}
+
 // TestFidelityK8Uniform: eight uniform clients (5 SMs each — inside the
-// model's regime). Whichever way the confidence gate resolves, mixed must
-// either be bit-identical to exact (fallback) or sane-and-bounded
-// (trusted model); fast must be sane-and-bounded.
+// model's regime); fast must be sane-and-bounded.
 func TestFidelityK8Uniform(t *testing.T) {
 	cfg := DefaultConfig()
 	memo := simcache.MustNew(256 << 20)
@@ -143,17 +137,6 @@ func TestFidelityK8Uniform(t *testing.T) {
 	exact, err := exactShares(cfg, memo, ws, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	mixed, kind, err := RunMemoSharesFidelity(cfg, memo, ws, nil, phasesum.Mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind.UsedExact {
-		if !reflect.DeepEqual(mixed, exact) {
-			t.Fatal("mixed fallback diverged from the exact simulator at k=8")
-		}
-	} else {
-		checkSane(t, mixed, exact)
 	}
 	fast, kind, err := RunMemoSharesFidelity(cfg, memo, ws, nil, phasesum.Fast)
 	if err != nil {

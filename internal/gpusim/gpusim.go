@@ -200,10 +200,10 @@ func RunMemo(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([]R
 // with the smaller client set (more SMs, less cache/TLB/bandwidth
 // interference). Exact fidelity (and every single-client run)
 // evaluates each step with runSteady, the reference every analytic
-// estimate is scored against; fast and mixed use runSteadyAnalytic, whose
-// gate bounces extreme share skew and demand far past the device bandwidth
-// to exact in the mixed tier. The returned RunKind reports which simulator
-// answered and, for mixed-tier fallbacks, which gate bounced the run.
+// estimate is scored against; fast uses runSteadyAnalytic, whose
+// confidence falls with extreme share skew and drops to zero for demand
+// far past the device bandwidth. The returned RunKind reports which
+// simulator answered and the model's confidence.
 //
 // shares[i] is client i's relative weight of the SM pool (an MPS
 // active-thread percentage). Shares are normalized internally, so {1,1} and
@@ -250,7 +250,7 @@ func RunMemoSharesFidelity(cfg Config, memo *simcache.Cache, workloads []*trace.
 			ws, ss := sub(active)
 			return runSteady(cfg, memo, ws, ss)
 		},
-		Analytic: func(active []int) ([]Result, phasesum.Gate, error) {
+		Analytic: func(active []int) ([]Result, float64, error) {
 			ws, ss := sub(active)
 			return runSteadyAnalytic(cfg, memo, ws, ss)
 		},

@@ -35,7 +35,7 @@ func TestUniformSharesBitIdenticalToNil(t *testing.T) {
 		for i := range uniform {
 			uniform[i] = 1 / float64(k)
 		}
-		for _, fid := range []phasesum.Fidelity{phasesum.Exact, phasesum.Mixed, phasesum.Fast} {
+		for _, fid := range []phasesum.Fidelity{phasesum.Exact, phasesum.Fast} {
 			want, wantKind, err := RunMemoSharesFidelity(cfg, memo, ws, nil, fid)
 			if err != nil {
 				t.Fatal(err)
@@ -45,7 +45,7 @@ func TestUniformSharesBitIdenticalToNil(t *testing.T) {
 				t.Fatal(err)
 			}
 			if gotKind != wantKind {
-				t.Fatalf("k=%d fidelity %s: uniform shares changed the tier decision (%+v vs %+v)", k, fid, gotKind, wantKind)
+				t.Fatalf("k=%d fidelity %s: uniform shares changed the run kind (%+v vs %+v)", k, fid, gotKind, wantKind)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("k=%d fidelity %s: explicit uniform shares diverged from nil", k, fid)

@@ -5,16 +5,8 @@ package phasesum
 // survivors are re-evaluated as a smaller client set (more SMs or cores,
 // less cache and bandwidth interference) — real MPS behaviour, where a
 // short job's exit releases its partition to the remaining clients. The
-// schedule and the fidelity-tier dispatch around it live here once; each
-// simulator contributes only its steady-state evaluators.
-
-// Gate is an analytic steady evaluation's self-assessment: the model's
-// combined confidence, and the fallback reason the mixed tier reports
-// when Conf sits under DefaultMinConfidence (Reason is read only then).
-type Gate struct {
-	Conf   float64
-	Reason FallbackReason
-}
+// schedule and the choice of evaluator live here once; each simulator
+// contributes only its steady-state evaluators.
 
 // CoRun describes one simulator's co-run of N clients to Run. The
 // evaluators receive the active client indices in ascending order, build
@@ -25,9 +17,10 @@ type CoRun[R any] struct {
 	N int
 	// Exact is the exact steady-state evaluator.
 	Exact func(active []int) ([]R, error)
-	// Analytic is the closed-form evaluator with its gate. It is only
-	// called with two or more active clients: a lone client is exact.
-	Analytic func(active []int) ([]R, Gate, error)
+	// Analytic is the closed-form evaluator; it also returns the model's
+	// confidence in [0,1] for the active set. It is only called with two
+	// or more active clients: a lone client is exact.
+	Analytic func(active []int) ([]R, float64, error)
 	// Time reads a steady result's completion time in seconds.
 	Time func(R) float64
 	// Finish reports a full-contention steady result completed at t
@@ -35,49 +28,47 @@ type CoRun[R any] struct {
 	Finish func(r R, t float64) R
 }
 
+// RunKind says which simulator answered a co-run and how far the answer
+// can be trusted.
+type RunKind struct {
+	// UsedExact reports whether the exact simulator produced the result
+	// (exact fidelity and single-client runs).
+	UsedExact bool
+	// Conf is the full client set's model confidence for analytic answers
+	// and 1 for exact ones. It reports the model's scope rather than
+	// routing around it: under DefaultMinConfidence the closed form is
+	// outside its calibrated regime, but the answer stands.
+	Conf float64
+}
+
 // Run is the tiered co-run. Exact fidelity (and every single-client run)
-// drives the phased schedule with the exact evaluator. Fast drives it with
-// the analytic evaluator; mixed does so only while the full client set's
-// gate clears DefaultMinConfidence, and otherwise reruns exactly and
-// reports the gate's reason. The returned RunKind says which simulator
-// answered.
+// drives the phased schedule with the exact evaluator; fast drives it with
+// the analytic evaluator and reports the full client set's confidence
+// (the most contended set, so the run's worst case).
 func Run[R any](fid Fidelity, c CoRun[R]) ([]R, RunKind, error) {
 	all := make([]int, c.N)
 	for i := range all {
 		all[i] = i
 	}
-	fid = fid.Effective()
 	if !fid.Analytic() || c.N == 1 {
-		res, err := c.exact(all)
-		return res, RunKind{UsedExact: true}, err
+		steady, err := c.Exact(all)
+		if err != nil {
+			return nil, RunKind{}, err
+		}
+		res, err := c.schedule(steady, c.Exact)
+		return res, RunKind{UsedExact: true, Conf: 1}, err
 	}
 	// Evaluate the full-contention steady state once: it is both the
-	// schedule's first step and the confidence the mixed tier gates on
-	// (the full client set is the most contended, so its confidence is
-	// the run's worst case).
-	steady, gate, err := c.Analytic(all)
+	// schedule's first step and the reported confidence.
+	steady, conf, err := c.Analytic(all)
 	if err != nil {
 		return nil, RunKind{}, err
-	}
-	if fid == Mixed && gate.Conf < DefaultMinConfidence {
-		res, err := c.exact(all)
-		return res, RunKind{UsedExact: true, Fallback: gate.Reason}, err
 	}
 	res, err := c.schedule(steady, func(active []int) ([]R, error) {
 		r, _, err := c.Analytic(active)
 		return r, err
 	})
-	return res, RunKind{}, err
-}
-
-// exact is the exact co-run, the reference every analytic estimate is
-// scored against.
-func (c CoRun[R]) exact(all []int) ([]R, error) {
-	steady, err := c.Exact(all)
-	if err != nil {
-		return nil, err
-	}
-	return c.schedule(steady, c.Exact)
+	return res, RunKind{Conf: conf}, err
 }
 
 // schedule runs the phased completion schedule from steady, the full

@@ -19,7 +19,7 @@ type stubRes struct {
 type stubSim struct {
 	t               *testing.T
 	exact, analytic map[string][]float64
-	gate            Gate
+	conf            float64
 	exactCalls      []string
 	analyticCalls   []string
 }
@@ -44,11 +44,11 @@ func (s *stubSim) coRun(n int) CoRun[stubRes] {
 		Exact: func(active []int) ([]stubRes, error) {
 			return s.eval(s.exact, &s.exactCalls, active), nil
 		},
-		Analytic: func(active []int) ([]stubRes, Gate, error) {
+		Analytic: func(active []int) ([]stubRes, float64, error) {
 			if len(active) < 2 {
 				s.t.Fatalf("analytic evaluator called with lone client %v", active)
 			}
-			return s.eval(s.analytic, &s.analyticCalls, active), s.gate, nil
+			return s.eval(s.analytic, &s.analyticCalls, active), s.conf, nil
 		},
 		Time: func(r stubRes) float64 { return r.T },
 		Finish: func(r stubRes, t float64) stubRes {
@@ -76,9 +76,9 @@ func wantThree(set string) []stubRes {
 func TestRunExactSchedule(t *testing.T) {
 	s := &stubSim{t: t, exact: threeClient}
 	c := s.coRun(3)
-	c.Analytic = func([]int) ([]stubRes, Gate, error) {
+	c.Analytic = func([]int) ([]stubRes, float64, error) {
 		t.Fatal("exact tier called the analytic evaluator")
-		return nil, Gate{}, nil
+		return nil, 0, nil
 	}
 	for _, fid := range []Fidelity{"", Exact} {
 		s.exactCalls = nil
@@ -89,7 +89,7 @@ func TestRunExactSchedule(t *testing.T) {
 		if !reflect.DeepEqual(got, wantThree("[0 1 2]")) {
 			t.Errorf("fid %q: schedule %+v, want %+v", fid, got, wantThree("[0 1 2]"))
 		}
-		if kind != (RunKind{UsedExact: true}) {
+		if kind != (RunKind{UsedExact: true, Conf: 1}) {
 			t.Errorf("fid %q: kind %+v, want exact", fid, kind)
 		}
 		if want := []string{"[0 1 2]", "[1 2]", "[2]"}; !reflect.DeepEqual(s.exactCalls, want) {
@@ -102,7 +102,7 @@ func TestRunFastEvaluatesFullSetOnce(t *testing.T) {
 	s := &stubSim{t: t,
 		exact:    map[string][]float64{"[2]": {4}},
 		analytic: map[string][]float64{"[0 1 2]": {2, 4, 8}, "[1 2]": {2, 8}},
-		gate:     Gate{Conf: 0}, // fast ignores the gate
+		conf:     0.9,
 	}
 	got, kind, err := Run(Fast, s.coRun(3))
 	if err != nil {
@@ -111,7 +111,7 @@ func TestRunFastEvaluatesFullSetOnce(t *testing.T) {
 	if !reflect.DeepEqual(got, wantThree("[0 1 2]")) {
 		t.Errorf("schedule %+v, want %+v", got, wantThree("[0 1 2]"))
 	}
-	if kind != (RunKind{}) {
+	if kind != (RunKind{Conf: 0.9}) {
 		t.Errorf("kind %+v, want analytic", kind)
 	}
 	if want := []string{"[0 1 2]", "[1 2]"}; !reflect.DeepEqual(s.analyticCalls, want) {
@@ -122,33 +122,26 @@ func TestRunFastEvaluatesFullSetOnce(t *testing.T) {
 	}
 }
 
-func TestRunMixedGate(t *testing.T) {
-	for _, reason := range []FallbackReason{FallbackSubSMShare, FallbackBandwidthGate, FallbackLowConfidence} {
-		s := &stubSim{t: t, exact: threeClient, analytic: threeClient,
-			gate: Gate{Conf: 0.7499, Reason: reason}}
-		got, kind, err := Run(Mixed, s.coRun(3))
+// TestRunReportsConfidence: the fast tier stays analytic at every
+// confidence — below, at and above DefaultMinConfidence, and at zero (the
+// bandwidth regime guard) — and reports the full set's confidence as the
+// run's scope signal without ever calling the exact evaluator on it.
+func TestRunReportsConfidence(t *testing.T) {
+	for _, conf := range []float64{0, 0.7499, DefaultMinConfidence, 0.7501, 1} {
+		s := &stubSim{t: t, exact: map[string][]float64{"[2]": {4}}, analytic: threeClient, conf: conf}
+		got, kind, err := Run(Fast, s.coRun(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (RunKind{UsedExact: true, Fallback: reason}); kind != want {
-			t.Errorf("%s: kind %+v, want %+v", reason, kind, want)
+		if want := (RunKind{Conf: conf}); kind != want {
+			t.Errorf("conf %v: kind %+v, want %+v", conf, kind, want)
 		}
 		if !reflect.DeepEqual(got, wantThree("[0 1 2]")) {
-			t.Errorf("%s: fallback schedule %+v", reason, got)
+			t.Errorf("conf %v: schedule %+v", conf, got)
 		}
-		if want := []string{"[0 1 2]"}; !reflect.DeepEqual(s.analyticCalls, want) {
-			t.Errorf("%s: analytic evaluations %v, want only the gating one", reason, s.analyticCalls)
+		if want := []string{"[2]"}; !reflect.DeepEqual(s.exactCalls, want) {
+			t.Errorf("conf %v: exact evaluations %v, want only the lone survivor %v", conf, s.exactCalls, want)
 		}
-	}
-	// At the floor the analytic answer stands.
-	s := &stubSim{t: t, exact: map[string][]float64{"[2]": {4}}, analytic: threeClient,
-		gate: Gate{Conf: DefaultMinConfidence, Reason: FallbackLowConfidence}}
-	_, kind, err := Run(Mixed, s.coRun(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != (RunKind{}) {
-		t.Errorf("conf at the floor: kind %+v, want analytic", kind)
 	}
 }
 
@@ -167,7 +160,7 @@ func TestRunZeroTimeClient(t *testing.T) {
 }
 
 func TestRunSingleClient(t *testing.T) {
-	for _, fid := range []Fidelity{Exact, Mixed, Fast} {
+	for _, fid := range []Fidelity{Exact, Fast} {
 		s := &stubSim{t: t, exact: map[string][]float64{"[0]": {3}}}
 		got, kind, err := Run(fid, s.coRun(1))
 		if err != nil {
@@ -177,7 +170,7 @@ func TestRunSingleClient(t *testing.T) {
 		if want := []stubRes{{3, "[0]", 0}}; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: got %+v, want %+v", fid, got, want)
 		}
-		if kind != (RunKind{UsedExact: true}) || len(s.analyticCalls) != 0 {
+		if kind != (RunKind{UsedExact: true, Conf: 1}) || len(s.analyticCalls) != 0 {
 			t.Errorf("%s: kind %+v with %d analytic calls, want exact only", fid, kind, len(s.analyticCalls))
 		}
 	}

@@ -9,9 +9,8 @@ import "fmt"
 //     the bit-identical legacy path, pinned by the golden corpus hashes.
 //   - Fast: contended runs are estimated in closed form from phase
 //     summaries everywhere; isolated runs stay exact (they are the
-//     summaries' source and the delta-correction anchors).
-//   - Mixed: analytic where the model's self-reported confidence clears
-//     DefaultMinConfidence, exact fallback elsewhere.
+//     summaries' source and the delta-correction anchors). Each answer
+//     reports the model's confidence (RunKind.Conf) as its scope signal.
 //
 // The zero value "" means Exact, so zero-valued configs keep the legacy
 // behaviour.
@@ -19,27 +18,26 @@ type Fidelity string
 
 const (
 	Exact Fidelity = "exact"
-	Mixed Fidelity = "mixed"
 	Fast  Fidelity = "fast"
 )
 
-// DefaultMinConfidence is the confidence floor below which the mixed tier
-// falls back to exact simulation. Calibrated against the differential
+// DefaultMinConfidence is the confidence floor under which a fast-tier
+// answer is counted as outside the model's calibrated scope (the
+// generator's LowConfidenceRuns). Calibrated against the differential
 // oracle on the paper corpus: estimates above it stay within the gated
-// error bounds, and the satellite skew/thrash cases fall below it.
+// error bounds, and the skew/thrash cases fall below it.
 const DefaultMinConfidence = 0.75
 
-// ParseFidelity validates a -fidelity flag value; "" selects Exact.
+// ParseFidelity validates a -fidelity flag value; "" selects Exact. It is
+// the one place the tier list is spelled.
 func ParseFidelity(s string) (Fidelity, error) {
 	switch Fidelity(s) {
 	case "", Exact:
 		return Exact, nil
-	case Mixed:
-		return Mixed, nil
 	case Fast:
 		return Fast, nil
 	}
-	return "", fmt.Errorf("phasesum: unknown fidelity %q (want exact, mixed or fast)", s)
+	return "", fmt.Errorf("phasesum: unknown fidelity %q (want exact or fast)", s)
 }
 
 // Effective resolves the zero value to Exact.
@@ -50,16 +48,7 @@ func (f Fidelity) Effective() Fidelity {
 	return f
 }
 
-// Valid reports whether f is one of the three tiers (or the zero value).
-func (f Fidelity) Valid() bool {
-	switch f {
-	case "", Exact, Mixed, Fast:
-		return true
-	}
-	return false
-}
-
-// Analytic reports whether this tier ever uses the closed-form model.
-func (f Fidelity) Analytic() bool { return f == Mixed || f == Fast }
+// Analytic reports whether this tier uses the closed-form model.
+func (f Fidelity) Analytic() bool { return f == Fast }
 
 func (f Fidelity) String() string { return string(f.Effective()) }

@@ -58,8 +58,10 @@
 // Each estimate carries a self-reported confidence in [0,1]: the fraction
 // of reuse mass that is *not* within one bucket (a factor of two) of the
 // DeltaMax threshold. Mass at the threshold is exactly where LRU's sharp
-// cutoff makes the closed form unstable; the mixed fidelity tier falls
-// back to exact simulation below MinConfidence.
+// cutoff makes the closed form unstable. The fast tier reports the bag's
+// combined confidence with every answer (RunKind.Conf): an answer under
+// DefaultMinConfidence is outside the model's calibrated scope, but it
+// still stands.
 package phasesum
 
 import (
@@ -403,7 +405,7 @@ func Clamp01(v float64) float64 {
 // CombineConfidence combines per-phase confidences into a run-level figure:
 // the reference-weighted mean, floored by the single worst phase weighted
 // at half. Heavy phases dominate the run's accuracy, but one badly
-// threshold-straddling phase should still be able to demote the run.
+// threshold-straddling phase should still be able to pull the run down.
 func CombineConfidence(all [][]Estimate, phases [][]PhaseSum) float64 {
 	var wsum, csum float64
 	worst := 1.0

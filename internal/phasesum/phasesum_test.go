@@ -2,6 +2,7 @@ package phasesum
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -13,25 +14,25 @@ func TestParseFidelity(t *testing.T) {
 	}{
 		{"", Exact, true},
 		{"exact", Exact, true},
-		{"mixed", Mixed, true},
 		{"fast", Fast, true},
 		{"FAST", "", false},
 		{"approx", "", false},
+		{"mixed", "", false}, // the retired confidence-gated tier
 	}
 	for _, c := range cases {
 		got, err := ParseFidelity(c.in)
 		if c.ok && (err != nil || got != c.want) {
 			t.Errorf("ParseFidelity(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseFidelity(%q) accepted; want error", c.in)
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "want exact or fast")) {
+			t.Errorf("ParseFidelity(%q) = %v; want an error listing exact and fast", c.in, err)
 		}
 	}
 	if Fidelity("").Effective() != Exact {
 		t.Error("zero fidelity must resolve to exact")
 	}
-	if Exact.Analytic() || !Mixed.Analytic() || !Fast.Analytic() {
-		t.Error("Analytic(): want false for exact, true for mixed/fast")
+	if Fidelity("").Analytic() || Exact.Analytic() || !Fast.Analytic() {
+		t.Error("Analytic(): want false for exact, true for fast")
 	}
 }
 

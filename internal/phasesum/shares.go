@@ -35,16 +35,16 @@
 // mattering. BandwidthConfidence therefore blends confidence toward 1 by
 // the bandwidth-bound fraction. Far outside saturation the anchored
 // isolated rates themselves stop ordering the phased schedule reliably;
-// BandwidthGateRatio bounds that regime with a hard fallback.
+// past BandwidthGateRatio the model reports zero confidence.
 package phasesum
 
 // ShareConfidence converts a bag's SM partitioning (absolute shares, in
 // SMs) into a confidence factor in [0,1]: 1 while every client holds at
 // least one full SM, deflating linearly with the thinnest client's
 // partition below that. Multiplied into the run confidence, it replaces
-// the former sub-SM hard refusal — near-integer partitions now pass the
-// mixed gate, while extreme skew (well under one SM) still demotes the
-// run to exact simulation.
+// the former sub-SM hard refusal: near-integer partitions keep full
+// confidence, while extreme skew (well under one SM) reports the run as
+// outside the model's calibrated scope (under DefaultMinConfidence).
 func ShareConfidence(smShares []float64) float64 {
 	conf := 1.0
 	for _, s := range smShares {
@@ -105,36 +105,6 @@ func BandwidthConfidence(conf, boundFrac float64) float64 {
 // demand exceeds the device bandwidth by this factor, the anchored
 // isolated rates the model spreads traffic over ignore so much queueing
 // that the phased completion order itself becomes unreliable, and the
-// mixed tier falls back to exact simulation. The vision suite's heaviest
-// bags sit well under this; it is a pure regime guard.
+// model reports zero confidence. The vision suite's heaviest bags sit
+// well under this; it is a pure regime guard.
 const BandwidthGateRatio = 8.0
-
-// FallbackReason classifies why a mixed-tier co-run was answered by the
-// exact simulator instead of the analytic model.
-type FallbackReason string
-
-const (
-	// FallbackNone marks runs the analytic model answered, and exact runs
-	// that were exact by configuration rather than by gating.
-	FallbackNone FallbackReason = ""
-	// FallbackLowConfidence: the phase sketches' own confidence (boundary
-	// reuse mass near the capacity threshold) fell under the gate.
-	FallbackLowConfidence FallbackReason = "low_confidence"
-	// FallbackSubSMShare: the share penalty (a client's partition well
-	// under one SM) pushed an otherwise-confident run under the gate.
-	FallbackSubSMShare FallbackReason = "sub_sm_share"
-	// FallbackBandwidthGate: aggregate DRAM demand exceeded the device
-	// bandwidth by more than BandwidthGateRatio.
-	FallbackBandwidthGate FallbackReason = "bandwidth_gate"
-)
-
-// RunKind classifies which simulator answered a fidelity-tier co-run.
-type RunKind struct {
-	// UsedExact reports whether the exact simulator produced the result
-	// (exact fidelity, single-client runs, and mixed-tier fallbacks).
-	UsedExact bool
-	// Fallback records, for mixed-tier fallbacks only, which gate bounced
-	// the run; FallbackNone for analytic answers and for runs that were
-	// exact by configuration.
-	Fallback FallbackReason
-}

@@ -145,8 +145,8 @@ func (c *featureCache) key(bag []dataset.Member) (string, []dataset.Member) {
 // shape; any explicit profile gets its own namespace by exact string
 // append — no hashing, so distinct profiles can never collide.
 func tierDomains(shares string) map[phasesum.Fidelity]string {
-	out := make(map[phasesum.Fidelity]string, 3)
-	for _, fid := range []phasesum.Fidelity{phasesum.Exact, phasesum.Mixed, phasesum.Fast} {
+	out := make(map[phasesum.Fidelity]string, 2)
+	for _, fid := range []phasesum.Fidelity{phasesum.Exact, phasesum.Fast} {
 		d := featureDomain
 		if fid != phasesum.Exact {
 			d += "/" + string(fid)

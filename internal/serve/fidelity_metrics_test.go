@@ -68,21 +68,24 @@ func TestFidelityMetricsExposition(t *testing.T) {
 	if !strings.Contains(exp, `mapc_fidelity_info{tier="fast"} 1`) {
 		t.Errorf("fidelity tier label missing:\n%s", exp)
 	}
-	if v := labelledMetric(t, exp, `mapc_fidelity_runs_total{kind="analytic"}`); v == 0 {
+	analytic := labelledMetric(t, exp, `mapc_fidelity_runs_total{kind="analytic"}`)
+	if analytic == 0 {
 		t.Error("fast-fidelity serving reported zero analytic co-runs")
 	}
 	if v := labelledMetric(t, exp, `mapc_fidelity_runs_total{kind="exact"}`); v != 0 {
 		t.Errorf("fast-fidelity serving reported %v unconditional-exact co-runs", v)
 	}
-	labelledMetric(t, exp, `mapc_fidelity_runs_total{kind="exact_fallback"}`) // present, any value
-	// The per-reason fallback split is always exposed, one line per reason,
-	// and must account for every fallback counted above.
-	var reasons float64
-	for _, reason := range []string{"low_confidence", "sub_sm_share", "bandwidth_gate"} {
-		reasons += labelledMetric(t, exp, `mapc_fidelity_fallbacks_total{reason="`+reason+`"}`)
+	// A bag co-run at the fast tier is always analytic.
+	if v := labelledMetric(t, exp, `mapc_fidelity_runs_total{kind="exact_fallback"}`); v != 0 {
+		t.Errorf("fast-fidelity serving reported %v exact fallbacks", v)
 	}
-	if total := labelledMetric(t, exp, `mapc_fidelity_runs_total{kind="exact_fallback"}`); reasons != total {
-		t.Errorf("fallback reasons sum to %v, want %v", reasons, total)
+	// The scope signal is always exposed and counts a subset of the
+	// analytic runs.
+	if v := labelledMetric(t, exp, `mapc_fidelity_low_confidence_total`); v > analytic {
+		t.Errorf("%v low-confidence runs out of %v analytic", v, analytic)
+	}
+	if strings.Contains(exp, "mapc_fidelity_fallbacks_total") {
+		t.Errorf("per-reason fallback series still exposed:\n%s", exp)
 	}
 }
 

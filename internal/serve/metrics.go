@@ -62,7 +62,8 @@ type Metrics struct {
 	featStats func() simcache.Stats
 
 	// fidelityStats snapshots the generator's fidelity-tier counters
-	// (analytic co-runs, mixed-tier exact fallbacks, exact co-runs); nil
+	// (analytic and low-confidence co-runs, fast-tier exact fallbacks,
+	// exact co-runs); nil
 	// renders zeros with an "exact" tier label.
 	fidelityStats func() dataset.FidelityStats
 }
@@ -313,9 +314,10 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	// Fidelity-tier counters: which simulator answered the contended
-	// co-runs behind served features. A rising fallback count under mixed
-	// fidelity is the live signal that the analytic model's confidence is
-	// degrading on the traffic mix.
+	// co-runs behind served features. A rising low-confidence count is the
+	// live signal that the traffic mix strains the analytic model: answers
+	// under phasesum.DefaultMinConfidence (sketch boundary mass, sub-SM
+	// shares, or DRAM demand past the model's regime).
 	fid := dataset.FidelityStats{Fidelity: "exact"}
 	if m.fidelityStats != nil {
 		fid = m.fidelityStats()
@@ -327,14 +329,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		metricLine{`mapc_fidelity_runs_total{kind="analytic"}`, int64(fid.AnalyticRuns)},
 		metricLine{`mapc_fidelity_runs_total{kind="exact_fallback"}`, int64(fid.ExactFallbacks)},
 		metricLine{`mapc_fidelity_runs_total{kind="exact"}`, int64(fid.ExactRuns)},
-		// The fallback total split by the gate that bounced each run:
-		// low_confidence rises when the traffic mix strains the sketches,
-		// sub_sm_share when clients request partitions under one SM, and
-		// bandwidth_gate when aggregate DRAM demand leaves the model's
-		// regime entirely.
-		metricLine{`mapc_fidelity_fallbacks_total{reason="low_confidence"}`, int64(fid.FallbackLowConfidence)},
-		metricLine{`mapc_fidelity_fallbacks_total{reason="sub_sm_share"}`, int64(fid.FallbackSubSMShare)},
-		metricLine{`mapc_fidelity_fallbacks_total{reason="bandwidth_gate"}`, int64(fid.FallbackBandwidthGate)},
+		metricLine{`mapc_fidelity_low_confidence_total`, int64(fid.LowConfidenceRuns)},
 	)
 	for _, l := range lines {
 		var err error

@@ -99,6 +99,7 @@ func TestSeedSnapshotRejectsMismatches(t *testing.T) {
 		{"wrong width", func(sn *Snapshot) { sn.Width = width + 1 }, "does not match"},
 		{"wrong shares", func(sn *Snapshot) { sn.Shares = "0.7/0.3" }, "share profile"},
 		{"wrong fidelity", func(sn *Snapshot) { sn.Fidelity = "fast" }, "tier"},
+		{"retired mixed tier", func(sn *Snapshot) { sn.Fidelity = "mixed" }, "mixed-tier"},
 		{"empty key", func(sn *Snapshot) { sn.Entries = []SnapshotEntry{{X: make([]float64, width)}} }, "empty key"},
 		{"short vector", func(sn *Snapshot) { sn.Entries = []SnapshotEntry{{Key: "k", X: make([]float64, 3)}} }, "features"},
 	}

@@ -6,9 +6,9 @@
 // appends one labelled entry to the baseline file. With -fidelity it also
 // runs the per-tier fidelity benchmark (BenchmarkFidelityCorpus), the
 // in-process differential exactness oracle, and the k × share-skew
-// scenario suite (dataset.DefaultSkewScenarios at the mixed tier),
-// recording per-tier points/sec, the fast tier's relative-error bounds and
-// per-cell analytic coverage:
+// scenario suite (dataset.DefaultSkewScenarios at the fast tier),
+// recording per-tier points/sec and the fast tier's relative-error bounds,
+// overall and per cell:
 //
 //	go run ./scripts/benchjson -label after -out BENCH_baseline.json
 //	go run ./scripts/benchjson -label before -input old_bench.txt -out BENCH_baseline.json
@@ -20,9 +20,8 @@
 // *fidelity* figures are gated statically against the committed entry —
 // the newest entry carrying them must show fast-tier throughput at or
 // above -min-fast-points and oracle bounds at or under -max-oracle-err,
-// and the newest skew-suite entry must keep every cell's analytic
-// coverage at or above -min-skew-coverage with its sampled oracle inside
-// the same error bound:
+// and the newest skew-suite entry must keep every cell's sampled oracle
+// inside the same error bound:
 //
 //	go run ./scripts/benchjson -check BENCH_baseline.json            # default -factor 2
 //
@@ -59,15 +58,15 @@ type Entry struct {
 	Date               string  `json:"date"`
 	CorpusPointsPerSec float64 `json:"corpus_points_per_sec,omitempty"`
 	// FidelityPointsPerSec holds per-tier bag-measurement throughput from
-	// BenchmarkFidelityCorpus, keyed "exact" | "mixed" | "fast".
+	// BenchmarkFidelityCorpus, keyed "exact" | "fast".
 	FidelityPointsPerSec map[string]float64 `json:"fidelity_points_per_sec,omitempty"`
 	// Oracle holds the differential exactness oracle's error bounds for
 	// the fast tier on the paper corpus.
 	Oracle *dataset.OracleReport `json:"oracle,omitempty"`
 	// SkewSuite records the k × share-skew scenario matrix
-	// (dataset.DefaultSkewScenarios) run at the mixed tier: per-cell
-	// analytic coverage, fallback-reason counts and sampled oracle bounds.
-	// Check mode hard-gates its worst cell.
+	// (dataset.DefaultSkewScenarios) run at the fast tier: per-cell
+	// throughput, low-confidence run counts and sampled oracle bounds.
+	// Check mode hard-gates its worst cell's oracle error.
 	SkewSuite         *dataset.ScenarioReport `json:"skew_suite,omitempty"`
 	MicrobenchNsPerOp map[string]float64      `json:"microbench_ns_per_op"`
 }
@@ -91,7 +90,6 @@ func main() {
 	oracleSeed := flag.Uint64("oracle-seed", 1, "record mode with -fidelity: seed selecting the oracle's bag sample")
 	minFastPoints := flag.Float64("min-fast-points", 100, "check mode: fail when the baseline's fast-tier throughput is below this many points/sec (0 = skip the fidelity gate)")
 	maxOracleErr := flag.Float64("max-oracle-err", 0.05, "check mode: fail when the baseline's oracle max relative error exceeds this")
-	minSkewCoverage := flag.Float64("min-skew-coverage", 0.9, "check mode: fail when the baseline skew suite's worst-cell analytic coverage is below this (0 = skip the skew gate)")
 	serveCheck := flag.String("serve-check", "", "serve-check mode: BENCH_serve.json (mapc-loadgen output) to gate")
 	maxShed := flag.Float64("max-shed", 0.10, "serve-check mode: fail when any entry's shed rate exceeds this")
 	maxP99Ms := flag.Float64("max-p99-ms", 10000, "serve-check mode: fail when any entry's p99 exceeds this many ms")
@@ -105,7 +103,7 @@ func main() {
 			fatal(err)
 		}
 	case *check != "":
-		if err := runCheck(*check, *factor, *benchtime, *minFastPoints, *maxOracleErr, *minSkewCoverage); err != nil {
+		if err := runCheck(*check, *factor, *benchtime, *minFastPoints, *maxOracleErr); err != nil {
 			fatal(err)
 		}
 	case *label != "":
@@ -191,7 +189,7 @@ func runRecord(label, out, input, benchtime string, corpus, fidelity bool, oracl
 	if len(corpusVals) > 0 {
 		entry.CorpusPointsPerSec = round3(mean(corpusVals))
 	}
-	for _, tier := range []string{"exact", "mixed", "fast"} {
+	for _, tier := range []string{"exact", "fast"} {
 		if vals := points["FidelityCorpus/"+tier]; len(vals) > 0 {
 			if entry.FidelityPointsPerSec == nil {
 				entry.FidelityPointsPerSec = map[string]float64{}
@@ -227,8 +225,8 @@ func runRecord(label, out, input, benchtime string, corpus, fidelity bool, oracl
 		}
 		entry.SkewSuite = skew
 		fmt.Fprintf(os.Stderr,
-			"benchjson: skew suite (%s, %d cells): min analytic coverage %.4g, max oracle gpu err %.4g\n",
-			skew.Fidelity, len(skew.Scenarios), skew.MinAnalyticCoverage(), skew.MaxRelErrGPU())
+			"benchjson: skew suite (%s, %d cells): max oracle gpu err %.4g\n",
+			skew.Fidelity, len(skew.Scenarios), skew.MaxRelErrGPU())
 	}
 
 	base := &Baseline{}
@@ -268,7 +266,7 @@ func runOracle(frac float64, seed uint64) (dataset.OracleReport, error) {
 }
 
 // runSkewSuite generates the benchmarked k × share-skew matrix at the
-// mixed tier over a compact three-benchmark suite — small enough to record
+// fast tier over a compact three-benchmark suite — small enough to record
 // in seconds, skewed enough (minority shares down to 0.05) to exercise the
 // fractional-share closed form's whole envelope.
 func runSkewSuite(oracleFrac float64, oracleSeed uint64) (*dataset.ScenarioReport, error) {
@@ -276,7 +274,7 @@ func runSkewSuite(oracleFrac float64, oracleSeed uint64) (*dataset.ScenarioRepor
 	cfg.Benchmarks = []string{"fast", "hog", "knn"}
 	cfg.BatchSizes = []int{20, 40, 80}
 	cfg.MixedPairs = 2
-	cfg.Fidelity = phasesum.Mixed
+	cfg.Fidelity = phasesum.Fast
 	return dataset.RunScenarios(cfg, dataset.DefaultSkewScenarios(), oracleFrac, oracleSeed)
 }
 
@@ -289,7 +287,7 @@ func mean(vals []float64) float64 {
 	return sum / float64(len(vals))
 }
 
-func runCheck(path string, factor float64, benchtime string, minFastPoints, maxOracleErr, minSkewCoverage float64) error {
+func runCheck(path string, factor float64, benchtime string, minFastPoints, maxOracleErr float64) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -349,12 +347,7 @@ func runCheck(path string, factor float64, benchtime string, minFastPoints, maxO
 			return err
 		}
 	}
-	if minSkewCoverage > 0 {
-		if err := checkSkewSuite(&base, path, minSkewCoverage, maxOracleErr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return checkSkewSuite(&base, path, maxOracleErr)
 }
 
 // checkFidelity gates the committed fidelity figures: the newest entry
@@ -392,27 +385,21 @@ func checkFidelity(base *Baseline, path string, minFastPoints, maxOracleErr floa
 }
 
 // checkSkewSuite gates the committed skew-suite matrix: the newest entry
-// carrying one must keep every cell's analytic coverage at or above
-// minSkewCoverage and the worst sampled oracle error at or under
-// maxOracleErr. Like checkFidelity, the gate is static — it keeps skewed
-// and bandwidth-bound bags on the analytic tier by contract, so a model
-// change that pushes a skew cell back to exact simulation fails CI.
-func checkSkewSuite(base *Baseline, path string, minSkewCoverage, maxOracleErr float64) error {
+// carrying one must keep the worst sampled oracle error at or under
+// maxOracleErr. Like checkFidelity, the gate is static; CI's
+// fidelity-smoke job runs the same matrix live at the same bound.
+func checkSkewSuite(base *Baseline, path string, maxOracleErr float64) error {
 	for i := len(base.Entries) - 1; i >= 0; i-- {
 		e := base.Entries[i]
 		if e.SkewSuite == nil {
 			continue
 		}
-		if cov := e.SkewSuite.MinAnalyticCoverage(); cov < minSkewCoverage {
-			return fmt.Errorf("entry %q: skew-suite analytic coverage %.4g below the %.4g floor", e.Label, cov, minSkewCoverage)
-		}
 		if gpuErr := e.SkewSuite.MaxRelErrGPU(); gpuErr > maxOracleErr {
 			return fmt.Errorf("entry %q: skew-suite oracle max gpu error %.4g exceeds %.4g", e.Label, gpuErr, maxOracleErr)
 		}
 		fmt.Fprintf(os.Stderr,
-			"benchjson: ok   skew-suite entry %q: %d cells, min coverage %.4g (floor %.4g), max oracle gpu err %.4g (bound %.4g)\n",
-			e.Label, len(e.SkewSuite.Scenarios), e.SkewSuite.MinAnalyticCoverage(), minSkewCoverage,
-			e.SkewSuite.MaxRelErrGPU(), maxOracleErr)
+			"benchjson: ok   skew-suite entry %q: %d cells, max oracle gpu err %.4g (bound %.4g)\n",
+			e.Label, len(e.SkewSuite.Scenarios), e.SkewSuite.MaxRelErrGPU(), maxOracleErr)
 		return nil
 	}
 	return fmt.Errorf("%s has no entry with a skew suite — record one with -label <x> -fidelity", path)
