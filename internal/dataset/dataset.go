@@ -117,12 +117,14 @@ type Config struct {
 	// The paper replicates in arbitrary order; canonical ordering is an
 	// extension studied in the ablation benches.
 	CanonicalOrder bool
-	// Workers bounds the measurement engine's goroutine pool: how many
-	// simulator runs Generate executes concurrently. 0 (the zero value)
+	// Workers bounds the measurement engine's goroutine pools: how many
+	// bags Generate measures concurrently, and how many of one bag's
+	// members are measured concurrently (so a Generate runs up to
+	// Workers × Workers measurement goroutines). 0 (the zero value)
 	// selects runtime.NumCPU(); 1 is the exact legacy serial path.
 	// Corpus contents and ordering are bit-for-bit identical for every
-	// worker count — results are written by bag index and every
-	// simulator RNG is seeded per member, never shared across
+	// worker count — results are written by bag and member index and
+	// every simulator RNG is seeded per member, never shared across
 	// goroutines.
 	Workers int
 	// Benchmarks optionally restricts generation to a subset of the
@@ -223,8 +225,11 @@ type measurement struct {
 }
 
 // onceTable is a never-evicted singleflight map: the first get of a key
-// runs compute exactly once, and every concurrent or later get of that key
-// waits for and shares its result.
+// runs compute, and every concurrent or later get of that key waits for
+// and shares its result, errors included. A compute that panics publishes
+// nothing: its entry is dropped and the panic continues up the computing
+// caller's stack, and every waiter retries, so the next get recomputes
+// and no key is ever served the zero value.
 type onceTable[K comparable, V any] struct {
 	mu   sync.Mutex // guards m's structure only
 	m    map[K]*onceEntry[V]
@@ -235,24 +240,39 @@ type onceEntry[V any] struct {
 	once sync.Once
 	v    V
 	err  error
+	// panicked reports that compute did not return; v and err are unset.
+	panicked bool
 }
 
 func (t *onceTable[K, V]) get(k K, compute func() (V, error)) (V, error) {
-	t.mu.Lock()
-	e, ok := t.m[k]
-	if !ok {
-		if t.m == nil {
-			t.m = map[K]*onceEntry[V]{}
+	for {
+		t.mu.Lock()
+		e, ok := t.m[k]
+		if !ok {
+			if t.m == nil {
+				t.m = map[K]*onceEntry[V]{}
+			}
+			e = &onceEntry[V]{}
+			t.m[k] = e
 		}
-		e = &onceEntry[V]{}
-		t.m[k] = e
+		t.mu.Unlock()
+		e.once.Do(func() {
+			t.runs.Add(1)
+			e.panicked = true
+			defer func() {
+				if e.panicked {
+					t.mu.Lock()
+					delete(t.m, k)
+					t.mu.Unlock()
+				}
+			}()
+			e.v, e.err = compute()
+			e.panicked = false
+		})
+		if !e.panicked {
+			return e.v, e.err
+		}
 	}
-	t.mu.Unlock()
-	e.once.Do(func() {
-		t.runs.Add(1)
-		e.v, e.err = compute()
-	})
-	return e.v, e.err
 }
 
 // sampleKey identifies one sampled instrumented run. Every batch of a
@@ -277,8 +297,10 @@ type Generator struct {
 	memo *simcache.Cache
 
 	// fault is the chaos-testing hook (nil in production): fired once per
-	// bag at FaultSitePoint before the bag is measured.
-	fault faultinject.Injector
+	// bag at FaultSitePoint before the bag is measured, and once per
+	// member measurement at FaultSiteMeasure, indexed by measureCalls.
+	fault        faultinject.Injector
+	measureCalls atomic.Int64
 
 	// Fidelity-tier counters (atomic): how many contended co-runs the
 	// analytic model answered (and how many of those under
@@ -428,8 +450,10 @@ func (g *Generator) SimCacheDomainBytes() map[string]int64 {
 }
 
 // SetFaultInjector installs a chaos-testing hook fired once per bag index
-// at FaultSitePoint before the bag is measured. Production code never
-// calls this; the nil default costs one pointer check per bag.
+// at FaultSitePoint before the bag is measured, and at FaultSiteMeasure
+// before each member measurement. Production code never calls this; the
+// nil default costs one pointer check per bag and one atomic add per
+// member measured.
 func (g *Generator) SetFaultInjector(h faultinject.Injector) { g.fault = h }
 
 // measure returns the memoized isolated measurement for member m, computing
@@ -443,6 +467,9 @@ func (g *Generator) measure(m Member) (*measurement, error) {
 // vision RNG is seeded per sample from the config seed, so concurrent
 // measurements never share generator state.
 func (g *Generator) runMeasurement(m Member) (*measurement, error) {
+	if err := faultinject.Fire(g.fault, FaultSiteMeasure, int(g.measureCalls.Add(1)-1)); err != nil {
+		return nil, err
+	}
 	b, err := vision.ByName(m.Benchmark)
 	if err != nil {
 		return nil, err
@@ -505,8 +532,13 @@ type bagMember struct {
 	mm     *measurement
 }
 
-// measureBag resolves every member's memoized isolated measurement and
-// applies the canonical ordering. With Config.CanonicalOrder the members
+// measureBag resolves every member's memoized isolated measurement, up to
+// Config.Workers members at once, and applies the canonical ordering. A
+// measurement is pure in its member, so the fan-out changes no output; a
+// failing bag reports its first failing member in bag order, as a serial
+// loop would. A panic while measuring a member is re-raised, so a pool
+// running this bag reports it at the bag's index. With
+// Config.CanonicalOrder the members
 // are sorted heavier-first by isolated CPU time, ties broken by
 // (Benchmark, Batch) — a strict total order, which is what makes bag
 // features permutation-invariant: every ordering of the same multiset of
@@ -521,12 +553,20 @@ func (g *Generator) measureBag(bag []Member) ([]bagMember, error) {
 		return nil, fmt.Errorf("dataset: bag of %d members exceeds the supported maximum of %d", len(bag), features.MaxApps)
 	}
 	ms := make([]bagMember, len(bag))
-	for i, m := range bag {
-		mm, err := g.measure(m)
+	err := parallel.ForEach(g.cfg.Workers, len(bag), func(i int) error {
+		mm, err := g.measure(bag[i])
 		if err != nil {
-			return nil, fmt.Errorf("dataset: %v: %w", m, err)
+			return fmt.Errorf("dataset: %v: %w", bag[i], err)
 		}
-		ms[i] = bagMember{member: m, mm: mm}
+		ms[i] = bagMember{member: bag[i], mm: mm}
+		return nil
+	})
+	var pe *parallel.PanicError
+	if errors.As(err, &pe) {
+		panic(pe)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if g.cfg.CanonicalOrder {
 		sort.SliceStable(ms, func(i, j int) bool {

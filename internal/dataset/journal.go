@@ -48,6 +48,12 @@ const (
 	// FaultSitePoint is the faultinject site fired once per bag index
 	// before it is measured (Generator.SetFaultInjector).
 	FaultSitePoint = "dataset.point"
+	// FaultSiteMeasure is the faultinject site fired before each member
+	// measurement the generator computes (never on a table hit), with
+	// the generator's measurement ordinal as index. A KindError fault
+	// here fails that member for the generator's lifetime, like any
+	// measurement error.
+	FaultSiteMeasure = "dataset.measure"
 	// FaultSiteJournalAppend is the faultinject site fired once per
 	// journal append, with the append ordinal as index
 	// (Journal.SetFaultInjector). A KindTornWrite fault here truncates

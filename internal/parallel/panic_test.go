@@ -125,6 +125,38 @@ func TestForEachSerialPanicStopsImmediately(t *testing.T) {
 	}
 }
 
+// TestForEachNestedPanicKeepsOuterIndex: a task that re-raises a nested
+// pool's *PanicError is reported at its own index, with the nested
+// panic's value and the stack of the frames that panicked.
+func TestForEachNestedPanicKeepsOuterIndex(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		err := ForEach(workers, 8, func(i int) error {
+			if i != 5 {
+				return nil
+			}
+			inner := ForEach(workers, 3, panicAt(1, -1, nil))
+			var pe *PanicError
+			if errors.As(inner, &pe) {
+				panic(pe)
+			}
+			return inner
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: got %T (%v), want *PanicError", workers, err, err)
+		}
+		if pe.Index != 5 {
+			t.Errorf("workers=%d: PanicError.Index = %d, want the outer index 5", workers, pe.Index)
+		}
+		if got := fmt.Sprint(pe.Value); got != "boom-1" {
+			t.Errorf("workers=%d: PanicError.Value = %q, want the nested value boom-1", workers, got)
+		}
+		if !strings.Contains(string(pe.Stack), "panicAt") {
+			t.Errorf("workers=%d: stack lost the panicking frames:\n%s", workers, pe.Stack)
+		}
+	}
+}
+
 // TestPanicErrorUnwrap: error panic values unwrap so errors.Is sees through
 // the recovery; non-error values unwrap to nil.
 func TestPanicErrorUnwrap(t *testing.T) {

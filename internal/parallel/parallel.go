@@ -50,10 +50,17 @@ func (e *PanicError) Unwrap() error {
 
 // call invokes fn(i), converting a panic into a *PanicError. This is the
 // single recovery point for both the serial and pooled paths, so the two
-// return identical errors for the same panic.
+// return identical errors for the same panic. A task that re-raises a
+// nested pool's *PanicError is reported at its own index with the nested
+// panic's value and stack, so the frames that panicked are not replaced
+// by the re-raise site.
 func call(fn func(i int) error, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			if nested, ok := r.(*PanicError); ok {
+				err = &PanicError{Index: i, Value: nested.Value, Stack: nested.Stack}
+				return
+			}
 			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
 		}
 	}()
@@ -88,7 +95,9 @@ var failHook func()
 //   - A panic inside fn(i) is contained: it is recovered into a
 //     *PanicError carrying the index, value and stack, and participates in
 //     the lowest-index-error rule exactly like a returned error. The pool
-//     never lets one crashing task kill the process. Non-panicking runs are
+//     never lets one crashing task kill the process. A task that runs a
+//     nested ForEach re-raises its *PanicError (panic(pe)) to have the
+//     panic reported at the outer index. Non-panicking runs are
 //     bit-identical to the pre-recovery implementation (the recovery is a
 //     deferred no-op on the success path).
 //

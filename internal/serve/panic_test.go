@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mapc/internal/dataset"
+	"mapc/internal/faultinject"
 	"mapc/internal/phasesum"
 )
 
@@ -162,6 +163,45 @@ func TestFullHandlerCachePanicComputesFreshOnRetry(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want exactly 2", calls)
+	}
+}
+
+// TestMemberMeasurePanicReturns500: a panic while the generator measures
+// one member of a bag (inside the bag's member pool) still answers a
+// counted 500, and the member is not poisoned: the retry measures it
+// fresh and succeeds.
+func TestMemberMeasurePanicReturns500(t *testing.T) {
+	fixGen, mod := fixture(t)
+	gen, err := dataset.NewGenerator(fixGen.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.SetFaultInjector(faultinject.New(faultinject.Plan{Faults: []faultinject.Fault{
+		{Site: dataset.FaultSiteMeasure, Index: faultinject.AnyIndex, Kind: faultinject.KindPanic, Once: true},
+	}}))
+	s, err := New(Config{Model: mod, Generator: gen, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+
+	rr := doJSON(t, h, http.MethodPost, "/v1/predict", predictBody)
+	if rr.Code != http.StatusInternalServerError {
+		t.Fatalf("member panic answered %d, want 500 (body %s)", rr.Code, rr.Body)
+	}
+	if strings.Contains(rr.Body.String(), "goroutine") {
+		t.Errorf("stack leaked to the client: %s", rr.Body)
+	}
+	if got := s.Metrics().PanicsTotal(); got != 1 {
+		t.Fatalf("mapc_serve_panics_total = %d after one member panic, want 1", got)
+	}
+
+	rr = doJSON(t, h, http.MethodPost, "/v1/predict", predictBody)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("retry answered %d: %s", rr.Code, rr.Body)
+	}
+	if got := s.Metrics().PanicsTotal(); got != 1 {
+		t.Errorf("panic counter moved to %d on the retry", got)
 	}
 }
 

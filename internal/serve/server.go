@@ -82,8 +82,11 @@ type Config struct {
 	// RequestTimeout is the per-request deadline (504 on expiry). 0 means
 	// DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// Workers sizes the per-request measurement fan-out (parallel.ForEach
-	// semantics: 0 = NumCPU, 1 = serial).
+	// Workers sizes the per-request fan-out over a request's bags
+	// (parallel.ForEach semantics: 0 = NumCPU, 1 = serial). Each cold
+	// bag also measures its members concurrently under the generator's
+	// dataset.Config.Workers, so a request can run up to Workers ×
+	// generator Workers measurement goroutines.
 	Workers int
 	// FeatureCacheMB bounds the cross-request feature cache in MiB; the
 	// least-recently-used bags are evicted past it (an eviction costs
