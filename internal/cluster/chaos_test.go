@@ -152,12 +152,23 @@ func TestRouterChaosBlackholedReplica(t *testing.T) {
 	}}}
 	rt, tr := chaosRouter(t, []string{tsA.URL, tsB.URL}, plan, nil)
 	h := rt.Handler()
+	// Chosen before any traffic: Route moves an ejected replica last.
+	darkFirst := bagRoutedFirstTo(t, rt.pool, tsB.URL)
 
 	_, bodies := fixturePairs()
 	for i, body := range bodies {
 		rr := post(t, h, body)
 		if rr.Code != http.StatusOK {
 			t.Fatalf("request %d answered %d with one replica black-holed: %s", i, rr.Code, rr.Body)
+		}
+	}
+	// The ring places the replicas by their random ports, so the mix may
+	// aim fewer than FailAfter first attempts at the dark replica. Aim
+	// FailAfter more there: each times out and counts against it (or,
+	// once the breaker is open, goes straight to the live replica).
+	for i := 0; i < rt.pool.cfg.FailAfter; i++ {
+		if rr := post(t, h, darkFirst); rr.Code != http.StatusOK {
+			t.Fatalf("dark-first request %d answered %d: %s", i, rr.Code, rr.Body)
 		}
 	}
 	if got := rt.pool.BreakerState(tsB.URL); got != "open" {

@@ -228,6 +228,27 @@ func TestMeasurePointDeterministic(t *testing.T) {
 	}
 }
 
+// TestBagFeaturesPublishesNoGPUStream: serve's feature path runs each
+// member's isolated GPU simulation but never a GPU co-run, so on a fresh
+// generator it leaves isolated "gpusim/iso" results in the memo and no
+// "gpusim/stream" reference streams, which only a co-run would re-read.
+func TestBagFeaturesPublishesNoGPUStream(t *testing.T) {
+	gen, err := NewGenerator(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := gen.BagFeatures([]Member{{Benchmark: "sift", Batch: 20}, {Benchmark: "knn", Batch: 20}}); err != nil {
+		t.Fatal(err)
+	}
+	domains := gen.SimCacheDomainBytes()
+	if _, ok := domains["gpusim/stream"]; ok {
+		t.Errorf("BagFeatures published gpusim/stream entries: %v", domains)
+	}
+	if domains["gpusim/iso"] == 0 {
+		t.Errorf("BagFeatures published no gpusim/iso entry; the fixture no longer runs the GPU: %v", domains)
+	}
+}
+
 func TestFeaturesForMatchesMeasurePoint(t *testing.T) {
 	gen, err := NewGenerator(DefaultConfig())
 	if err != nil {

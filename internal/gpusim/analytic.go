@@ -1,8 +1,6 @@
 package gpusim
 
 import (
-	"sync"
-
 	"mapc/internal/memsim"
 	"mapc/internal/phasesum"
 	"mapc/internal/simcache"
@@ -22,28 +20,16 @@ import (
 // configurations.
 const memoDomainSum = "gpusim/sum"
 
-// scratchPool holds summarizeStream's transient stream copies. Pooled
-// because corpus generation sketches thousands of streams, potentially
-// from concurrent measurement workers.
-var scratchPool = sync.Pool{New: func() any { return new([]uint64) }}
-
 // summarizeStream sketches client w's stream for slot ai from a transient
-// copy: the stream is materialized into a pooled scratch arena, sketched,
-// and dropped. The fast tier reads each stream exactly once, so publishing
-// it to the "gpusim/stream" memo (8 bytes per sampled reference) would
-// only crowd out entries that are read again.
+// copy (withScratchStream): the fast tier reads each stream exactly once,
+// so only the sketch is worth publishing.
 func summarizeStream(w *trace.Workload, ai int) (phasesum.Summary, error) {
-	buf := scratchPool.Get().(*[]uint64)
-	defer scratchPool.Put(buf)
-	n := sampleCount(w)
-	if cap(*buf) < n {
-		*buf = make([]uint64, n)
-	}
-	se, err := materializeStream(w, ai, (*buf)[:n])
-	if err != nil {
-		return phasesum.Summary{}, err
-	}
-	return phasesum.Summarize(se.addrs, se.ends), nil
+	var sum phasesum.Summary
+	err := withScratchStream(w, ai, func(se streamEntry) error {
+		sum = phasesum.Summarize(se.addrs, se.ends)
+		return nil
+	})
+	return sum, err
 }
 
 // streamSummaryFor returns the memoized reuse sketch of client w's stream

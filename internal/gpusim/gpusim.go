@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"mapc/internal/isa"
 	"mapc/internal/memsim"
@@ -214,10 +215,13 @@ func RunMemo(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([]R
 // equal split re-divides among survivors.
 //
 // memo caches the pure prefixes of the memory simulation — the
-// materialized per-slot reference streams ("gpusim/stream",
-// config-independent) and entire single-client simulations ("gpusim/iso")
-// — so repeated runs over the same workloads replay only the genuinely
-// shared TLB/L2 interleave. Outputs are bit-identical at every memo budget,
+// materialized per-slot reference streams of exact multi-client co-runs
+// ("gpusim/stream", config-independent) and entire single-client
+// simulations ("gpusim/iso") — so repeated runs over the same workloads
+// replay only the genuinely shared TLB/L2 interleave. A single-client run
+// publishes no stream: it replays its one stream from pooled scratch, so
+// only a co-run's streams, which later co-runs re-read, take memo space.
+// Outputs are bit-identical at every memo budget,
 // including nil, which runs the same lookups and retains nothing: cached
 // values are exactly what their compute functions return, and entries are
 // immutable once published.
@@ -648,31 +652,83 @@ func materializeStream(w *trace.Workload, ai int, addrs []uint64) (streamEntry, 
 	return streamEntry{addrs: addrs[:pos], ends: ends}, nil
 }
 
+// scratchPool holds the transient stream copies of withScratchStream.
+// Pooled because corpus generation and serve materialize thousands of
+// single-use streams, potentially from concurrent measurement workers.
+var scratchPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// withScratchStream materializes client w's stream for slot ai into a
+// pooled scratch arena, hands it to use, and returns the arena to the pool.
+// For streams read exactly once: publishing them to the "gpusim/stream"
+// memo (8 bytes per sampled reference) would only crowd out entries that
+// are read again. use must not retain se.addrs past its return.
+func withScratchStream(w *trace.Workload, ai int, use func(se streamEntry) error) error {
+	buf := scratchPool.Get().(*[]uint64)
+	defer scratchPool.Put(buf)
+	n := sampleCount(w)
+	if cap(*buf) < n {
+		*buf = make([]uint64, n)
+	}
+	se, err := materializeStream(w, ai, (*buf)[:n])
+	if err != nil {
+		return err
+	}
+	return use(se)
+}
+
 // simulateMemory interleaves every client's sampled reference stream into
 // the shared L2 and shared TLB, with periodic TLB flushes when more than
 // one client is resident.
 //
-// Single-client calls are one "gpusim/iso" lookup; multi-client calls
-// look up each client's materialized stream (each phase generated through
-// one batched Stream.Fill into an exact-capacity slice) and replay only
-// the genuinely shared TLB/L2 interleave. A nil memo runs the same
-// lookups, each computing its value and retaining nothing.
+// Single-client calls are one "gpusim/iso" lookup whose miss replays the
+// lone stream from pooled scratch and publishes no stream: serve and the
+// fast tier never read it again, and an exact co-run that needs the same
+// slot-0 stream generates and publishes its own. Multi-client calls look
+// up each client's memoized stream (each phase generated through one
+// batched Stream.Fill into an exact-capacity slice) and replay only the
+// genuinely shared TLB/L2 interleave. A nil memo runs the same lookups,
+// each computing its value and retaining nothing.
 func simulateMemory(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
 	if len(workloads) != 1 {
 		return simulateMemoryShared(cfg, memo, workloads)
 	}
 	key := simcache.Key{Domain: memoDomainIso, Config: configKey(cfg), Workload: workloads[0].Fingerprint()}
 	ir, _, err := simcache.GetOrCompute(memo, key, func() (isoResult, int64, error) {
-		mem, l2s, tlbs, err := simulateMemoryShared(cfg, memo, workloads)
-		ir := isoResult{mem: mem, l2Stats: l2s, tlbStats: tlbs}
+		// interleave's outputs are fresh per-phase ratios and counters, so
+		// the published isoResult never aliases the scratch arena.
+		var ir isoResult
+		err := withScratchStream(workloads[0], 0, func(se streamEntry) error {
+			var err error
+			ir.mem, ir.l2Stats, ir.tlbStats, err = interleave(cfg, workloads, []streamEntry{se})
+			return err
+		})
 		return ir, ir.bytes(), err
 	})
 	return ir.mem, ir.l2Stats, ir.tlbStats, err
 }
 
-// simulateMemoryShared is the full memory simulation: each client's
-// "gpusim/stream" lookup followed by the shared TLB/L2 interleave.
+// simulateMemoryShared is the multi-client memory simulation: each
+// client's "gpusim/stream" lookup followed by the shared TLB/L2 interleave.
 func simulateMemoryShared(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
+	entries := make([]streamEntry, len(workloads))
+	for ai, w := range workloads {
+		key := simcache.Key{Domain: memoDomainStream, Workload: w.Fingerprint(), Slot: ai}
+		se, _, err := simcache.GetOrCompute(memo, key, func() (streamEntry, int64, error) {
+			se, err := materializeStream(w, ai, make([]uint64, sampleCount(w)))
+			return se, se.bytes(), err
+		})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		entries[ai] = se
+	}
+	return interleave(cfg, workloads, entries)
+}
+
+// interleave replays the clients' materialized streams (entries[ai] is
+// client ai's) through the shared TLB and shared L2. It only reads the
+// entries, and its outputs share no memory with them.
+func interleave(cfg Config, workloads []*trace.Workload, entries []streamEntry) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
 	n := len(workloads)
 	l2, err := memsim.NewCache("gpul2", cfg.L2Bytes, cfg.L2Ways, n)
 	if err != nil {
@@ -688,15 +744,7 @@ func simulateMemoryShared(cfg Config, memo *simcache.Cache, workloads []*trace.W
 	ends := make([][]int, n)
 	for ai, w := range workloads {
 		mem[ai] = make([]phaseMem, len(w.Phases))
-		key := simcache.Key{Domain: memoDomainStream, Workload: w.Fingerprint(), Slot: ai}
-		se, _, err := simcache.GetOrCompute(memo, key, func() (streamEntry, int64, error) {
-			se, err := materializeStream(w, ai, make([]uint64, sampleCount(w)))
-			return se, se.bytes(), err
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		streams[ai], ends[ai] = se.addrs, se.ends
+		streams[ai], ends[ai] = entries[ai].addrs, entries[ai].ends
 	}
 
 	// Interleave all clients proportionally; every reference consults the

@@ -64,3 +64,88 @@ func TestMemoizedRunsAreBitIdentical(t *testing.T) {
 		})
 	}
 }
+
+// streamEntries counts the memo's "gpusim/stream" entries.
+func streamEntries(memo *simcache.Cache) int {
+	n := 0
+	memo.Items(func(key simcache.Key, _ any, _ int64) bool {
+		if key.Domain == memoDomainStream {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
+// TestIsolatedRunPublishesNoStream pins the memo's publication rule: an
+// isolated run publishes its whole-run "gpusim/iso" entry and no
+// "gpusim/stream" entry (it replays its one stream from pooled scratch),
+// and its results are bit-identical to the memo-off run — also when read
+// back after other isolated runs have reused the scratch arena.
+func TestIsolatedRunPublishesNoStream(t *testing.T) {
+	cfg := DefaultConfig()
+	pool := []*trace.Workload{memKernel("a"), computeKernel("b"), memKernel("c")}
+	memo := simcache.MustNew(64 << 20)
+	cold := make([][]Result, len(pool))
+	for i, w := range pool {
+		var err error
+		if cold[i], err = RunMemo(cfg, nil, []*trace.Workload{w}); err != nil {
+			t.Fatal(err)
+		}
+		warm, err := RunMemo(cfg, memo, []*trace.Workload{w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cold[i], warm) {
+			t.Fatalf("%s: memoized isolated run diverges from the memo-off run\ncold: %+v\nwarm: %+v", w.Benchmark, cold[i], warm)
+		}
+		key := simcache.Key{Domain: memoDomainIso, Config: configKey(cfg), Workload: w.Fingerprint()}
+		if _, ok := memo.Peek(key); !ok {
+			t.Errorf("%s: isolated run published no %s entry", w.Benchmark, memoDomainIso)
+		}
+	}
+	if n := streamEntries(memo); n != 0 {
+		t.Errorf("isolated runs published %d %s entries, want 0", n, memoDomainStream)
+	}
+	for i, w := range pool {
+		hit, err := RunMemo(cfg, memo, []*trace.Workload{w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cold[i], hit) {
+			t.Errorf("%s: memo-hit isolated run diverges after scratch reuse", w.Benchmark)
+		}
+	}
+}
+
+// TestCoRunAfterIsolatedRunIsBitIdentical: an exact two-client co-run
+// after its members' isolated runs generates its own streams (the
+// isolated runs left none behind), publishes one per client, and answers
+// bit-identically to the same co-run on a fresh memo.
+func TestCoRunAfterIsolatedRunIsBitIdentical(t *testing.T) {
+	cfg := DefaultConfig()
+	ws := []*trace.Workload{memKernel("a"), memKernel("c")}
+	memo := simcache.MustNew(64 << 20)
+	for _, w := range ws {
+		if _, err := RunMemo(cfg, memo, []*trace.Workload{w}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := streamEntries(memo); n != 0 {
+		t.Fatalf("isolated runs left %d %s entries for the co-run to reuse, want 0", n, memoDomainStream)
+	}
+	got, err := RunMemo(cfg, memo, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunMemo(cfg, simcache.MustNew(64<<20), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("co-run after isolated runs diverges from a fresh-memo co-run\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if n := streamEntries(memo); n != len(ws) {
+		t.Errorf("co-run published %d %s entries, want one per client (%d)", n, memoDomainStream, len(ws))
+	}
+}

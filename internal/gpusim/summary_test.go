@@ -34,10 +34,11 @@ func TestStreamSummaryPublishesOnlyTheSummary(t *testing.T) {
 			t.Errorf("slot %d: memo holds %d entries after one summary, want 1", ai, memo.Len())
 		}
 
-		// The exact path memoizes every client's stream: run ai+1 clients
-		// so slot ai is one of them.
+		// The exact path memoizes every co-run client's stream (an
+		// isolated run publishes none): run max(ai+1, 2) clients so slot
+		// ai is one of them.
 		exact := simcache.MustNew(64 << 20)
-		ws := make([]*trace.Workload, ai+1)
+		ws := make([]*trace.Workload, max(ai+1, 2))
 		for i := range ws {
 			ws[i] = w
 		}
