@@ -1,15 +1,21 @@
 // Package cpusim models the paper's multicore CPU server (Table III: 2x
 // Intel Xeon Gold 5118, 24 physical cores, 128 GB): out-of-order cores with
-// per-category issue ports, private L1/L2 caches, a shared last-level cache,
-// and finite DRAM bandwidth. It executes trace.Workloads — alone or
-// co-scheduled — and reports execution time and IPC, from which the perfmon
-// package derives the fairness feature.
+// per-category issue ports, private L1/L2 caches and finite DRAM
+// bandwidth. It executes trace.Workloads — alone or co-scheduled — and
+// reports execution time and IPC, from which the perfmon package derives
+// the fairness feature.
 //
 // The model is a port-pressure + memory-hierarchy simulator: per phase, the
 // compute bound is the max of total-issue and per-port cycles, the memory
-// bound comes from simulating a sampled synthetic address stream through
-// the cache hierarchy (the LLC genuinely shared between co-runners), and
-// DRAM bandwidth is apportioned between applications by demand.
+// bound comes from replaying a sampled synthetic address stream through
+// each app's private L1/L2, and DRAM bandwidth is apportioned between
+// applications by demand. Co-runners interfere through the core share and
+// the DRAM bandwidth share only. The shared LLC is not modelled: no
+// workload's sampled L2-miss stream ever repeats a line (every phase
+// footprint fits the private L2, and phases and slots use disjoint address
+// ranges), so an LLC of any capacity would see only compulsory misses and
+// every L2 miss goes to DRAM. TestL2MissStreamsNeverRepeatALine pins that
+// scope on the benchmark registry.
 package cpusim
 
 import (
@@ -42,12 +48,10 @@ type Config struct {
 	L1Ways  int
 	L2Bytes int64 // private L2 capacity
 	L2Ways  int
-	LLCytes int64 // shared LLC capacity
-	LLCWays int
 
 	L2LatencyCycles  float64 // L1 miss, L2 hit
-	LLCLatencyCycles float64 // L2 miss, LLC hit
-	DRAMLatency      float64 // LLC miss, in cycles
+	LLCLatencyCycles float64 // L2 miss: the LLC lookup on the way to DRAM
+	DRAMLatency      float64 // L2 miss, in cycles
 	DRAMBandwidth    float64 // bytes/second shared by all cores
 	MLP              float64 // overlapped outstanding misses per thread
 
@@ -62,8 +66,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the Table-III-equivalent machine: 24 cores with SMT,
-// 2.3 GHz, 32 KB/1 MB private caches, a 32 MB shared LLC and ~100 GB/s of
-// DRAM bandwidth (per-socket share of the 2-socket machine).
+// 2.3 GHz, 32 KiB/1 MiB private caches and 25 GB/s of DRAM bandwidth.
 func DefaultConfig() Config {
 	var tput [isa.NumCategories]float64
 	tput[isa.SSE] = 2     // two vector ports
@@ -85,8 +88,6 @@ func DefaultConfig() Config {
 		L1Ways:           8,
 		L2Bytes:          1 << 20,
 		L2Ways:           16,
-		LLCytes:          16 << 20,
-		LLCWays:          11,
 		L2LatencyCycles:  14,
 		LLCLatencyCycles: 44,
 		DRAMLatency:      220,
@@ -105,7 +106,7 @@ func (c *Config) Validate() error {
 		return errors.New("cpusim: frequency must be positive")
 	case c.IssueWidth <= 0:
 		return errors.New("cpusim: issue width must be positive")
-	case c.L1Bytes <= 0 || c.L2Bytes <= 0 || c.LLCytes <= 0:
+	case c.L1Bytes <= 0 || c.L2Bytes <= 0:
 		return errors.New("cpusim: cache capacities must be positive")
 	case c.DRAMBandwidth <= 0:
 		return errors.New("cpusim: DRAM bandwidth must be positive")
@@ -143,8 +144,6 @@ type Result struct {
 	Instructions uint64
 	// IPC is aggregate instructions per wall-clock cycle (all threads).
 	IPC float64
-	// LLCMissRate is the fraction of this app's LLC accesses that missed.
-	LLCMissRate float64
 	// DRAMBytes is the total traffic this app drove to memory.
 	DRAMBytes float64
 }
@@ -159,10 +158,8 @@ func (r Result) Performance() float64 {
 
 // phaseMem captures one phase's simulated memory behaviour.
 type phaseMem struct {
-	l1Miss   float64 // per reference
-	l2Miss   float64 // per reference (of refs, not of L1 misses)
-	llcMiss  float64 // per reference
-	llcMissN uint64
+	l1Miss float64 // per reference
+	l2Miss float64 // per reference (of refs, not of L1 misses)
 }
 
 // RunMemo simulates the co-scheduled execution of apps at exact fidelity
@@ -173,53 +170,46 @@ func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 	return res, err
 }
 
-// RunMemoFidelity is the simulator's tiered entry: the co-run of apps at
-// fidelity fid, memoized in memo. Like a real co-run, the execution is
-// phased (phasesum.Run): all apps contend while co-resident, and each
-// app's exit releases its cores, cache share and bandwidth to the
-// survivors. Reported times are completion times and IPC is lifetime IPC
-// — what Linux perf attached to each process measures.
-// Exact fidelity (and every single-app run) evaluates each step with
-// runSteady; fast uses runSteadyAnalytic and reports its confidence in
-// the returned RunKind. Every workload is strictly read-only (see
+// RunMemoFidelity is the simulator's tiered entry: the co-run of apps,
+// memoized in memo. Like a real co-run, the execution is phased
+// (phasesum.Run): all apps contend while co-resident, and each app's exit
+// releases its cores and bandwidth to the survivors. Reported times are
+// completion times and IPC is lifetime IPC — what Linux perf attached to
+// each process measures. Every workload is strictly read-only (see
 // App.Workload), so callers may share cached workloads across concurrent
 // runs.
 //
-// memo caches the pure simulation prefixes. Two pieces of simulateMemory
-// are pure functions of (cfg, workload, slot):
+// The CPU co-run is one closed form over each app's private miss ratios
+// (core share plus DRAM bandwidth share), exact at every tier: fid only
+// labels the answer. At the fast tier runSteady is handed to phasesum.Run
+// as the analytic evaluator too, with confidence 1, so the fidelity
+// counters read as they do for the GPU.
 //
-//   - the per-app private phase — stream generation, the L1/L2 replay with
-//     the stride prefetcher, the per-phase l1/l2 miss ratios and the
-//     LLC-bound miss list — which never observes the co-runner (seeds and
-//     address bases are slot-derived, and each replay gets fresh private
-//     caches);
-//   - for single-app runs, the entire memory simulation including the LLC
-//     replay (one client, so nothing is shared).
-//
-// Shared structures (the LLC with more than one client, DRAM bandwidth
-// apportioning, the phased completion schedule) are always recomputed per
-// call. Outputs are bit-identical for every memo budget, including under
-// eviction pressure: cached entries are immutable and hold exactly what
-// their compute functions return. A nil memo runs the same lookups and
-// retains nothing.
+// memo caches each app's private replay (privFor), a pure function of
+// (cfg, workload, slot): the stream seeds and address bases are
+// slot-derived, and each replay gets fresh private caches. Core and
+// bandwidth apportioning and the phased completion schedule are always
+// recomputed. Outputs are bit-identical for every memo budget, including
+// under eviction pressure: cached entries are immutable and hold exactly
+// what their compute functions return. A nil memo runs the same lookups
+// and retains nothing.
 func RunMemoFidelity(cfg Config, memo *simcache.Cache, apps []App, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
 	if err := validateApps(cfg, apps); err != nil {
 		return nil, phasesum.RunKind{}, err
 	}
-	sub := func(active []int) []App {
-		s := make([]App, len(active))
+	steady := func(active []int) ([]Result, error) {
+		sub := make([]App, len(active))
 		for k, ai := range active {
-			s[k] = apps[ai]
+			sub[k] = apps[ai]
 		}
-		return s
+		return runSteady(cfg, memo, sub)
 	}
 	return phasesum.Run(fid, phasesum.CoRun[Result]{
-		N: len(apps),
-		Exact: func(active []int) ([]Result, error) {
-			return runSteady(cfg, memo, sub(active))
-		},
+		N:     len(apps),
+		Exact: steady,
 		Analytic: func(active []int) ([]Result, float64, error) {
-			return runSteadyAnalytic(cfg, memo, sub(active))
+			r, err := steady(active)
+			return r, 1, err
 		},
 		Time: func(r Result) float64 { return r.TimeSec },
 		Finish: func(r Result, t float64) Result {
@@ -254,26 +244,15 @@ func validateApps(cfg Config, apps []App) error {
 	return nil
 }
 
-// runSteady computes per-app times assuming all apps stay co-resident.
-// mem is treated as read-only here: for memoized single-app runs it aliases
-// an immutable cache entry.
+// runSteady computes per-app times assuming all apps stay co-resident:
+// core allocation, the two-pass bandwidth apportioning, and result
+// assembly over each app's memoized per-phase memory behaviour, which is
+// read-only here because it aliases immutable cache entries.
 func runSteady(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
-	mem, llcStats, err := simulateMemory(cfg, memo, apps)
+	mem, err := simulateMemory(cfg, memo, apps)
 	if err != nil {
 		return nil, err
 	}
-	llcRates := make([]float64, len(apps))
-	for i := range llcStats {
-		llcRates[i] = llcStats[i].MissRate()
-	}
-	return steadyFromMem(cfg, apps, mem, llcRates), nil
-}
-
-// steadyFromMem is the timing tail of runSteady: core allocation, the
-// two-pass bandwidth apportioning, and result assembly, given the
-// per-phase memory behaviour (exact or analytic) and the per-app LLC miss
-// ratios to report. Shared by the exact and analytic steady evaluators.
-func steadyFromMem(cfg Config, apps []App, mem [][]phaseMem, llcRates []float64) []Result {
 	coreScale := coreScaleOf(cfg, apps)
 
 	// Pass 1: compute-and-latency-bound times, ignoring bandwidth.
@@ -295,13 +274,12 @@ func steadyFromMem(cfg Config, apps []App, mem [][]phaseMem, llcRates []float64)
 			Cycles:       cycles,
 			Instructions: w.Instructions(),
 			DRAMBytes:    bytes,
-			LLCMissRate:  llcRates[i],
 		}
 		if cycles > 0 {
 			results[i].IPC = float64(w.Instructions()) / cycles
 		}
 	}
-	return results
+	return results, nil
 }
 
 // coreScaleOf is the core allocation. The machine provides Cores
@@ -351,11 +329,14 @@ func appCyclesTraced(cfg Config, app App, mem []phaseMem, coreScale float64, bwS
 			issue = portMax
 		}
 
-		// Memory stalls from the simulated hierarchy.
+		// Memory stalls from the simulated hierarchy. Every L2 miss pays
+		// the LLC lookup and goes to DRAM: no sampled L2-miss stream
+		// repeats a line, so an LLC would only see compulsory misses. (The
+		// three terms stay separate so results keep their rounding.)
 		refs := float64(p.MemRefs())
 		stall := refs * (m.l1Miss*cfg.L2LatencyCycles +
 			m.l2Miss*cfg.LLCLatencyCycles +
-			m.llcMiss*cfg.DRAMLatency) / cfg.MLP
+			m.l2Miss*cfg.DRAMLatency) / cfg.MLP
 
 		// Thread scaling: parallelism-capped, core-share-scaled; a
 		// modest sublinear efficiency models synchronization.
@@ -370,7 +351,7 @@ func appCyclesTraced(cfg Config, app App, mem []phaseMem, coreScale float64, bwS
 		phaseCycles := (issue+stall)/(effT*eff) + cfg.ForkJoinCycles*float64(p.LaunchCount())
 
 		// Bandwidth bound.
-		phaseBytes := refs * m.llcMiss * memsim.LineSize
+		phaseBytes := refs * m.l2Miss * memsim.LineSize
 		bytes += phaseBytes
 		if bwShare > 0 {
 			bwCycles := phaseBytes / bwShare * cfg.FreqGHz * 1e9
@@ -388,7 +369,7 @@ func appCyclesTraced(cfg Config, app App, mem []phaseMem, coreScale float64, bwS
 				EffectiveThreads: effT,
 				L1MissRate:       m.l1Miss,
 				L2MissRate:       m.l2Miss,
-				LLCMissRate:      m.llcMiss,
+				LLCMissRate:      m.l2Miss,
 			})
 		}
 	}
@@ -404,7 +385,7 @@ type PhaseTiming struct {
 	EffectiveThreads float64
 	L1MissRate       float64 // per reference
 	L2MissRate       float64 // per reference
-	LLCMissRate      float64 // per reference
+	LLCMissRate      float64 // per reference; equals L2MissRate
 }
 
 // PhaseBreakdown retraces one app of an exact co-run and returns its
@@ -417,7 +398,7 @@ func PhaseBreakdown(cfg Config, apps []App, app int) ([]PhaseTiming, error) {
 	if app < 0 || app >= len(apps) {
 		return nil, fmt.Errorf("cpusim: app %d out of range", app)
 	}
-	mem, _, err := simulateMemory(cfg, nil, apps)
+	mem, err := simulateMemory(cfg, nil, apps)
 	if err != nil {
 		return nil, err
 	}
@@ -426,78 +407,52 @@ func PhaseBreakdown(cfg Config, apps []App, app int) ([]PhaseTiming, error) {
 	return out, nil
 }
 
-// replayScratch is privateReplay's transient working set: fill is the
-// per-phase address batch Stream.Fill writes into, and bound collects the
-// LLC-bound (L2-miss) stream at worst-case capacity.
-type replayScratch struct {
-	fill, bound []uint64
-}
+// fillPool holds the per-phase address batch privateReplay fills.
+// Pooled because corpus generation replays thousands of private phases,
+// potentially from concurrent measurement workers.
+var fillPool = sync.Pool{New: func() any { return new([]uint64) }}
 
-// fillPool holds replayScratch buffers. Pooled because corpus generation
-// replays thousands of private phases, potentially from concurrent
-// measurement workers; privFor keeps only an exact-length copy of bound.
-var fillPool = sync.Pool{New: func() any { return new(replayScratch) }}
-
-// Memo key domains (simcache.Key.Domain) for the two cached prefixes.
-const (
-	memoDomainPriv = "cpusim/priv" // per-app private phase (stream + L1/L2 replay)
-	memoDomainIso  = "cpusim/iso"  // entire single-app memory simulation
-)
+// memoDomainPriv is the memo key domain (simcache.Key.Domain) of one app's
+// private replay at one slot; an isolated run is the slot-0 entry.
+const memoDomainPriv = "cpusim/priv"
 
 // configKey renders cfg exactly for memo keys: two configurations share a
 // cache entry only when every field of the simulated machine is identical.
 func configKey(cfg Config) string { return fmt.Sprintf("%+v", cfg) }
 
-// Fixed per-entry allowances on top of the backing arrays an entry's
-// bytes() counts: the value's own slice headers plus the memo's key, map
+// privEntryBytes is the fixed per-entry allowance on top of the backing
+// array an entry's size counts: the slice header plus the memo's key, map
 // cell and list links.
-const (
-	privEntryBytes = 96
-	isoEntryBytes  = 128
-)
+const privEntryBytes = 96
 
-// privResult is the memoized pure prefix of one app's memory simulation:
-// everything that depends only on (cfg, workload, slot), not on the
-// co-runner. Cached entries are immutable — the shared-LLC replay reads
-// bound/ends and accumulates into a private copy of mem.
-type privResult struct {
-	mem   []phaseMem // l1Miss/l2Miss per phase; llcMiss fields zero
-	bound []uint64   // LLC-bound (L2-miss) addresses, phase-contiguous
-	ends  []int      // cumulative end offset of each phase within bound
-}
-
-// bytes reports the entry's approximate resident size for LRU accounting.
-func (pr privResult) bytes() int64 {
-	return privEntryBytes + simcache.SliceBytes(pr.mem) + simcache.SliceBytes(pr.bound) + simcache.SliceBytes(pr.ends)
-}
-
-// isoResult is the memoized outcome of a whole single-app simulateMemory
-// call: with one client nothing is shared, so the finalized per-phase miss
-// behaviour and LLC statistics are pure in (cfg, workload). Immutable.
-type isoResult struct {
-	mem   [][]phaseMem
-	stats []memsim.CacheStats
-}
-
-func (ir isoResult) bytes() int64 {
-	n := isoEntryBytes + simcache.SliceBytes(ir.mem) + simcache.SliceBytes(ir.stats)
-	for _, m := range ir.mem {
-		n += simcache.SliceBytes(m)
+// privateReplay runs one app's private phase at slot ai: per phase,
+// generate the sampled synthetic stream, replay it through fresh private
+// L1/L2 caches (with the stride prefetcher in front of L2) and record the
+// per-phase miss ratios. missed, when non-nil, observes every L2 demand
+// miss in order: the stream an LLC would see. The result is a pure
+// function of (cfg, w, ai).
+func privateReplay(cfg Config, w *trace.Workload, ai int, missed func(addr uint64)) ([]phaseMem, error) {
+	l1, err := memsim.NewCache("l1", cfg.L1Bytes, cfg.L1Ways, 1)
+	if err != nil {
+		return nil, err
 	}
-	return n
-}
+	l2, err := memsim.NewCache("l2", cfg.L2Bytes, cfg.L2Ways, 1)
+	if err != nil {
+		return nil, err
+	}
+	maxPhase := 0
+	for pi := range w.Phases {
+		if refs := w.Phases[pi].MemRefs(); refs > 0 {
+			maxPhase = max(maxPhase, memsim.SampleRefs(refs))
+		}
+	}
+	fill := fillPool.Get().(*[]uint64)
+	defer fillPool.Put(fill)
+	if cap(*fill) < maxPhase {
+		*fill = make([]uint64, maxPhase)
+	}
 
-// privateReplay runs one app's private phase: per phase, generate the
-// sampled synthetic stream, replay it through the private L1/L2 pair (with
-// the stride prefetcher in front of L2), record the per-phase l1/l2 miss
-// ratios, and append every L2 miss — the LLC-bound stream — to bound.
-// bound must have capacity for the worst case (every sampled reference
-// missing); the appends never reallocate, so the returned bound aliases
-// the caller's buffer. addrs is the reusable fill batch. The result is a
-// pure function of (cfg, w, ai): l1/l2 must be fresh.
-func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, addrs, bound []uint64) (privResult, error) {
 	mem := make([]phaseMem, len(w.Phases))
-	ends := make([]int, len(w.Phases))
 	base := uint64(ai+1) << 40 // disjoint address spaces per slot
 	// Seed strings are per-app constants; strconv.Itoa produces exactly
 	// the bytes fmt.Sprint emitted here before, without the interface
@@ -508,13 +463,12 @@ func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, 
 		p := &w.Phases[pi]
 		refs := p.MemRefs()
 		if refs == 0 {
-			ends[pi] = len(bound)
 			continue
 		}
 		seed := memsim.StreamSeed("cpu", w.Benchmark, p.Name, batchStr, slotStr)
 		st, err := memsim.NewStream(p, base+uint64(pi)<<32, seed)
 		if err != nil {
-			return privResult{}, err
+			return nil, err
 		}
 		pf := memsim.NewStridePrefetcher(cfg.PrefetchDegree)
 		n := memsim.SampleRefs(refs)
@@ -523,10 +477,9 @@ func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, 
 			// today unreachable (refs > 0 implies n >= 1), but the
 			// divides below must never see n == 0 even if SampleRefs
 			// grows a subsampling mode.
-			ends[pi] = len(bound)
 			continue
 		}
-		batch := addrs[:n]
+		batch := (*fill)[:n]
 		st.Fill(batch)
 		var l1m, l2m int
 		for _, a := range batch {
@@ -538,7 +491,9 @@ func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, 
 				continue
 			}
 			l2m++
-			bound = append(bound, a)
+			if missed != nil {
+				missed(a)
+			}
 			// Train the stride prefetcher on the L2 demand-miss
 			// stream; fills land in L2 ahead of the access.
 			for _, pa := range pf.OnMiss(a) {
@@ -547,169 +502,34 @@ func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, 
 		}
 		mem[pi].l1Miss = float64(l1m) / float64(n)
 		mem[pi].l2Miss = float64(l2m) / float64(n)
-		ends[pi] = len(bound)
 	}
-	return privResult{mem: mem, bound: bound, ends: ends}, nil
+	return mem, nil
 }
 
 // privFor returns app w's private replay for slot ai: the memoized
-// "cpusim/priv" entry, computed on a miss — and on every call when memo is
-// nil — with fresh L1/L2 caches and pooled scratch. The entry keeps an
-// exact-length copy of the LLC-bound list: the worst-case buffer the replay
-// appends into (every sampled reference missing L2) goes back to the pool.
-// The exact shared path and the analytic tier both read it.
-func privFor(cfg Config, memo *simcache.Cache, cfgKey string, w *trace.Workload, ai int) (privResult, error) {
+// "cpusim/priv" entry, computed on a miss and on every call when memo is
+// nil.
+func privFor(cfg Config, memo *simcache.Cache, cfgKey string, w *trace.Workload, ai int) ([]phaseMem, error) {
 	key := simcache.Key{Domain: memoDomainPriv, Config: cfgKey, Workload: w.Fingerprint(), Slot: ai}
-	pr, _, err := simcache.GetOrCompute(memo, key, func() (privResult, int64, error) {
-		l1, err := memsim.NewCache("l1", cfg.L1Bytes, cfg.L1Ways, 1)
-		if err != nil {
-			return privResult{}, 0, err
-		}
-		l2, err := memsim.NewCache("l2", cfg.L2Bytes, cfg.L2Ways, 1)
-		if err != nil {
-			return privResult{}, 0, err
-		}
-		count, maxPhase := 0, 0
-		for pi := range w.Phases {
-			if refs := w.Phases[pi].MemRefs(); refs > 0 {
-				k := memsim.SampleRefs(refs)
-				count += k
-				maxPhase = max(maxPhase, k)
-			}
-		}
-		sc := fillPool.Get().(*replayScratch)
-		defer fillPool.Put(sc)
-		if cap(sc.fill) < maxPhase {
-			sc.fill = make([]uint64, maxPhase)
-		}
-		if cap(sc.bound) < count {
-			sc.bound = make([]uint64, 0, count)
-		}
-		pr, err := privateReplay(cfg, w, ai, l1, l2, sc.fill[:maxPhase], sc.bound[:0])
-		if err != nil {
-			return privResult{}, 0, err
-		}
-		bound := make([]uint64, len(pr.bound))
-		copy(bound, pr.bound)
-		pr.bound = bound
-		return pr, pr.bytes(), nil
+	mem, _, err := simcache.GetOrCompute(memo, key, func() ([]phaseMem, int64, error) {
+		mem, err := privateReplay(cfg, w, ai, nil)
+		return mem, privEntryBytes + simcache.SliceBytes(mem), err
 	})
-	return pr, err
+	return mem, err
 }
 
-// simulateMemory drives sampled synthetic streams for every phase of every
-// app through private L1/L2 hierarchies and one shared LLC, returning the
-// per-phase miss behaviour and per-app LLC statistics.
-//
-// Single-app calls are one "cpusim/iso" lookup (pure: one client shares
-// nothing); multi-app calls look up each app's private phase and replay
-// only the LLC-bound streams through the genuinely shared LLC. A nil memo
-// runs the same lookups, each computing its value and retaining nothing.
-func simulateMemory(cfg Config, memo *simcache.Cache, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
+// simulateMemory returns every app's per-phase memory behaviour: its
+// private replay at its slot. Nothing in the memory path is shared between
+// co-runners; they meet in runSteady's core and bandwidth apportioning.
+func simulateMemory(cfg Config, memo *simcache.Cache, apps []App) ([][]phaseMem, error) {
 	cfgKey := configKey(cfg)
-	if len(apps) != 1 {
-		return simulateMemoryShared(cfg, memo, cfgKey, apps)
-	}
-	ir, err := isoFor(cfg, memo, cfgKey, apps[0])
-	return ir.mem, ir.stats, err
-}
-
-// isoFor returns the memoized whole-run memory simulation of app alone.
-func isoFor(cfg Config, memo *simcache.Cache, cfgKey string, app App) (isoResult, error) {
-	key := simcache.Key{Domain: memoDomainIso, Config: cfgKey, Workload: app.Workload.Fingerprint()}
-	ir, _, err := simcache.GetOrCompute(memo, key, func() (isoResult, int64, error) {
-		mem, stats, err := simulateMemoryShared(cfg, memo, cfgKey, []App{app})
-		ir := isoResult{mem: mem, stats: stats}
-		return ir, ir.bytes(), err
-	})
-	return ir, err
-}
-
-// simulateMemoryShared is the full memory simulation: each app's private
-// phase (privFor) followed by the shared-LLC interleave.
-func simulateMemoryShared(cfg Config, memo *simcache.Cache, cfgKey string, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
-	llc, err := memsim.NewCache("llc", cfg.LLCytes, cfg.LLCWays, len(apps))
-	if err != nil {
-		return nil, nil, err
-	}
 	mem := make([][]phaseMem, len(apps))
-	bounds := make([][]uint64, len(apps))
-	ends := make([][]int, len(apps))
 	for ai := range apps {
-		pr, err := privFor(cfg, memo, cfgKey, apps[ai].Workload, ai)
+		pm, err := privFor(cfg, memo, cfgKey, apps[ai].Workload, ai)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		// Private copy of the per-phase ratios: the shared replay
-		// accumulates llcMissN into it, and cached entries are immutable.
-		// Exact length, because an isolated run's cpusim/iso entry keeps it.
-		mem[ai] = make([]phaseMem, len(pr.mem))
-		copy(mem[ai], pr.mem)
-		bounds[ai], ends[ai] = pr.bound, pr.ends
+		mem[ai] = pm
 	}
-
-	// Shared-LLC phase: interleave every app's LLC-bound stream round-robin
-	// in proportion to stream length, the steady-state mix a shared cache
-	// observes from concurrent clients. Phase attribution follows the
-	// cursor through the phase-contiguous bound list (ends[ai][p] is the
-	// first index past phase p), replacing the per-reference phase tag.
-	idx := make([]int, len(apps))
-	ph := make([]int, len(apps))
-	remaining := 0
-	maxLen := 0
-	for ai := range bounds {
-		remaining += len(bounds[ai])
-		if len(bounds[ai]) > maxLen {
-			maxLen = len(bounds[ai])
-		}
-	}
-	// Proportional pacing: app ai issues len/maxLen refs per step — i.e.
-	// exactly quota(step) = floor(len*(step+1)/maxLen) - floor(len*step/maxLen)
-	// references. Because len <= maxLen the quota is always 0 or 1, so a
-	// Bresenham error accumulator (er += len; issue and er -= maxLen when
-	// er >= maxLen) reproduces the identical schedule without the two
-	// integer divisions per app per step the closed form costs (the golden
-	// corpus hashes pin the equivalence).
-	er := make([]int, len(apps))
-	for step := 0; step < maxLen && remaining > 0; step++ {
-		for ai := range bounds {
-			er[ai] += len(bounds[ai])
-			if er[ai] >= maxLen {
-				er[ai] -= maxLen
-				for idx[ai] >= ends[ai][ph[ai]] {
-					ph[ai]++
-				}
-				addr := bounds[ai][idx[ai]]
-				idx[ai]++
-				remaining--
-				if !llc.Access(ai, addr) {
-					mem[ai][ph[ai]].llcMissN++
-				}
-			}
-		}
-	}
-
-	// Convert LLC miss counts to per-reference ratios.
-	for ai := range apps {
-		w := apps[ai].Workload
-		for pi := range w.Phases {
-			p := &w.Phases[pi]
-			pm := &mem[ai][pi]
-			refs := p.MemRefs()
-			if refs == 0 {
-				continue
-			}
-			n := memsim.SampleRefs(refs)
-			if n == 0 {
-				continue // see the matching guard in privateReplay
-			}
-			pm.llcMiss = float64(pm.llcMissN) / float64(n)
-		}
-	}
-
-	stats := make([]memsim.CacheStats, len(apps))
-	for ai := range apps {
-		stats[ai] = llc.Stats(ai)
-	}
-	return mem, stats, nil
+	return mem, nil
 }

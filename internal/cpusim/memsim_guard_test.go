@@ -42,16 +42,16 @@ func zeroRefWorkload(name string) *trace.Workload {
 func TestZeroRefPhaseMissRatesAreZero(t *testing.T) {
 	cfg := DefaultConfig()
 	apps := []App{{Workload: zeroRefWorkload("zref"), Threads: 4}}
-	mem, _, err := simulateMemory(cfg, nil, apps)
+	mem, err := simulateMemory(cfg, nil, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pm := mem[0][1] // the compute-only phase
-	if pm.l1Miss != 0 || pm.l2Miss != 0 || pm.llcMiss != 0 || pm.llcMissN != 0 {
+	if pm.l1Miss != 0 || pm.l2Miss != 0 {
 		t.Fatalf("zero-ref phase has non-zero memory behaviour: %+v", pm)
 	}
 	for pi, pm := range mem[0] {
-		for _, v := range []float64{pm.l1Miss, pm.l2Miss, pm.llcMiss} {
+		for _, v := range []float64{pm.l1Miss, pm.l2Miss} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1 {
 				t.Fatalf("phase %d has non-finite or out-of-range miss ratio: %+v", pi, pm)
 			}
@@ -84,16 +84,13 @@ func TestSimulateMemoryScratchReuse(t *testing.T) {
 		{Workload: computeBound("b"), Threads: 8},
 	}
 
-	type out struct {
-		mem   [][]phaseMem
-		stats interface{}
-	}
+	type out = [][]phaseMem
 	measure := func(apps []App) out {
-		mem, stats, err := simulateMemory(cfg, nil, apps)
+		mem, err := simulateMemory(cfg, nil, apps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out{mem, stats}
+		return mem
 	}
 	wantSolo := measure(solo)
 	wantDuo := measure(duo)

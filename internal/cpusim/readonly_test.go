@@ -43,7 +43,7 @@ func TestRunTreatsWorkloadsAsReadOnly(t *testing.T) {
 
 	// Memoized runs, including a tiny budget that forces evictions and
 	// therefore recomputation through every cached code path.
-	for _, budget := range []int64{64 << 20, 1 << 12} {
+	for _, budget := range []int64{64 << 20, 1 << 8} {
 		memo := simcache.MustNew(budget)
 		for i := 0; i < 3; i++ {
 			if _, err := RunMemo(cfg, memo, []App{{Workload: wa, Threads: 8}}); err != nil {

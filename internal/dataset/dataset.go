@@ -33,10 +33,9 @@ import (
 
 // DefaultSimCacheMB is the default byte budget (in MiB) of the cross-bag
 // simulation memo. Sized for the full 91-point paper pair corpus:
-// generating it at exact fidelity resides ~376 MiB of entries — dominated
-// by gpusim's materialized reference streams and cpusim's LLC-bound lists
-// (both ~8 bytes per sampled reference, per member per slot) plus the
-// whole-run isolated results — and evicts nothing at 512 MiB. Nothing
+// generating it at exact fidelity resides ~188 MiB of entries — almost all
+// gpusim's materialized reference streams (~8 bytes per sampled reference,
+// per member per slot) — and evicts nothing at 512 MiB. Nothing
 // sizes it for larger corpora: the 181-bag k=4 fast-tier corpus also
 // generates without evictions, but only because the fast tier publishes
 // summaries rather than gpusim streams. A tighter budget only costs

@@ -57,7 +57,7 @@ func TableIII(e *Env) (*Table, error) {
 		{"CPU SMT ways", fmt.Sprintf("%d", cpu.ThreadsPerCore)},
 		{"CPU frequency", fmt.Sprintf("%.1f GHz", cpu.FreqGHz)},
 		{"CPU L1D / L2 (private)", fmt.Sprintf("%d KB / %d KB", cpu.L1Bytes>>10, cpu.L2Bytes>>10)},
-		{"CPU shared LLC", fmt.Sprintf("%d MB", cpu.LLCytes>>20)},
+		{"CPU shared LLC", "not modelled: no L2-miss stream repeats a line, so every L2 miss goes to DRAM"},
 		{"CPU DRAM bandwidth", fmt.Sprintf("%.0f GB/s", cpu.DRAMBandwidth/1e9)},
 		{"GPU SMs", fmt.Sprintf("%d", gpu.SMs)},
 		{"GPU CUDA-core equivalent", fmt.Sprintf("%d", gpu.SMs*int(gpu.Throughput[0]))},

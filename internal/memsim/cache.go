@@ -5,9 +5,9 @@
 // pattern/footprint/reuse descriptor into a concrete reference stream.
 //
 // These components replace the paper's physical memory hierarchies (Xeon
-// LLC, T4 L2/TLB). Contention between concurrent applications emerges the
-// same way it does in hardware: interleaved streams from different sources
-// evict each other's lines from shared structures.
+// private L1/L2, T4 L2/TLB). Contention between concurrent applications
+// emerges the same way it does in hardware: interleaved streams from
+// different sources evict each other's lines from shared structures.
 //
 // The cache and TLB are the hottest code in the system — every corpus
 // point, LOOCV fold and serving-cache miss funnels millions of references

@@ -9,7 +9,7 @@ import (
 
 // Cache microbenchmarks mirror the TLB suite: hit-heavy (footprint fits),
 // miss-heavy (streaming lines), and multi-source contention — the regimes
-// the shared-LLC (cpusim) and shared-L2 (gpusim) interleaving loops drive —
+// the private-cache (cpusim) and shared-L2 (gpusim) replay loops drive —
 // plus a co-run of real reference streams. Geometry matches
 // gpusim.DefaultConfig's T4 L2 (4 MiB, 16 ways).
 

@@ -4,9 +4,10 @@
 // contention model that estimates co-run miss rates from summaries alone,
 // without replaying a single reference.
 //
-// The exact simulators (cpusim, gpusim) interleave every client's sampled
-// address stream into genuinely shared structures — the CPU LLC, the GPU
-// L2 and TLB — which costs O(total references) per bag. The summaries here
+// The exact GPU simulator interleaves every client's sampled address
+// stream into genuinely shared structures — the device L2 and TLB — which
+// costs O(total references) per bag. (cpusim has no shared cache stage, so
+// its co-run is closed-form at every tier.) The summaries here
 // are built once per (workload, slot) from that slot's stream and memoized
 // by the simulators; a bag's contended miss rates then cost O(phases x
 // histogram buckets), which is what lifts corpus generation past 100

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mapc/internal/cpusim"
 	"mapc/internal/gpusim"
 	"mapc/internal/phasesum"
 	"mapc/internal/simcache"
@@ -35,15 +34,14 @@ func streamField(t *testing.T, val any, addrsName string) ([]uint64, []int) {
 }
 
 // TestSummarizeMatchesReferenceOnSimulatorStreams runs every benchmark's
-// exact two-client co-run on both simulators, then requires the production
-// sketch to equal the frozen reference on every stream the simulators
-// memoized: gpusim's per-slot reference streams and cpusim's LLC-bound
-// (L2-miss) streams.
+// exact two-client GPU co-run, then requires the production sketch to
+// equal the frozen reference on every per-slot reference stream gpusim
+// memoized. (cpusim sketches no stream: it has no shared cache stage.)
 func TestSummarizeMatchesReferenceOnSimulatorStreams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("instruments all nine benchmarks; run without -short")
 	}
-	want := map[string]string{"gpusim/stream": "addrs", "cpusim/priv": "bound"}
+	want := map[string]string{"gpusim/stream": "addrs"}
 	for _, b := range vision.All() {
 		res, err := vision.Run(b, 20, 42)
 		if err != nil {
@@ -52,10 +50,6 @@ func TestSummarizeMatchesReferenceOnSimulatorStreams(t *testing.T) {
 		w := res.Workload
 		memo := simcache.MustNew(256 << 20)
 		if _, err := gpusim.RunMemo(gpusim.DefaultConfig(), memo, []*trace.Workload{w, w}); err != nil {
-			t.Fatal(err)
-		}
-		app := cpusim.App{Workload: w, Threads: 16}
-		if _, err := cpusim.RunMemo(cpusim.DefaultConfig(), memo, []cpusim.App{app, app}); err != nil {
 			t.Fatal(err)
 		}
 		seen := map[string]int{}

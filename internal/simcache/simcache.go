@@ -8,8 +8,8 @@
 // generation, the private L1/L2 replay, and the entire isolated
 // (single-client) memory simulation. This cache lets cpusim and gpusim
 // compute each of those prefixes exactly once per (config, workload, slot)
-// and replay only the genuinely shared structures (LLC, device L2, TLB)
-// per bag — with guaranteed bit-identical outputs, because a cached value
+// and replay only the genuinely shared structures (device L2, TLB) per
+// bag — with guaranteed bit-identical outputs, because a cached value
 // is exactly what its compute function returns and entries are immutable
 // once published.
 //
