@@ -1,8 +1,8 @@
 // Package benchio is the shared schema and storage for serving-tier
 // benchmark results (BENCH_serve.json): cmd/mapc-loadgen appends entries,
 // scripts/benchjson gates CI on them, and the committed file documents the
-// serving tier's measured latency/throughput/shed profile for the repo's
-// reference machine.
+// serving tier's measured latency/throughput/shed profile on the one
+// machine it names. Append refuses a run from any other machine.
 //
 // The file is a single JSON document — machine metadata plus an append-only
 // entry list — replaced atomically on every append via internal/fsatomic,
@@ -126,18 +126,18 @@ func Load(path string) (*ServeBench, error) {
 
 // Append adds entry to the file at path, creating it with the given
 // machine/cores metadata when absent, and replaces the file atomically.
-// Existing machine metadata wins over the arguments, matching benchjson's
-// BENCH_baseline.json convention: the file describes one reference machine.
+// The file describes one machine: a run from a machine other than the one
+// it records is refused, since its latencies and per-core throughput would
+// not compare with the entries already there.
 func Append(path, machine string, cores int, entry ServeEntry) error {
 	sb, err := Load(path)
 	if err != nil {
 		return err
 	}
 	if sb.Machine == "" {
-		sb.Machine = machine
-	}
-	if sb.Cores == 0 {
-		sb.Cores = cores
+		sb.Machine, sb.Cores = machine, cores
+	} else if sb.Machine != machine {
+		return fmt.Errorf("benchio: %s records machine %q; refusing to append a run from %q", path, sb.Machine, machine)
 	}
 	sb.Entries = append(sb.Entries, entry)
 	return fsatomic.WriteFile(path, func(w io.Writer) error {

@@ -31,13 +31,13 @@ func TestAppendAndLoadRoundTrip(t *testing.T) {
 	if err := Append(path, "test-machine", 8, e1); err != nil {
 		t.Fatal(err)
 	}
-	// Second append must keep the first entry and the original metadata,
-	// even when called with different machine/cores arguments.
+	// Second append from the same machine must keep the first entry and
+	// the metadata.
 	e2 := e1
 	e2.Label = "tier3"
 	e2.Target = "router"
 	e2.Replicas = 3
-	if err := Append(path, "other-machine", 99, e2); err != nil {
+	if err := Append(path, "test-machine", 8, e2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -46,7 +46,7 @@ func TestAppendAndLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Machine != "test-machine" || got.Cores != 8 {
-		t.Errorf("metadata = %q/%d, want test-machine/8 (first writer wins)", got.Machine, got.Cores)
+		t.Errorf("metadata = %q/%d, want test-machine/8", got.Machine, got.Cores)
 	}
 	if len(got.Entries) != 2 {
 		t.Fatalf("entries = %d, want 2", len(got.Entries))
@@ -66,6 +66,35 @@ func TestAppendAndLoadRoundTrip(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(raw), "{\n  \"machine\"") || !strings.HasSuffix(string(raw), "\n") {
 		t.Errorf("file is not indented JSON with trailing newline:\n%s", raw)
+	}
+}
+
+// TestAppendRefusesAnotherMachine: a run from another machine is refused,
+// naming both, and leaves the file as it was.
+func TestAppendRefusesAnotherMachine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	e := ServeEntry{Label: "ref", StatusCounts: map[string]int64{"200": 1}}
+	const ref, other = "linux/amd64 vm (1 cores)", "linux/amd64 ci-runner (4 cores)"
+	if err := Append(path, ref, 1, e); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = Append(path, other, 4, e)
+	if err == nil {
+		t.Fatal("Append from another machine accepted")
+	}
+	if !strings.Contains(err.Error(), ref) || !strings.Contains(err.Error(), other) {
+		t.Errorf("error %q does not name both machines", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Errorf("refused append changed the file:\n%s", after)
 	}
 }
 

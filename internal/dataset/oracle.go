@@ -11,10 +11,10 @@ import (
 // The differential exactness oracle: re-measure a seeded fraction of the
 // corpus's bags through the exact simulators and report the analytic
 // tier's relative error on the two co-run targets — the CPU makespan
-// (behind the fairness feature) and the GPU bag time (the label). The
-// resulting bounds are recorded into BENCH_baseline.json and gated in CI,
-// so a model regression that widens the error fails the perf gate even
-// when throughput improves.
+// (behind the fairness feature) and the GPU bag time (the label). CI
+// gates the bounds live on the paper corpus (mapc-datagen -oracle 0.1
+// -max-oracle-err 0.05), so a model regression that widens the error fails
+// even when throughput improves.
 
 // OracleReport summarizes one differential-oracle run.
 type OracleReport struct {

@@ -14,9 +14,8 @@ import (
 // differential oracle. This is the regime map the fractional-share and
 // DRAM-contention closed forms unlock — before them, every skewed cell
 // needed exact simulation and the grid cost hours instead of seconds.
-// mapc-datagen -scenarios drives it interactively (CI gates every cell's
-// live oracle); benchjson records DefaultSkewScenarios into
-// BENCH_baseline.json and gates the recorded oracle bounds.
+// mapc-datagen -scenarios drives it; CI's fidelity smoke job runs
+// DefaultSkewScenarios and gates every cell's live oracle at 5%.
 
 // ScenarioSpec is one cell of the matrix: a bag size and a share profile.
 type ScenarioSpec struct {
@@ -130,8 +129,8 @@ func ParseBatches(flag, spec string) ([]int, error) {
 	return out, nil
 }
 
-// DefaultSkewScenarios is the benchmarked k × share-skew grid recorded in
-// BENCH_baseline.json (the "skew suite"): pairs and 4-bags from the
+// DefaultSkewScenarios is the k × share-skew grid CI gates live (the
+// "skew suite", `-scenarios default`): pairs and 4-bags from the
 // uniform split down to a 0.05 minority share — the acceptance regime the
 // fractional-share closed form must keep analytic.
 func DefaultSkewScenarios() []ScenarioSpec {

@@ -9,7 +9,7 @@ import (
 
 // Stream microbenchmarks time synthetic reference generation for each
 // access pattern — the producer side of every simulateMemory call. The
-// suite is part of the committed perf baseline (BENCH_baseline.json).
+// suite is gated by CI's perf-gate job (scripts/benchjson -against).
 
 func benchPhase(pattern trace.Pattern) *trace.Phase {
 	return &trace.Phase{

@@ -17,8 +17,8 @@ import (
 //     flushes, the shared-TLB contention pattern gpusim.simulateMemory
 //     drives.
 //
-// Record ns/op into BENCH_baseline.json with scripts/benchjson; CI's
-// perf-gate job fails on >2x regression against the committed baseline.
+// CI's perf-gate job (scripts/benchjson -against <base>) fails on a >2x
+// median ns/op regression against the same benchmarks at the base commit.
 
 func benchTLBAddrs(pages int, seed uint64) []uint64 {
 	rng := xrand.New(seed)

@@ -38,8 +38,9 @@ func benchStream(tb testing.TB) ([]uint64, []int) {
 }
 
 // BenchmarkSummarize times one whole-stream sketch at both granularities.
-// It is part of the committed perf baseline (BENCH_baseline.json), so a
-// return to a hashed map for the last-touch table fails the perf gate.
+// CI's perf-gate job (scripts/benchjson -against) times it at the change
+// and at its base, so a return to a hashed map for the last-touch table
+// fails the gate.
 // With a warm table pool it allocates once per call: the returned
 // histograms.
 func BenchmarkSummarize(b *testing.B) {

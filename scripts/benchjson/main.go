@@ -1,29 +1,17 @@
-// Command benchjson records Go benchmark results as JSON and gates CI on
-// regressions against a committed baseline.
+// Command benchjson gates CI on benchmark results.
 //
-// Record mode runs the memsim and simcache microbenchmarks and the
-// corpus-generation benchmark (or parses saved `go test -bench` output) and
-// appends one labelled entry to the baseline file. With -fidelity it also
-// runs the per-tier fidelity benchmark (BenchmarkFidelityCorpus), the
-// in-process differential exactness oracle, and the k × share-skew
-// scenario suite (dataset.DefaultSkewScenarios at the fast tier),
-// recording per-tier points/sec and the fast tier's relative-error bounds,
-// overall and per cell:
+// Against mode is the microbenchmark gate. It checks a base commit out into
+// a temporary git worktree, builds the microbenchmark test binaries in both
+// that tree and the working tree (HEAD), and runs them on this host in
+// abRounds alternating rounds, flipping which tree goes first each round.
+// It fails (exit 1) when a benchmark's median ns/op at HEAD exceeds
+// maxRatio × its median at the base, or when a benchmark the base has is
+// missing at HEAD. A benchmark only HEAD has is reported as new and not
+// gated. Both trees are timed on one host in one job, so the ratio measures
+// the change, not the machine or the date:
 //
-//	go run ./scripts/benchjson -label after -out BENCH_baseline.json
-//	go run ./scripts/benchjson -label before -input old_bench.txt -out BENCH_baseline.json
-//	go run ./scripts/benchjson -label phase-replay -fidelity -out BENCH_baseline.json
-//
-// Check mode re-runs only the fast microbenchmarks and fails (exit 1)
-// if any ns/op exceeds factor x the newest baseline entry. The corpus
-// points/sec figure is machine-dependent context and is never gated; the
-// *fidelity* figures are gated statically against the committed entry —
-// the newest entry carrying them must show fast-tier throughput at or
-// above -min-fast-points and oracle bounds at or under -max-oracle-err,
-// and the newest skew-suite entry must keep every cell's sampled oracle
-// inside the same error bound:
-//
-//	go run ./scripts/benchjson -check BENCH_baseline.json            # default -factor 2
+//	go run ./scripts/benchjson -against "$(git merge-base HEAD origin/main)"
+//	go run ./scripts/benchjson -against HEAD   # A/A: the working tree against its own commit
 //
 // Serve-check mode gates a BENCH_serve.json produced by cmd/mapc-loadgen
 // (schema: internal/benchio): every entry must show real traffic, a shed
@@ -32,64 +20,39 @@
 //
 //	go run ./scripts/benchjson -serve-check BENCH_serve.json -max-shed 0.1 -max-p99-ms 10000
 //
-// Only the Go toolchain and stdlib are required.
+// Only the Go toolchain, git and the stdlib are required.
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
+	"os/signal"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
+	"syscall"
 
 	"mapc/internal/benchio"
-	"mapc/internal/dataset"
-	"mapc/internal/phasesum"
 )
 
-// Entry is one labelled benchmark snapshot.
-type Entry struct {
-	Label              string  `json:"label"`
-	Date               string  `json:"date"`
-	CorpusPointsPerSec float64 `json:"corpus_points_per_sec,omitempty"`
-	// FidelityPointsPerSec holds per-tier bag-measurement throughput from
-	// BenchmarkFidelityCorpus, keyed "exact" | "fast".
-	FidelityPointsPerSec map[string]float64 `json:"fidelity_points_per_sec,omitempty"`
-	// Oracle holds the differential exactness oracle's error bounds for
-	// the fast tier on the paper corpus.
-	Oracle *dataset.OracleReport `json:"oracle,omitempty"`
-	// SkewSuite records the k × share-skew scenario matrix
-	// (dataset.DefaultSkewScenarios) run at the fast tier: per-cell
-	// throughput, low-confidence run counts and sampled oracle bounds.
-	// Check mode hard-gates its worst cell's oracle error.
-	SkewSuite         *dataset.ScenarioReport `json:"skew_suite,omitempty"`
-	MicrobenchNsPerOp map[string]float64      `json:"microbench_ns_per_op"`
-}
-
-// Baseline is the schema of BENCH_baseline.json.
-type Baseline struct {
-	Machine string  `json:"machine"`
-	Entries []Entry `json:"entries"`
-}
+const (
+	// abRounds is odd, so with every round reporting a name its median is
+	// one measured sample rather than an average of two.
+	abRounds = 3
+	// maxRatio is the largest HEAD/base median ns/op ratio that passes.
+	// Same-host runs of one commit stay within about ±15% of each other,
+	// so 2× catches algorithmic regressions without tripping on noise.
+	maxRatio = 2.0
+)
 
 func main() {
-	label := flag.String("label", "", "record mode: append an entry with this label to -out")
-	out := flag.String("out", "BENCH_baseline.json", "record mode: baseline file to create or append to")
-	input := flag.String("input", "", "record mode: comma-separated saved `go test -bench` output files to parse instead of running benchmarks")
-	check := flag.String("check", "", "check mode: baseline file to gate against (re-runs memsim+simcache microbenchmarks)")
-	factor := flag.Float64("factor", 2.0, "check mode: fail when fresh ns/op > factor x baseline")
-	benchtime := flag.String("benchtime", "", "passed to `go test -benchtime` (empty = go default)")
-	corpus := flag.Bool("corpus", true, "record mode: also run the slow corpus-generation benchmark")
-	fidelity := flag.Bool("fidelity", false, "record mode: also run the per-tier fidelity benchmark and the differential exactness oracle")
-	oracleFrac := flag.Float64("oracle-frac", 0.1, "record mode with -fidelity: fraction of bags the oracle re-measures exactly")
-	oracleSeed := flag.Uint64("oracle-seed", 1, "record mode with -fidelity: seed selecting the oracle's bag sample")
-	minFastPoints := flag.Float64("min-fast-points", 100, "check mode: fail when the baseline's fast-tier throughput is below this many points/sec (0 = skip the fidelity gate)")
-	maxOracleErr := flag.Float64("max-oracle-err", 0.05, "check mode: fail when the baseline's oracle max relative error exceeds this")
+	against := flag.String("against", "", "against mode: git ref of the base commit to time the working tree's microbenchmarks against")
 	serveCheck := flag.String("serve-check", "", "serve-check mode: BENCH_serve.json (mapc-loadgen output) to gate")
 	maxShed := flag.Float64("max-shed", 0.10, "serve-check mode: fail when any entry's shed rate exceeds this")
 	maxP99Ms := flag.Float64("max-p99-ms", 10000, "serve-check mode: fail when any entry's p99 exceeds this many ms")
@@ -102,12 +65,13 @@ func main() {
 		if err := runServeCheck(*serveCheck, *maxShed, *maxP99Ms, *maxErrorRate, *minAvailability); err != nil {
 			fatal(err)
 		}
-	case *check != "":
-		if err := runCheck(*check, *factor, *benchtime, *minFastPoints, *maxOracleErr); err != nil {
-			fatal(err)
-		}
-	case *label != "":
-		if err := runRecord(*label, *out, *input, *benchtime, *corpus, *fidelity, *oracleFrac, *oracleSeed); err != nil {
+	case *against != "":
+		// An interrupt kills the running benchmark and still removes the
+		// base worktree on the way out.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err := runAgainst(ctx, *against)
+		stop()
+		if err != nil {
 			fatal(err)
 		}
 	default:
@@ -116,293 +80,171 @@ func main() {
 	}
 }
 
-// microbenchRuns lists the fast, gated microbenchmark suites: the memsim
-// hot paths (TLB/cache/stream), the simcache memo paths (hit,
-// move-to-front, miss+evict churn) and the phasesum reuse sketch. Both
-// record and check mode run exactly this set so baseline entries and fresh
-// runs always cover the same names.
+// microbenchRuns lists the gated microbenchmark suites: the memsim hot
+// paths (TLB/cache/stream), the simcache memo paths (hit, move-to-front,
+// miss+evict churn) and the phasesum reuse sketch.
 var microbenchRuns = []struct{ pkg, pattern string }{
 	{"./internal/memsim", "BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkStreamNext|BenchmarkStreamFill"},
 	{"./internal/simcache", "BenchmarkSimCache"},
 	{"./internal/phasesum", "BenchmarkSummarize"},
 }
 
-func runRecord(label, out, input, benchtime string, corpus, fidelity bool, oracleFrac float64, oracleSeed uint64) error {
-	var outputs []string
-	if input != "" {
-		for _, f := range strings.Split(input, ",") {
-			b, err := os.ReadFile(strings.TrimSpace(f))
-			if err != nil {
-				return err
-			}
-			outputs = append(outputs, string(b))
-		}
-	} else {
-		for _, mb := range microbenchRuns {
-			micro, err := goBench(mb.pkg, mb.pattern, benchtime)
-			if err != nil {
-				return err
-			}
-			outputs = append(outputs, micro)
-		}
-		if corpus {
-			c, err := goBench("./internal/dataset", "BenchmarkGenerateCorpus", benchtime)
-			if err != nil {
-				return err
-			}
-			outputs = append(outputs, c)
-		}
-		if fidelity {
-			c, err := goBench("./internal/dataset", "BenchmarkFidelityCorpus", benchtime)
-			if err != nil {
-				return err
-			}
-			outputs = append(outputs, c)
-		}
-	}
+// Tree indices into the per-tree arrays.
+const (
+	base = 0
+	head = 1
+)
 
-	entry := Entry{
-		Label:             label,
-		Date:              time.Now().UTC().Format("2006-01-02"),
-		MicrobenchNsPerOp: map[string]float64{},
-	}
-	var machine string
-	points := map[string][]float64{}
-	for _, o := range outputs {
-		res := parseBench(o)
-		if machine == "" {
-			machine = res.machine
-		}
-		for name, ns := range res.nsPerOp {
-			entry.MicrobenchNsPerOp[name] = ns
-		}
-		for name, vals := range res.points {
-			points[name] = append(points[name], vals...)
-		}
-	}
-	var corpusVals []float64
-	for name, vals := range points {
-		if strings.HasPrefix(name, "GenerateCorpus") {
-			corpusVals = append(corpusVals, vals...)
-		}
-	}
-	if len(corpusVals) > 0 {
-		entry.CorpusPointsPerSec = round3(mean(corpusVals))
-	}
-	for _, tier := range []string{"exact", "fast"} {
-		if vals := points["FidelityCorpus/"+tier]; len(vals) > 0 {
-			if entry.FidelityPointsPerSec == nil {
-				entry.FidelityPointsPerSec = map[string]float64{}
-			}
-			entry.FidelityPointsPerSec[tier] = round3(mean(vals))
-		}
-	}
-	// points/sec entries also report a (meaningless at n=1) ns/op; drop the
-	// throughput benchmarks from the gated microbench map.
-	for name := range entry.MicrobenchNsPerOp {
-		if strings.HasPrefix(name, "GenerateCorpus") || strings.HasPrefix(name, "FidelityCorpus") {
-			delete(entry.MicrobenchNsPerOp, name)
-		}
-	}
-	if len(entry.MicrobenchNsPerOp) == 0 && entry.CorpusPointsPerSec == 0 && len(entry.FidelityPointsPerSec) == 0 {
-		return fmt.Errorf("no benchmark results parsed")
-	}
+var treeNames = [2]string{"base", "head"}
 
-	if fidelity && input == "" {
-		rep, err := runOracle(oracleFrac, oracleSeed)
-		if err != nil {
-			return err
-		}
-		entry.Oracle = &rep
-		fmt.Fprintf(os.Stderr,
-			"benchjson: oracle (%s, %d/%d bags): cpu max %.4g mean %.4g, gpu max %.4g mean %.4g rel. err\n",
-			rep.Fidelity, rep.Sampled, rep.Total,
-			rep.MaxRelErrCPU, rep.MeanRelErrCPU, rep.MaxRelErrGPU, rep.MeanRelErrGPU)
-
-		skew, err := runSkewSuite(oracleFrac, oracleSeed)
-		if err != nil {
-			return err
-		}
-		entry.SkewSuite = skew
-		fmt.Fprintf(os.Stderr,
-			"benchjson: skew suite (%s, %d cells): max oracle gpu err %.4g\n",
-			skew.Fidelity, len(skew.Scenarios), skew.MaxRelErrGPU())
-	}
-
-	base := &Baseline{}
-	if b, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(b, base); err != nil {
-			return fmt.Errorf("parsing existing %s: %w", out, err)
-		}
-	}
-	if base.Machine == "" {
-		base.Machine = machine
-	}
-	base.Entries = append(base.Entries, entry)
-	b, err := json.MarshalIndent(base, "", "  ")
+// runAgainst times microbenchRuns at ref and in the working tree and gates
+// the working tree's medians against ref's.
+func runAgainst(ctx context.Context, ref string) (err error) {
+	root, err := command(ctx, "", "git", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
+	sha, err := command(ctx, root, "git", "rev-parse", "--verify", ref+"^{commit}")
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: appended entry %q (%d microbenches, corpus %.3g points/sec) to %s\n",
-		label, len(entry.MicrobenchNsPerOp), entry.CorpusPointsPerSec, out)
+	tmp, err := os.MkdirTemp("", "benchjson-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	baseDir := filepath.Join(tmp, "base")
+	if _, err := command(ctx, root, "git", "worktree", "add", "--detach", baseDir, sha); err != nil {
+		return err
+	}
+	defer func() {
+		// Not ctx: an interrupted run must still unregister the worktree.
+		if _, rmErr := command(context.Background(), root, "git", "worktree", "remove", "--force", baseDir); rmErr != nil && err == nil {
+			err = rmErr
+		}
+	}()
+	fmt.Fprintf(os.Stderr, "benchjson: base %s (%s), head %s\n", ref, sha[:12], root)
+
+	dirs := [2]string{baseDir, root}
+	var bins [2][]string
+	for t, dir := range dirs {
+		for i, mb := range microbenchRuns {
+			bin := filepath.Join(tmp, fmt.Sprintf("%s-%d.test", treeNames[t], i))
+			if _, err := command(ctx, dir, "go", "test", "-c", "-o", bin, mb.pkg); err != nil {
+				return fmt.Errorf("building %s at %s: %w", mb.pkg, treeNames[t], err)
+			}
+			bins[t] = append(bins[t], bin)
+		}
+	}
+
+	samples, err := measure(func(t int) (map[string]float64, error) {
+		ns := map[string]float64{}
+		for i, mb := range microbenchRuns {
+			out, err := command(ctx, filepath.Join(dirs[t], mb.pkg), bins[t][i],
+				"-test.run", "^$", "-test.bench", mb.pattern, "-test.timeout", "10m")
+			if err != nil {
+				return nil, fmt.Errorf("benchmarking %s at %s: %w", mb.pkg, treeNames[t], err)
+			}
+			for name, v := range parseBench(out) {
+				ns[name] = v
+			}
+		}
+		return ns, nil
+	})
+	if err != nil {
+		return err
+	}
+
+	rows, failed := gate(samples[base], samples[head])
+	for _, r := range rows {
+		fmt.Fprintln(os.Stderr, "benchjson:", r)
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d of %d microbenches regressed beyond %.1fx of %s or went missing", failed, len(rows), maxRatio, ref)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: all %d microbenches within %.1fx of %s (median of %d alternating rounds)\n",
+		len(rows), maxRatio, ref, abRounds)
 	return nil
 }
 
-// runOracle measures the fast tier's relative-error bounds in-process on
-// the paper corpus (Workers 1 so the figure matches the single-core
-// throughput target's conditions).
-func runOracle(frac float64, seed uint64) (dataset.OracleReport, error) {
-	cfg := dataset.DefaultConfig()
-	cfg.Workers = 1
-	cfg.Fidelity = phasesum.Fast
-	gen, err := dataset.NewGenerator(cfg)
-	if err != nil {
-		return dataset.OracleReport{}, err
+// measure runs abRounds rounds of run over both trees, head first in even
+// rounds and base first in odd ones, so drift on a shared host lands on
+// both sides alike. It returns each tree's ns/op samples per benchmark name.
+func measure(run func(tree int) (map[string]float64, error)) ([2]map[string][]float64, error) {
+	samples := [2]map[string][]float64{{}, {}}
+	for r := 0; r < abRounds; r++ {
+		order := [2]int{head, base}
+		if r%2 == 1 {
+			order = [2]int{base, head}
+		}
+		for _, t := range order {
+			fmt.Fprintf(os.Stderr, "benchjson: round %d/%d: %s\n", r+1, abRounds, treeNames[t])
+			ns, err := run(t)
+			if err != nil {
+				return samples, err
+			}
+			for name, v := range ns {
+				samples[t][name] = append(samples[t][name], v)
+			}
+		}
 	}
-	return gen.RunOracle(frac, seed)
+	return samples, nil
 }
 
-// runSkewSuite generates the benchmarked k × share-skew matrix at the
-// fast tier over a compact three-benchmark suite — small enough to record
-// in seconds, skewed enough (minority shares down to 0.05) to exercise the
-// fractional-share closed form's whole envelope.
-func runSkewSuite(oracleFrac float64, oracleSeed uint64) (*dataset.ScenarioReport, error) {
-	cfg := dataset.DefaultConfig()
-	cfg.Benchmarks = []string{"fast", "hog", "knn"}
-	cfg.BatchSizes = []int{20, 40, 80}
-	cfg.MixedPairs = 2
-	cfg.Fidelity = phasesum.Fast
-	return dataset.RunScenarios(cfg, dataset.DefaultSkewScenarios(), oracleFrac, oracleSeed)
+// row is one benchmark's verdict.
+type row struct {
+	name       string
+	base, head float64 // median ns/op; 0 when the tree lacks the name
+	status     string  // "ok", "FAIL", "missing" (at head; fails) or "new" (at head; not gated)
 }
 
-// mean averages a non-empty slice.
-func mean(vals []float64) float64 {
-	var sum float64
-	for _, v := range vals {
-		sum += v
+func (r row) String() string {
+	switch r.status {
+	case "new":
+		return fmt.Sprintf("new  %-28s head %12.2f ns/op (no base, not gated)", r.name, r.head)
+	case "missing":
+		return fmt.Sprintf("FAIL %-28s base %12.2f ns/op, missing at head", r.name, r.base)
 	}
-	return sum / float64(len(vals))
+	return fmt.Sprintf("%-4s %-28s base %12.2f ns/op, head %12.2f ns/op (%.2fx, limit %.1fx)",
+		r.status, r.name, r.base, r.head, r.head/r.base, maxRatio)
 }
 
-func runCheck(path string, factor float64, benchtime string, minFastPoints, maxOracleErr float64) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base Baseline
-	if err := json.Unmarshal(b, &base); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	if len(base.Entries) == 0 {
-		return fmt.Errorf("%s has no entries", path)
-	}
-	ref := base.Entries[len(base.Entries)-1] // newest entry is the current expectation
-	if len(ref.MicrobenchNsPerOp) == 0 {
-		return fmt.Errorf("newest entry %q has no microbenches to gate on", ref.Label)
-	}
-
-	fresh := map[string]float64{}
-	for _, mb := range microbenchRuns {
-		out, err := goBench(mb.pkg, mb.pattern, benchtime)
-		if err != nil {
-			return err
+// gate compares per-name medians, sorted by name: a base name missing at
+// head, or whose head median exceeds maxRatio × its base median, fails; a
+// head-only name is new. It returns the rows and the number that failed.
+func gate(baseNs, headNs map[string][]float64) ([]row, int) {
+	var rows []row
+	failed := 0
+	for name, b := range baseNs {
+		r := row{name: name, base: median(b), status: "ok"}
+		if h, ok := headNs[name]; !ok {
+			r.status = "missing"
+		} else if r.head = median(h); r.head > maxRatio*r.base {
+			r.status = "FAIL"
 		}
-		for name, ns := range parseBench(out).nsPerOp {
-			fresh[name] = ns
+		if r.status != "ok" {
+			failed++
+		}
+		rows = append(rows, r)
+	}
+	for name, h := range headNs {
+		if _, ok := baseNs[name]; !ok {
+			rows = append(rows, row{name: name, head: median(h), status: "new"})
 		}
 	}
-
-	names := make([]string, 0, len(ref.MicrobenchNsPerOp))
-	for name := range ref.MicrobenchNsPerOp {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failed bool
-	for _, name := range names {
-		want := ref.MicrobenchNsPerOp[name]
-		got, ok := fresh[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: FAIL %-28s missing from fresh run\n", name)
-			failed = true
-			continue
-		}
-		ratio := got / want
-		status := "ok  "
-		if got > want*factor {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: %s %-28s baseline %8.2f ns/op, fresh %8.2f ns/op (%.2fx, limit %.1fx)\n",
-			status, name, want, got, ratio, factor)
-	}
-	if failed {
-		return fmt.Errorf("microbenchmark regression beyond %.1fx baseline (%s entry %q)", factor, path, ref.Label)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: all %d microbenches within %.1fx of baseline entry %q\n", len(names), factor, ref.Label)
-	if minFastPoints > 0 {
-		if err := checkFidelity(&base, path, minFastPoints, maxOracleErr); err != nil {
-			return err
-		}
-	}
-	return checkSkewSuite(&base, path, maxOracleErr)
+	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+	return rows, failed
 }
 
-// checkFidelity gates the committed fidelity figures: the newest entry
-// carrying them must record fast-tier throughput at or above minFastPoints
-// points/sec and oracle error bounds at or under maxOracleErr. The gate is
-// static — it holds the baseline a contributor commits to the bar, so a
-// regression recorded into BENCH_baseline.json fails CI instead of
-// quietly becoming the new normal.
-func checkFidelity(base *Baseline, path string, minFastPoints, maxOracleErr float64) error {
-	for i := len(base.Entries) - 1; i >= 0; i-- {
-		e := base.Entries[i]
-		if len(e.FidelityPointsPerSec) == 0 {
-			continue
-		}
-		fast, ok := e.FidelityPointsPerSec["fast"]
-		if !ok {
-			return fmt.Errorf("entry %q records fidelity throughput but no fast tier", e.Label)
-		}
-		if fast < minFastPoints {
-			return fmt.Errorf("entry %q: fast tier %.3g points/sec below the %.3g floor", e.Label, fast, minFastPoints)
-		}
-		if e.Oracle == nil {
-			return fmt.Errorf("entry %q records fidelity throughput but no oracle bounds", e.Label)
-		}
-		if !e.Oracle.Within(maxOracleErr) {
-			return fmt.Errorf("entry %q: oracle max relative error (cpu %.4g, gpu %.4g) exceeds %.4g",
-				e.Label, e.Oracle.MaxRelErrCPU, e.Oracle.MaxRelErrGPU, maxOracleErr)
-		}
-		fmt.Fprintf(os.Stderr,
-			"benchjson: ok   fidelity entry %q: fast %.4g points/sec (floor %.4g), oracle max err cpu %.4g gpu %.4g (bound %.4g)\n",
-			e.Label, fast, minFastPoints, e.Oracle.MaxRelErrCPU, e.Oracle.MaxRelErrGPU, maxOracleErr)
-		return nil
+// median of a non-empty slice; an even count averages the middle two.
+func median(vals []float64) float64 {
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
 	}
-	return fmt.Errorf("%s has no entry with fidelity figures — record one with -label <x> -fidelity", path)
-}
-
-// checkSkewSuite gates the committed skew-suite matrix: the newest entry
-// carrying one must keep the worst sampled oracle error at or under
-// maxOracleErr. Like checkFidelity, the gate is static; CI's
-// fidelity-smoke job runs the same matrix live at the same bound.
-func checkSkewSuite(base *Baseline, path string, maxOracleErr float64) error {
-	for i := len(base.Entries) - 1; i >= 0; i-- {
-		e := base.Entries[i]
-		if e.SkewSuite == nil {
-			continue
-		}
-		if gpuErr := e.SkewSuite.MaxRelErrGPU(); gpuErr > maxOracleErr {
-			return fmt.Errorf("entry %q: skew-suite oracle max gpu error %.4g exceeds %.4g", e.Label, gpuErr, maxOracleErr)
-		}
-		fmt.Fprintf(os.Stderr,
-			"benchjson: ok   skew-suite entry %q: %d cells, max oracle gpu err %.4g (bound %.4g)\n",
-			e.Label, len(e.SkewSuite.Scenarios), e.SkewSuite.MaxRelErrGPU(), maxOracleErr)
-		return nil
-	}
-	return fmt.Errorf("%s has no entry with a skew suite — record one with -label <x> -fidelity", path)
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // runServeCheck gates every entry of a loadgen-produced BENCH_serve.json:
@@ -468,83 +310,43 @@ func suffixFaults(faults []string) string {
 	return " [" + strings.Join(faults, "; ") + "]"
 }
 
-func goBench(pkg, pattern, benchtime string) (string, error) {
-	args := []string{"test", "-run", "^$", "-bench", pattern, "-benchmem", pkg}
-	if benchtime != "" {
-		args = append(args, "-benchtime", benchtime)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: go %s\n", strings.Join(args, " "))
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
+// command runs name with args in dir ("" = the current directory) and
+// returns its trimmed stdout; a failure's error carries its stderr.
+func command(ctx context.Context, dir, name string, args ...string) (string, error) {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return "", fmt.Errorf("go test -bench %s: %w\n%s", pkg, err, out)
+		return "", fmt.Errorf("%s %s: %w\n%s%s", name, strings.Join(args, " "), err, out, stderr.Bytes())
 	}
-	return string(out), nil
-}
-
-type benchResults struct {
-	machine string
-	nsPerOp map[string]float64
-	// points collects points/sec values per benchmark name (repeated runs
-	// of one name are averaged by the caller).
-	points map[string][]float64
+	return strings.TrimSpace(string(out)), nil
 }
 
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
-// parseBench extracts ns/op and points/sec from `go test -bench` output.
-// Benchmark names are reported without the "Benchmark" prefix or the
-// -GOMAXPROCS suffix, e.g. "TLBAccessHitHeavy", "StreamNext/random".
-func parseBench(out string) benchResults {
-	res := benchResults{nsPerOp: map[string]float64{}, points: map[string][]float64{}}
-	var cpu, goos, goarch string
+// parseBench extracts ns/op per benchmark from `go test -bench` output.
+// Names are reported without the "Benchmark" prefix or the -GOMAXPROCS
+// suffix, e.g. "TLBAccessHitHeavy", "StreamNext/random".
+func parseBench(out string) map[string]float64 {
+	ns := map[string]float64{}
 	for _, line := range strings.Split(out, "\n") {
-		line = strings.TrimSpace(line)
-		switch {
-		case strings.HasPrefix(line, "cpu: "):
-			cpu = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "goos: "):
-			goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			goarch = strings.TrimPrefix(line, "goarch: ")
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
 		fields := strings.Fields(line)
-		if len(fields) < 4 {
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
 		name := gomaxprocsSuffix.ReplaceAllString(strings.TrimPrefix(fields[0], "Benchmark"), "")
-		// Sub-benchmarks repeated with identical names gain a #NN suffix;
-		// fold them onto the base name (points/sec values are averaged by
-		// the caller, ns/op keeps the last value seen).
-		if i := strings.Index(name, "#"); i >= 0 {
-			name = name[:i]
-		}
 		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+			if fields[i+1] != "ns/op" {
 				continue
 			}
-			switch fields[i+1] {
-			case "ns/op":
-				res.nsPerOp[name] = v
-			case "points/sec":
-				res.points[name] = append(res.points[name], v)
+			if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+				ns[name] = v
 			}
 		}
 	}
-	if cpu != "" {
-		res.machine = fmt.Sprintf("%s (%s/%s)", cpu, goos, goarch)
-	}
-	return res
-}
-
-func round3(v float64) float64 {
-	f, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'g', 4, 64), 64)
-	return f
+	return ns
 }
 
 func fatal(err error) {
