@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -336,7 +335,6 @@ func run(target string, m *mix, qps float64, concurrency int, warmup, duration t
 		fire(m.next(), now.After(warmEnd))
 	}
 	wg.Wait()
-	sort.Float64s(res.latencies)
 	return res
 }
 

@@ -110,9 +110,6 @@ func main() {
 			fatal(err)
 		}
 		cfg.BatchSizes = bs
-		if len(bs) <= 2 {
-			cfg.MixedPairs = 0 // mixed-batch pairs need >= 3 sizes
-		}
 	}
 	var peerList []string
 	if *peers != "" {

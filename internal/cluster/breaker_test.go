@@ -57,11 +57,22 @@ func breakerPool(t *testing.T, mut func(*PoolConfig)) (*Pool, *fakeClock) {
 // TestBreakerLifecycle walks the full state machine on a fake clock:
 // closed → (FailAfter request failures) → open → (cooldown) → half-open
 // with a single admitted trial → (trial success) → closed.
+// breakerOf returns url's breaker state from p.Status(), or "" for an
+// unknown URL.
+func breakerOf(p *Pool, url string) string {
+	for _, st := range p.Status() {
+		if st.URL == url {
+			return st.Breaker
+		}
+	}
+	return ""
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	p, clk := breakerPool(t, nil)
 	const url = "http://replica-a:1"
 
-	if got := p.BreakerState(url); got != "closed" {
+	if got := breakerOf(p, url); got != "closed" {
 		t.Fatalf("boot breaker state %q, want closed", got)
 	}
 	if !p.Allow(url) {
@@ -72,11 +83,11 @@ func TestBreakerLifecycle(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		p.ReportFailure(url, errors.New("connection refused"))
 	}
-	if got := p.BreakerState(url); got != "closed" {
+	if got := breakerOf(p, url); got != "closed" {
 		t.Fatalf("after FailAfter-1 failures state %q, want closed", got)
 	}
 	p.ReportFailure(url, errors.New("connection refused"))
-	if got := p.BreakerState(url); got != "open" {
+	if got := breakerOf(p, url); got != "open" {
 		t.Fatalf("after FailAfter failures state %q, want open", got)
 	}
 	if p.HealthyCount() != 1 {
@@ -103,7 +114,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !p.Allow(url) {
 		t.Fatal("breaker did not admit the half-open trial after the cooldown")
 	}
-	if got := p.BreakerState(url); got != "half-open" {
+	if got := breakerOf(p, url); got != "half-open" {
 		t.Fatalf("state %q after trial admission, want half-open", got)
 	}
 	if p.Allow(url) {
@@ -112,7 +123,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Trial success closes the breaker and re-admits the replica.
 	p.ReportSuccess(url)
-	if got := p.BreakerState(url); got != "closed" {
+	if got := breakerOf(p, url); got != "closed" {
 		t.Fatalf("state %q after trial success, want closed", got)
 	}
 	if p.HealthyCount() != 2 {
@@ -124,7 +135,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	// A closed breaker needs a fresh FailAfter streak to reopen — the
 	// failure count was reset on close.
 	p.ReportFailure(url, errors.New("hiccup"))
-	if got := p.BreakerState(url); got != "closed" {
+	if got := breakerOf(p, url); got != "closed" {
 		t.Fatalf("one failure after close reopened the breaker (state %q)", got)
 	}
 }
@@ -143,7 +154,7 @@ func TestBreakerHalfOpenTrialFailureReopens(t *testing.T) {
 		t.Fatal("trial not admitted after cooldown")
 	}
 	p.ReportFailure(url, errors.New("still down"))
-	if got := p.BreakerState(url); got != "open" {
+	if got := breakerOf(p, url); got != "open" {
 		t.Fatalf("state %q after failed trial, want open", got)
 	}
 	// The fresh cooldown starts at the trial failure: 4s later it is still
@@ -158,7 +169,7 @@ func TestBreakerHalfOpenTrialFailureReopens(t *testing.T) {
 	}
 	// This time the trial succeeds.
 	p.ReportSuccess(url)
-	if got := p.BreakerState(url); got != "closed" {
+	if got := breakerOf(p, url); got != "closed" {
 		t.Fatalf("state %q after second trial success, want closed", got)
 	}
 }
@@ -201,13 +212,13 @@ func TestBreakerClosedByProbeRevival(t *testing.T) {
 	toggles[0].down.Store(true)
 	p.ReportFailure(url, errors.New("request failed"))
 	p.ReportFailure(url, errors.New("request failed"))
-	if got := p.BreakerState(url); got != "open" {
+	if got := breakerOf(p, url); got != "open" {
 		t.Fatalf("state %q after request-path ejection, want open", got)
 	}
 
 	// One failing probe round while open: stays open, stays unhealthy.
 	p.Probe(ctx)
-	if got := p.BreakerState(url); got != "open" {
+	if got := breakerOf(p, url); got != "open" {
 		t.Fatalf("state %q after failing probe, want open", got)
 	}
 
@@ -215,11 +226,11 @@ func TestBreakerClosedByProbeRevival(t *testing.T) {
 	// any trial traffic.
 	toggles[0].down.Store(false)
 	p.Probe(ctx)
-	if got := p.BreakerState(url); got != "open" {
+	if got := breakerOf(p, url); got != "open" {
 		t.Fatalf("state %q after one healthy probe, want still open (ReviveAfter=2)", got)
 	}
 	p.Probe(ctx)
-	if got := p.BreakerState(url); got != "closed" {
+	if got := breakerOf(p, url); got != "closed" {
 		t.Fatalf("state %q after ReviveAfter healthy probes, want closed", got)
 	}
 	if !p.Allow(url) {
@@ -256,7 +267,7 @@ func TestBreakerHalfOpenProbeInterplay(t *testing.T) {
 	toggles[0].down.Store(false)
 	p.Probe(ctx)
 	p.Probe(ctx)
-	if got := p.BreakerState(url); got != "closed" {
+	if got := breakerOf(p, url); got != "closed" {
 		t.Fatalf("state %q after ReviveAfter probes during the trial, want closed", got)
 	}
 	readmitted := p.Readmissions()
@@ -329,7 +340,7 @@ func TestPoolConcurrentBreakerRace(t *testing.T) {
 		_ = p.Status()
 		_ = p.HealthyCount()
 		_ = p.BreakerSkips()
-		_ = p.BreakerState(urls[r.Intn(len(urls))])
+		_ = breakerOf(p, urls[r.Intn(len(urls))])
 	})
 
 	time.Sleep(300 * time.Millisecond)

@@ -101,7 +101,7 @@ func TestRouterPerAttemptTimeoutFailover(t *testing.T) {
 		t.Fatalf("request finished in %v without waiting out the dark attempt; the test routed wrong", elapsed)
 	}
 	// The dark replica was passively reported: FailAfter=1 ejects it.
-	if got := pool.BreakerState(dark.URL); got != "open" {
+	if got := breakerOf(pool, dark.URL); got != "open" {
 		t.Errorf("dark replica breaker %q after the timed-out forward, want open", got)
 	}
 }
@@ -171,7 +171,7 @@ func TestRouterChaosBlackholedReplica(t *testing.T) {
 			t.Fatalf("dark-first request %d answered %d: %s", i, rr.Code, rr.Body)
 		}
 	}
-	if got := rt.pool.BreakerState(tsB.URL); got != "open" {
+	if got := breakerOf(rt.pool, tsB.URL); got != "open" {
 		t.Errorf("black-holed replica breaker %q, want open", got)
 	}
 	if rt.metrics.retries.Load() == 0 {
@@ -426,7 +426,7 @@ func TestRouterClientCancelDoesNotChargeReplica(t *testing.T) {
 			if n := pool.Ejections(); n != 0 {
 				t.Errorf("client cancel ejected %d replica(s): %+v", n, pool.Status())
 			}
-			if got := pool.BreakerState(owner.URL); got != "closed" {
+			if got := breakerOf(pool, owner.URL); got != "closed" {
 				t.Errorf("owner breaker %q after a client cancel, want closed", got)
 			}
 		})
@@ -534,7 +534,7 @@ func TestRouterClientErrorDoesNotWaitForStalledGroup(t *testing.T) {
 	if elapsed > attempt/4 {
 		t.Errorf("400 took %v; the router waited for the stalled group (AttemptTimeout %v)", elapsed, attempt)
 	}
-	if got := pool.BreakerState(stalled.URL); got != "closed" {
+	if got := breakerOf(pool, stalled.URL); got != "closed" {
 		t.Errorf("stalled replica breaker %q after being abandoned, want closed", got)
 	}
 }

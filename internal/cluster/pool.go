@@ -365,19 +365,6 @@ func (p *Pool) Allow(url string) bool {
 	return true
 }
 
-// BreakerState returns url's breaker state string ("closed", "open",
-// "half-open"), or "" for an unknown URL.
-func (p *Pool) BreakerState(url string) string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, r := range p.replicas {
-		if r.url == url {
-			return r.brk.String()
-		}
-	}
-	return ""
-}
-
 // BreakerSkips returns how many forward attempts the breakers rejected.
 func (p *Pool) BreakerSkips() int64 {
 	p.mu.Lock()

@@ -537,7 +537,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "GET only"})
 		return
 	}
+	// The locked series are formatted into memory first: every request's
+	// observe and forwarded take m.mu, so writing to a slow scraper under
+	// it would stall the router.
 	m := rt.metrics
+	var locked bytes.Buffer
 	m.mu.Lock()
 	codes := make([]int, 0, len(m.byCode))
 	for c := range m.byCode {
@@ -549,16 +553,17 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		targets = append(targets, t)
 	}
 	sort.Strings(targets)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	for _, c := range codes {
-		fmt.Fprintf(w, "mapc_router_requests_total{code=%q} %d\n", fmt.Sprint(c), m.byCode[c])
+		fmt.Fprintf(&locked, "mapc_router_requests_total{code=%q} %d\n", fmt.Sprint(c), m.byCode[c])
 	}
 	for _, t := range targets {
-		fmt.Fprintf(w, "mapc_router_forwarded_bags_total{replica=%q} %d\n", t, m.byTarget[t])
+		fmt.Fprintf(&locked, "mapc_router_forwarded_bags_total{replica=%q} %d\n", t, m.byTarget[t])
 	}
-	fmt.Fprintf(w, "mapc_router_request_duration_seconds_sum %g\n", m.latSum)
-	fmt.Fprintf(w, "mapc_router_request_duration_seconds_count %d\n", m.latN)
+	fmt.Fprintf(&locked, "mapc_router_request_duration_seconds_sum %g\n", m.latSum)
+	fmt.Fprintf(&locked, "mapc_router_request_duration_seconds_count %d\n", m.latN)
 	m.mu.Unlock()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Write(locked.Bytes())
 	fmt.Fprintf(w, "mapc_router_bags_total %d\n", m.bags.Load())
 	fmt.Fprintf(w, "mapc_router_retries_total %d\n", m.retries.Load())
 	fmt.Fprintf(w, "mapc_router_hedges_total %d\n", m.hedges.Load())

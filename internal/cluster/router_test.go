@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mapc/internal/core"
 	"mapc/internal/dataset"
@@ -352,5 +353,64 @@ func TestRouterMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// stalledWriter is a ResponseWriter whose Write parks until release is
+// closed: a scraper that stopped reading.
+type stalledWriter struct {
+	header  http.Header
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestRouterMetricsStalledScrapeDoesNotBlockRequests parks a /metrics
+// response mid-write. Every routed request records itself under the
+// metrics lock, so the scrape must not hold that lock while it writes.
+func TestRouterMetricsStalledScrapeDoesNotBlockRequests(t *testing.T) {
+	rt, _, _ := newTier(t, 2)
+	rh := rt.Handler()
+	sw := &stalledWriter{header: http.Header{}, entered: make(chan struct{}), release: make(chan struct{})}
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		rh.ServeHTTP(sw, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	}()
+	defer func() {
+		close(sw.release)
+		<-scraped
+	}()
+	select {
+	case <-sw.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("/metrics never wrote its response")
+	}
+
+	done := make(chan int, 1)
+	go func() {
+		rt.metrics.observe(http.StatusOK, time.Millisecond)
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict",
+			strings.NewReader(`{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`))
+		req.Header.Set("Content-Type", "application/json")
+		rr := httptest.NewRecorder()
+		rh.ServeHTTP(rr, req)
+		done <- rr.Code
+	}()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Fatalf("routed predict status %d during a stalled scrape", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("observe and a routed predict blocked behind a stalled /metrics write")
 	}
 }

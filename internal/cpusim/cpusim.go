@@ -306,10 +306,6 @@ func coreScaleOf(cfg Config, apps []App) float64 {
 // per-phase memory behaviour. bwShare, when positive, bounds phase
 // throughput by the app's bandwidth allocation in bytes/second.
 func appCycles(cfg Config, app App, mem []phaseMem, coreScale float64, bwShare float64) (float64, float64) {
-	return appCyclesTraced(cfg, app, mem, coreScale, bwShare, nil)
-}
-
-func appCyclesTraced(cfg Config, app App, mem []phaseMem, coreScale float64, bwShare float64, timings *[]PhaseTiming) (float64, float64) {
 	var cycles, bytes float64
 	for pi := range app.Workload.Phases {
 		p := &app.Workload.Phases[pi]
@@ -360,51 +356,8 @@ func appCyclesTraced(cfg Config, app App, mem []phaseMem, coreScale float64, bwS
 			}
 		}
 		cycles += phaseCycles
-		if timings != nil {
-			*timings = append(*timings, PhaseTiming{
-				Name:             p.Name,
-				ComputeCycles:    issue,
-				StallCycles:      stall,
-				TotalCycles:      phaseCycles,
-				EffectiveThreads: effT,
-				L1MissRate:       m.l1Miss,
-				L2MissRate:       m.l2Miss,
-				LLCMissRate:      m.l2Miss,
-			})
-		}
 	}
 	return cycles, bytes
-}
-
-// PhaseTiming reports one phase's simulated timing decomposition.
-type PhaseTiming struct {
-	Name             string
-	ComputeCycles    float64 // single-thread issue/port bound
-	StallCycles      float64 // single-thread memory-latency bound
-	TotalCycles      float64 // after thread scaling, fork-join and bandwidth
-	EffectiveThreads float64
-	L1MissRate       float64 // per reference
-	L2MissRate       float64 // per reference
-	LLCMissRate      float64 // per reference; equals L2MissRate
-}
-
-// PhaseBreakdown retraces one app of an exact co-run and returns its
-// per-phase timing decomposition — the CPU-side counterpart of
-// gpusim.PhaseBreakdown. apps must match the run being explained.
-func PhaseBreakdown(cfg Config, apps []App, app int) ([]PhaseTiming, error) {
-	if err := validateApps(cfg, apps); err != nil {
-		return nil, err
-	}
-	if app < 0 || app >= len(apps) {
-		return nil, fmt.Errorf("cpusim: app %d out of range", app)
-	}
-	mem, err := simulateMemory(cfg, nil, apps)
-	if err != nil {
-		return nil, err
-	}
-	var out []PhaseTiming
-	appCyclesTraced(cfg, apps[app], mem[app], coreScaleOf(cfg, apps), 0, &out)
-	return out, nil
 }
 
 // fillPool holds the per-phase address batch privateReplay fills.

@@ -249,33 +249,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestPhaseBreakdown(t *testing.T) {
-	cfg := DefaultConfig()
-	apps := []App{{Workload: memoryBound("m"), Threads: 16}}
-	bd, err := PhaseBreakdown(cfg, apps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bd) != len(apps[0].Workload.Phases) {
-		t.Fatalf("breakdown phases %d", len(bd))
-	}
-	for i, p := range bd {
-		if p.TotalCycles <= 0 {
-			t.Errorf("phase %d total cycles %v", i, p.TotalCycles)
-		}
-		if p.EffectiveThreads < 1 || p.EffectiveThreads > 16 {
-			t.Errorf("phase %d effective threads %v", i, p.EffectiveThreads)
-		}
-		if p.L1MissRate < 0 || p.L1MissRate > 1 ||
-			p.LLCMissRate < 0 || p.LLCMissRate > 1 {
-			t.Errorf("phase %d miss rates out of range: %+v", i, p)
-		}
-	}
-	if _, err := PhaseBreakdown(cfg, apps, 3); err == nil {
-		t.Error("out-of-range app accepted")
-	}
-}
-
 func TestPrefetchingSpeedsStreamingWorkloads(t *testing.T) {
 	// A sequential streaming workload must get faster with the stride
 	// prefetcher enabled; a random-access one must not benefit much.

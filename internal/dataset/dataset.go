@@ -892,7 +892,7 @@ func (g *Generator) Generate() (*Corpus, error) {
 // in-flight measurements finish and commit. Because each point is a pure
 // function of (Config, bag), an interrupted-and-resumed corpus is
 // bit-for-bit identical — same SHA-256 — to an uninterrupted run at any
-// worker count. The caller owns j (Commit/Close).
+// worker count. The caller owns j (Close).
 func (g *Generator) Resume(ctx context.Context, j *Journal) (*Corpus, error) {
 	if j == nil {
 		return nil, errors.New("dataset: Resume requires a journal (use Generate for unjournaled runs)")

@@ -18,7 +18,6 @@ import (
 	"mapc/internal/faultinject"
 	"mapc/internal/features"
 	"mapc/internal/fsatomic"
-	"mapc/internal/phasesum"
 )
 
 // The journal makes corpus generation crash-safe: every completed
@@ -36,8 +35,8 @@ import (
 //
 // Records hold *raw* (pre-normalization) points: Section V-C normalization
 // is a whole-corpus transform and is re-applied after assembly, exactly as
-// in a fresh run. Appends are fsynced per record; Commit (and Close, and
-// every resume-open) compacts the log through an atomic temp-file+rename
+// in a fresh run. Appends are fsynced per record; Close and every
+// resume-open compact the log through an atomic temp-file+rename
 // write (fsatomic), so the file on disk is always either a previous
 // complete state or the new complete state. A crash mid-append can tear
 // the final line only; the loader tolerates exactly that by truncating at
@@ -62,18 +61,10 @@ const (
 	FaultSiteJournalAppend = "dataset.journal.append"
 )
 
-// BagKey is the canonical journal key for the 2-application bag (a, b) as
-// enumerated by Bags(): member order is the enumeration order, so the same
-// corpus position always maps to the same key across runs and worker
-// counts.
-func BagKey(a, b Member) string {
-	return BagKeyOf([]Member{a, b})
-}
-
-// BagKeyOf is BagKey for k-member bags: members as "<benchmark>/<batch>"
-// (batch in decimal) joined by "+" in enumeration order. For k=2 it
-// produces exactly the legacy pair key, so v1 journals written by the pair
-// pipeline resume unchanged.
+// BagKeyOf is the canonical journal key for a bag as enumerated by Bags():
+// members as "<benchmark>/<batch>" (batch in decimal) joined by "+" in
+// enumeration order, so the same corpus position always maps to the same
+// key across runs and worker counts.
 func BagKeyOf(bag []Member) string {
 	n := 0
 	for _, m := range bag {
@@ -95,35 +86,18 @@ func BagKeyOf(bag []Member) string {
 
 // Fingerprint is a stable digest of every Config field that influences
 // measured point values: simulator parameters, batch sizes, threads, seed,
-// mixed pairs, ordering, and the effective benchmark list. Workers and
-// SimCacheMB are deliberately excluded — outputs are invariant to both
-// (points are bit-identical at every worker count and memo budget), so a
-// corpus journaled at -workers 8 -simcache-mb 256 may be resumed at
-// -workers 1 -simcache-mb 0 and vice versa.
+// mixed pairs, ordering, the effective benchmark list, bag size, fidelity
+// tier and share vector. Workers and SimCacheMB are deliberately excluded —
+// outputs are invariant to both (points are bit-identical at every worker
+// count and memo budget), so a corpus journaled at -workers 8 -simcache-mb
+// 256 may be resumed at -workers 1 -simcache-mb 0 and vice versa. The nil
+// share vector prints as "", so it stays distinct from an explicit uniform
+// vector (bit-identical values, but a different declared intent).
 func (c Config) Fingerprint() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "cpu=%+v;gpu=%+v;batches=%v;threads=%d;seed=%d;mixed=%d;canonical=%t;benchmarks=%s",
+	desc := fmt.Sprintf("cpu=%+v;gpu=%+v;batches=%v;threads=%d;seed=%d;mixed=%d;canonical=%t;benchmarks=%s;k=%d;fidelity=%s;shares=%s",
 		c.CPU, c.GPU, c.BatchSizes, c.Threads, c.Seed, c.MixedPairs, c.CanonicalOrder,
-		strings.Join(c.BenchmarkNames(), ","))
-	if c.EffectiveK() > 2 {
-		// Appended only beyond the paper's pair corpus so every journal
-		// written by the k=2 pipeline keeps its original fingerprint.
-		fmt.Fprintf(&sb, ";k=%d", c.EffectiveK())
-	}
-	if f := c.Fidelity.Effective(); f != phasesum.Exact {
-		// Same back-compat pattern as k: exact-fidelity journals (the only
-		// kind older pipelines could write) keep their fingerprints, while
-		// analytic tiers never mix points with exact corpora.
-		fmt.Fprintf(&sb, ";fidelity=%s", f)
-	}
-	if c.Shares != nil {
-		// Non-nil shares change every shared-GPU target, so they join the
-		// fingerprint; the nil equal split keeps legacy fingerprints, and
-		// an explicit uniform vector is deliberately distinct from nil
-		// (bit-identical values, but a different declared intent).
-		fmt.Fprintf(&sb, ";shares=%s", c.SharesLabel())
-	}
-	sum := sha256.Sum256([]byte(sb.String()))
+		strings.Join(c.BenchmarkNames(), ","), c.EffectiveK(), c.Fidelity.Effective(), c.SharesLabel())
+	sum := sha256.Sum256([]byte(desc))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -368,33 +342,9 @@ func (j *Journal) Append(key string, p Point) error {
 	}
 	// Store a private copy of the feature slice: the caller's X is later
 	// normalized in place (Corpus.normalize), and the journal must keep
-	// raw values so a post-run Commit/Close never persists scaled rows.
+	// raw values so a post-run Close never persists scaled rows.
 	p.X = append([]float64(nil), p.X...)
 	j.points[key] = p
-	return nil
-}
-
-// Commit compacts the journal through an atomic temp-file+rename write:
-// header plus every known point in sorted-key order. The append handle is
-// re-established on the new file. Called by Close and by every
-// resume-open; also safe to call at any checkpoint (e.g. on SIGTERM).
-func (j *Journal) Commit() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.commitLocked(); err != nil {
-		return err
-	}
-	if j.f != nil {
-		// The rename replaced the inode under the old append handle;
-		// reopen so future appends land in the committed file.
-		j.f.Close()
-		f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			j.f = nil
-			return fmt.Errorf("dataset: reopening journal after commit: %w", err)
-		}
-		j.f = f
-	}
 	return nil
 }
 

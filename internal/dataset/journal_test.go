@@ -50,7 +50,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	pts := map[string]Point{}
 	for i := 0; i < 3; i++ {
 		p := syntheticPoint(i)
-		key := BagKey(p.Members[0], p.Members[1])
+		key := BagKeyOf(p.Members)
 		if err := j.Append(key, p); err != nil {
 			t.Fatal(err)
 		}

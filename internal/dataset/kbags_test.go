@@ -402,14 +402,11 @@ func TestCorpusKDifferentialOracles(t *testing.T) {
 	}
 }
 
-// TestBagKeyPairEquality pins that BagKeyOf on a two-member slice is the
-// legacy pair key byte for byte — the journal replay index depends on it.
+// TestBagKeyPairEquality pins BagKeyOf on a two-member slice to the pair
+// key byte for byte — the journal replay index depends on it.
 func TestBagKeyPairEquality(t *testing.T) {
 	a := Member{Benchmark: "sift", Batch: 20}
 	b := Member{Benchmark: "surf", Batch: 40}
-	if BagKey(a, b) != BagKeyOf([]Member{a, b}) {
-		t.Errorf("BagKey %q != BagKeyOf %q", BagKey(a, b), BagKeyOf([]Member{a, b}))
-	}
 	if got := BagKeyOf([]Member{a, b}); got != "sift/20+surf/40" {
 		t.Errorf("pair key %q, want sift/20+surf/40", got)
 	}

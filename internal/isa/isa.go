@@ -43,15 +43,6 @@ func (c Category) String() string {
 	return categoryNames[c]
 }
 
-// Categories returns all categories in feature-vector order.
-func Categories() []Category {
-	out := make([]Category, NumCategories)
-	for i := range out {
-		out[i] = Category(i)
-	}
-	return out
-}
-
 // ParseCategory converts a mnemonic (case-insensitive) back to a Category.
 func ParseCategory(s string) (Category, error) {
 	ls := strings.ToLower(strings.TrimSpace(s))

@@ -150,25 +150,3 @@ func (c *Cache) touch(source int, addr uint64) bool {
 
 // Stats returns the accumulated statistics for source.
 func (c *Cache) Stats(source int) CacheStats { return c.stats[source] }
-
-// CrossEvictions returns how many of source's lines were evicted by other
-// sources — the direct measure of destructive interference.
-func (c *Cache) CrossEvictions(source int) uint64 { return c.crossEvictions[source] }
-
-// Reset clears contents and statistics, keeping the geometry.
-func (c *Cache) Reset() {
-	clear(c.lines)
-	for i := range c.stats {
-		c.stats[i] = CacheStats{}
-		c.crossEvictions[i] = 0
-	}
-}
-
-// Sets returns the number of sets (exported for tests).
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// CapacityBytes returns the rounded capacity actually simulated.
-func (c *Cache) CapacityBytes() int64 { return int64(c.sets) * int64(c.ways) * LineSize }

@@ -61,7 +61,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	// Two-way set: A, B fill it; touching A again then adding C must
 	// evict B, not A.
 	c := mustCache(t, 2*LineSize, 2, 1)
-	sets := uint64(c.Sets()) // 1 set expected
+	sets := uint64(c.sets) // 1 set expected
 	if sets != 1 {
 		t.Fatalf("expected 1 set, got %d", sets)
 	}
@@ -85,11 +85,21 @@ func TestCacheCrossEvictions(t *testing.T) {
 	// Source 1 floods the set.
 	c.Access(1, 2*LineSize)
 	c.Access(1, 3*LineSize)
-	if got := c.CrossEvictions(0); got != 2 {
-		t.Fatalf("CrossEvictions(0) = %d, want 2", got)
+	if got := c.crossEvictions[0]; got != 2 {
+		t.Fatalf("crossEvictions[0] = %d, want 2", got)
 	}
-	if got := c.CrossEvictions(1); got != 0 {
-		t.Fatalf("CrossEvictions(1) = %d, want 0", got)
+	if got := c.crossEvictions[1]; got != 0 {
+		t.Fatalf("crossEvictions[1] = %d, want 0", got)
+	}
+}
+
+// Reset clears contents and statistics, keeping the geometry. The
+// simulators build a fresh cache per run; only tests reuse one.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	for i := range c.stats {
+		c.stats[i] = CacheStats{}
+		c.crossEvictions[i] = 0
 	}
 }
 
@@ -125,11 +135,11 @@ func TestCacheCapacityRounding(t *testing.T) {
 	// 3000 bytes with 64B lines and 4 ways: sets rounded down to a
 	// power of two.
 	c := mustCache(t, 3000, 4, 1)
-	if c.Sets()&(c.Sets()-1) != 0 {
-		t.Fatalf("sets %d not a power of two", c.Sets())
+	if c.sets&(c.sets-1) != 0 {
+		t.Fatalf("sets %d not a power of two", c.sets)
 	}
-	if c.CapacityBytes() > 3000 {
-		t.Fatalf("capacity %d exceeds request", c.CapacityBytes())
+	if capacity := int64(c.sets) * int64(c.ways) * LineSize; capacity > 3000 {
+		t.Fatalf("capacity %d exceeds request", capacity)
 	}
 }
 

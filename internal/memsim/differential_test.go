@@ -107,8 +107,8 @@ func TestTLBDifferential(t *testing.T) {
 					t.Errorf("source %d stats: fast %+v, reference %+v", s, fast.Stats(s), ref.Stats(s))
 				}
 			}
-			if fast.Flushes() != ref.Flushes() {
-				t.Errorf("flushes: fast %d, reference %d", fast.Flushes(), ref.Flushes())
+			if fast.flushes != ref.flushes {
+				t.Errorf("flushes: fast %d, reference %d", fast.flushes, ref.flushes)
 			}
 		})
 		totalAccesses += cc.accesses
@@ -174,8 +174,8 @@ func newCacheLockstep(t *testing.T, bytes int64, ways, sources int) *cacheLockst
 		t.Fatal(err)
 	}
 	ref := newRefCache(bytes, ways, sources)
-	if fast.Sets() != ref.sets {
-		t.Fatalf("geometry mismatch: fast %d sets, reference %d", fast.Sets(), ref.sets)
+	if fast.sets != ref.sets {
+		t.Fatalf("geometry mismatch: fast %d sets, reference %d", fast.sets, ref.sets)
 	}
 	return &cacheLockstep{t: t, fast: fast, ref: ref}
 }
@@ -211,9 +211,9 @@ func (l *cacheLockstep) check(step int) {
 		if l.fast.Stats(s) != l.ref.Stats(s) {
 			l.t.Errorf("source %d stats: fast %+v, reference %+v", s, l.fast.Stats(s), l.ref.Stats(s))
 		}
-		if l.fast.CrossEvictions(s) != l.ref.CrossEvictions(s) {
+		if l.fast.crossEvictions[s] != l.ref.crossEvictions[s] {
 			l.t.Errorf("source %d cross-evictions: fast %d, reference %d",
-				s, l.fast.CrossEvictions(s), l.ref.CrossEvictions(s))
+				s, l.fast.crossEvictions[s], l.ref.crossEvictions[s])
 		}
 	}
 }
@@ -296,10 +296,10 @@ func TestCacheStreamLockstep(t *testing.T) {
 					}
 					run++
 					l := newCacheLockstep(t, g.bytes, g.ways, sources)
-					capacityLines = uint64(l.fast.CapacityBytes() / LineSize)
+					capacityLines = uint64(l.fast.sets * l.fast.ways)
 					phase := &trace.Phase{
 						Name:        "lockstep",
-						Footprint:   2 * l.fast.CapacityBytes(),
+						Footprint:   2 * int64(capacityLines) * LineSize,
 						Pattern:     pat,
 						StrideBytes: 3 * LineSize,
 						Reuse:       reuse,
@@ -325,7 +325,7 @@ func TestCacheStreamLockstep(t *testing.T) {
 					l.check(refs)
 					for s := 0; s < sources; s++ {
 						misses += l.fast.Stats(s).Misses
-						crossEvictions += l.fast.CrossEvictions(s)
+						crossEvictions += l.fast.crossEvictions[s]
 					}
 				}
 			}
@@ -359,7 +359,7 @@ func TestCacheEdgeAddresses(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			l := newCacheLockstep(t, g.bytes, g.ways, 2)
-			setStride := uint64(l.fast.Sets()) * LineSize
+			setStride := uint64(l.fast.sets) * LineSize
 			var pool []uint64
 			for k := uint64(0); k < uint64(g.ways)+2; k++ {
 				// Lines sharing set 0 and the last set, from both ends.
@@ -390,10 +390,10 @@ func TestCacheEdgeAddresses(t *testing.T) {
 		if c.Access(0, addr) || !c.Access(0, addr) {
 			t.Fatalf("addr %#x: want cold miss then hit", addr)
 		}
-		if c.Access(1, addr^uint64(c.Sets())*LineSize) {
+		if c.Access(1, addr^uint64(c.sets)*LineSize) {
 			t.Fatalf("addr %#x: conflicting line hit", addr)
 		}
-		if got := c.CrossEvictions(0); got != 1 {
+		if got := c.crossEvictions[0]; got != 1 {
 			t.Fatalf("addr %#x: cross-evictions of source 0 = %d, want 1", addr, got)
 		}
 	}

@@ -59,6 +59,3 @@ func (p *StridePrefetcher) OnMiss(addr uint64) []uint64 {
 	p.issued += uint64(len(out))
 	return out
 }
-
-// Issued returns the total number of prefetches emitted.
-func (p *StridePrefetcher) Issued() uint64 { return p.issued }

@@ -92,7 +92,6 @@ func (t *refTLB) Reset() {
 }
 
 func (t *refTLB) Stats(source int) CacheStats { return t.stats[source] }
-func (t *refTLB) Flushes() uint64             { return t.flushes }
 
 // refCache is the original set-associative cache with parallel
 // tags/valid/src/lru slices and the per-access bits.Len tag-shift
@@ -203,8 +202,7 @@ func (c *refCache) Reset() {
 	c.clock = 0
 }
 
-func (c *refCache) Stats(source int) CacheStats      { return c.stats[source] }
-func (c *refCache) CrossEvictions(source int) uint64 { return c.crossEvictions[source] }
+func (c *refCache) Stats(source int) CacheStats { return c.stats[source] }
 
 // refStream is the original Stream: every draw goes through Float64 and
 // Intn, and every address through a true modulo of the cursor.

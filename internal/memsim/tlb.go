@@ -260,19 +260,5 @@ func (t *TLB) Flush() {
 // Stats returns per-source access statistics.
 func (t *TLB) Stats(source int) CacheStats { return t.stats[source] }
 
-// Flushes returns how many full flushes occurred.
-func (t *TLB) Flushes() uint64 { return t.flushes }
-
 // Entries returns the TLB capacity in entries.
 func (t *TLB) Entries() int { return t.entries }
-
-// Reset clears contents and statistics.
-func (t *TLB) Reset() {
-	t.index.clear()
-	t.head, t.tail = -1, -1
-	t.nextFree = 0
-	for i := range t.stats {
-		t.stats[i] = CacheStats{}
-	}
-	t.flushes = 0
-}

@@ -64,9 +64,21 @@ func TestTLBFlush(t *testing.T) {
 	if tlb.Access(0, 0) {
 		t.Fatal("translation survived Flush")
 	}
-	if tlb.Flushes() != 1 {
-		t.Fatalf("Flushes() = %d", tlb.Flushes())
+	if tlb.flushes != 1 {
+		t.Fatalf("flushes = %d", tlb.flushes)
 	}
+}
+
+// Reset clears contents and statistics. The simulators build a fresh TLB
+// per run; only tests reuse one.
+func (t *TLB) Reset() {
+	t.index.clear()
+	t.head, t.tail = -1, -1
+	t.nextFree = 0
+	for i := range t.stats {
+		t.stats[i] = CacheStats{}
+	}
+	t.flushes = 0
 }
 
 func TestTLBReset(t *testing.T) {
@@ -77,7 +89,7 @@ func TestTLBReset(t *testing.T) {
 	if st := tlb.Stats(0); st.Accesses != 0 {
 		t.Fatalf("stats after reset %+v", st)
 	}
-	if tlb.Flushes() != 0 {
+	if tlb.flushes != 0 {
 		t.Fatal("flush count survived Reset")
 	}
 	if tlb.Entries() != 4 {

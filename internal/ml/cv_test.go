@@ -23,42 +23,6 @@ func cvDataset() *Dataset {
 
 func treeFactory() Regressor { return NewTreeRegressor() }
 
-func TestLeaveOneGroupOut(t *testing.T) {
-	d := cvDataset()
-	results, err := LeaveOneGroupOut(d, treeFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("%d folds, want 4", len(results))
-	}
-	for _, r := range results {
-		if len(r.PerPoint) != 20 {
-			t.Errorf("fold %q has %d points", r.Group, len(r.PerPoint))
-		}
-		if r.MeanRelErr > 25 {
-			t.Errorf("fold %q error %v%% on a clean linear target", r.Group, r.MeanRelErr)
-		}
-		if len(r.Truth) != len(r.Pred) {
-			t.Errorf("fold %q truth/pred mismatch", r.Group)
-		}
-	}
-	if m := MeanOverGroups(results); m <= 0 {
-		t.Errorf("mean over groups %v", m)
-	}
-	if MeanOverGroups(nil) != 0 {
-		t.Error("MeanOverGroups(nil) != 0")
-	}
-}
-
-func TestLeaveOneGroupOutRequiresGroups(t *testing.T) {
-	d := cvDataset()
-	d.Groups = nil
-	if _, err := LeaveOneGroupOut(d, treeFactory); err == nil {
-		t.Fatal("ungrouped dataset accepted")
-	}
-}
-
 func TestKFold(t *testing.T) {
 	d := cvDataset()
 	errs, err := KFold(d, 5, 3, treeFactory)

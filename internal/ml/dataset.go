@@ -1,9 +1,9 @@
 // Package ml implements, from scratch, the supervised-learning machinery
 // the paper obtains from scikit-learn (Section V-D): a CART regression tree
 // with decision-path introspection, ordinary-least-squares linear
-// regression, epsilon-SVR trained by SMO, cross-validation schemes
-// including the grouped leave-one-out protocol of Figure 4, and the error
-// metrics of Section VI.
+// regression, epsilon-SVR trained by SMO, k-fold and hold-out
+// cross-validation, and the error metrics of Section VI. The grouped
+// leave-one-out protocol of Figure 4 is core.LOOCV.
 package ml
 
 import (
@@ -15,7 +15,7 @@ import (
 
 // Dataset is a supervised regression dataset: one row of X per data point,
 // a target in Y, and an optional group label per point (the benchmark a
-// point derives from, used by grouped LOOCV).
+// point derives from).
 type Dataset struct {
 	// FeatureNames labels the columns of X.
 	FeatureNames []string
@@ -128,40 +128,4 @@ func (d *Dataset) Split(testFraction float64, seed uint64) (train, test *Dataset
 		nTest = d.Len() - 1
 	}
 	return d.Subset(perm[nTest:]), d.Subset(perm[:nTest]), nil
-}
-
-// GroupNames returns the distinct group labels in first-appearance order.
-func (d *Dataset) GroupNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, g := range d.Groups {
-		if !seen[g] {
-			seen[g] = true
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-// SplitByGroup returns the subsets excluding and containing group g —
-// the grouped leave-one-out split of Figure 4.
-func (d *Dataset) SplitByGroup(g string) (rest, held *Dataset, err error) {
-	if d.Groups == nil {
-		return nil, nil, errors.New("ml: dataset has no group labels")
-	}
-	var restIdx, heldIdx []int
-	for i, gi := range d.Groups {
-		if gi == g {
-			heldIdx = append(heldIdx, i)
-		} else {
-			restIdx = append(restIdx, i)
-		}
-	}
-	if len(heldIdx) == 0 {
-		return nil, nil, fmt.Errorf("ml: no points in group %q", g)
-	}
-	if len(restIdx) == 0 {
-		return nil, nil, fmt.Errorf("ml: group %q is the entire dataset", g)
-	}
-	return d.Subset(restIdx), d.Subset(heldIdx), nil
 }

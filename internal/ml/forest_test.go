@@ -66,8 +66,14 @@ func TestForestVarianceReduction(t *testing.T) {
 	}
 	tp, _ := tree.PredictAll(test.X)
 	fp, _ := forest.PredictAll(test.X)
-	treeMSE, _ := MSE(test.Y, tp)
-	forestMSE, _ := MSE(test.Y, fp)
+	mse := func(yhat []float64) float64 {
+		var s float64
+		for i, y := range test.Y {
+			s += (y - yhat[i]) * (y - yhat[i])
+		}
+		return s / float64(len(test.Y))
+	}
+	treeMSE, forestMSE := mse(tp), mse(fp)
 	if forestMSE > treeMSE*1.1 {
 		t.Fatalf("forest MSE %v worse than single tree %v", forestMSE, treeMSE)
 	}

@@ -101,14 +101,6 @@ func (m *LinearRegression) PredictAll(X [][]float64) ([]float64, error) {
 	return out, nil
 }
 
-// Coefficients returns a copy of the fitted weights and the bias.
-func (m *LinearRegression) Coefficients() ([]float64, float64, error) {
-	if !m.fitted {
-		return nil, 0, errors.New("ml: linear regression not fitted")
-	}
-	return append([]float64(nil), m.weights...), m.bias, nil
-}
-
 // solveGauss solves Ax=b by Gaussian elimination with partial pivoting.
 // A and b are modified in place.
 func solveGauss(a [][]float64, b []float64) ([]float64, error) {

@@ -20,10 +20,7 @@ func TestLinearRegressionRecoversExactLine(t *testing.T) {
 	if err := m.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	w, b, err := m.Coefficients()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, b := m.weights, m.bias
 	if math.Abs(w[0]-3) > 1e-6 || math.Abs(w[1]+2) > 1e-6 || math.Abs(b-5) > 1e-5 {
 		t.Fatalf("recovered w=%v b=%v", w, b)
 	}
@@ -68,10 +65,7 @@ func TestLinearRegressionRidge(t *testing.T) {
 	if err := m.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	w, _, err := m.Coefficients()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := m.weights
 	if w[0] >= 2 {
 		t.Fatalf("ridge did not shrink slope: %v", w[0])
 	}
@@ -81,9 +75,6 @@ func TestLinearRegressionErrors(t *testing.T) {
 	m := NewLinearRegression()
 	if _, err := m.Predict([]float64{1}); err == nil {
 		t.Error("unfitted Predict succeeded")
-	}
-	if _, _, err := m.Coefficients(); err == nil {
-		t.Error("unfitted Coefficients succeeded")
 	}
 	if err := m.Fit(&Dataset{}); err == nil {
 		t.Error("empty dataset accepted")

@@ -21,32 +21,6 @@ var (
 	_ Regressor = (*SVR)(nil)
 )
 
-// MSE returns the mean squared error between truth and predictions
-// (Equation 1 of the paper).
-func MSE(y, yhat []float64) (float64, error) {
-	if err := sameLen(y, yhat); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i := range y {
-		d := y[i] - yhat[i]
-		s += d * d
-	}
-	return s / float64(len(y)), nil
-}
-
-// MAE returns the mean absolute error.
-func MAE(y, yhat []float64) (float64, error) {
-	if err := sameLen(y, yhat); err != nil {
-		return 0, err
-	}
-	var s float64
-	for i := range y {
-		s += math.Abs(y[i] - yhat[i])
-	}
-	return s / float64(len(y)), nil
-}
-
 // RelativeErrors returns |(true-pred)/true|*100 per point — the paper's
 // error definition (Section VI). Zero-valued truths are an error because
 // the metric is undefined there.

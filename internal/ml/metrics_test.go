@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func TestMSE(t *testing.T) {
-	got, err := MSE([]float64{1, 2, 3}, []float64{1, 3, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-5.0/3) > 1e-12 {
-		t.Fatalf("MSE = %v", got)
-	}
-}
-
-func TestMAE(t *testing.T) {
-	got, err := MAE([]float64{1, 2, 3}, []float64{2, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("MAE = %v", got)
-	}
-}
-
 func TestRelativeErrors(t *testing.T) {
 	errs, err := RelativeErrors([]float64{10, 20}, []float64{11, 15})
 	if err != nil {
@@ -49,14 +29,11 @@ func TestMeanRelativeError(t *testing.T) {
 }
 
 func TestMetricErrors(t *testing.T) {
-	if _, err := MSE(nil, nil); err == nil {
+	if _, err := MeanRelativeError(nil, nil); err == nil {
 		t.Error("empty vectors accepted")
 	}
-	if _, err := MSE([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := MeanRelativeError([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("mismatched lengths accepted")
-	}
-	if _, err := MAE([]float64{1}, []float64{}); err == nil {
-		t.Error("mismatched MAE accepted")
 	}
 }
 

@@ -56,39 +56,3 @@ func Fairness(apps []AppPerf) (float64, error) {
 	}
 	return minS / maxS, nil
 }
-
-// WeightedSpeedup returns the sum of per-task slowdowns (a.k.a. system
-// throughput, STP): n means no interference at all, values below n measure
-// lost throughput. A standard companion metric to fairness in the
-// multi-application scheduling literature.
-func WeightedSpeedup(apps []AppPerf) (float64, error) {
-	if len(apps) == 0 {
-		return 0, errors.New("perfmon: empty bag")
-	}
-	var sum float64
-	for i, a := range apps {
-		s, err := a.Slowdown()
-		if err != nil {
-			return 0, fmt.Errorf("perfmon: task %d: %w", i, err)
-		}
-		sum += s
-	}
-	return sum, nil
-}
-
-// ANTT returns the average normalized turnaround time: the mean of inverse
-// slowdowns. 1 means no interference; larger is worse.
-func ANTT(apps []AppPerf) (float64, error) {
-	if len(apps) == 0 {
-		return 0, errors.New("perfmon: empty bag")
-	}
-	var sum float64
-	for i, a := range apps {
-		s, err := a.Slowdown()
-		if err != nil {
-			return 0, fmt.Errorf("perfmon: task %d: %w", i, err)
-		}
-		sum += 1 / s
-	}
-	return sum / float64(len(apps)), nil
-}

@@ -102,8 +102,8 @@ func TestBrownoutDegradesPastWatermark(t *testing.T) {
 	if fastN.Load() == 0 {
 		t.Error("degraded request never reached the fast fidelity path")
 	}
-	if n := s.Metrics().DegradedTotal(); n != 1 {
-		t.Errorf("DegradedTotal = %d, want 1", n)
+	if n := s.Metrics().degraded.Load(); n != 1 {
+		t.Errorf("degraded = %d, want 1", n)
 	}
 
 	// /metrics exposes the counter.

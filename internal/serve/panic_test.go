@@ -46,7 +46,7 @@ func TestPredictTaskPanicReturns500AndProcessSurvives(t *testing.T) {
 	if strings.Contains(er.Error, "goroutine") {
 		t.Errorf("stack leaked to the client: %q", er.Error)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 1 {
+	if got := s.Metrics().panics.Load(); got != 1 {
 		t.Fatalf("mapc_serve_panics_total = %d after one panic, want 1", got)
 	}
 
@@ -55,7 +55,7 @@ func TestPredictTaskPanicReturns500AndProcessSurvives(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("request after recovered panic answered %d: %s", rr.Code, rr.Body)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 1 {
+	if got := s.Metrics().panics.Load(); got != 1 {
 		t.Errorf("panic counter moved to %d on a healthy request", got)
 	}
 
@@ -143,7 +143,7 @@ func TestFullHandlerCachePanicComputesFreshOnRetry(t *testing.T) {
 	if rr.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking compute answered %d: %s", rr.Code, rr.Body)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 1 {
+	if got := s.Metrics().panics.Load(); got != 1 {
 		t.Fatalf("panics total = %d, want 1", got)
 	}
 	if n := s.cache.Len(); n != 0 {
@@ -192,7 +192,7 @@ func TestMemberMeasurePanicReturns500(t *testing.T) {
 	if strings.Contains(rr.Body.String(), "goroutine") {
 		t.Errorf("stack leaked to the client: %s", rr.Body)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 1 {
+	if got := s.Metrics().panics.Load(); got != 1 {
 		t.Fatalf("mapc_serve_panics_total = %d after one member panic, want 1", got)
 	}
 
@@ -200,7 +200,7 @@ func TestMemberMeasurePanicReturns500(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("retry answered %d: %s", rr.Code, rr.Body)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 1 {
+	if got := s.Metrics().panics.Load(); got != 1 {
 		t.Errorf("panic counter moved to %d on the retry", got)
 	}
 }
@@ -221,7 +221,7 @@ func TestRecoverPanicsMiddleware(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &er); err != nil {
 		t.Fatalf("non-JSON recovery body %q: %v", rr.Body, err)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 1 {
+	if got := s.Metrics().panics.Load(); got != 1 {
 		t.Errorf("panics total = %d, want 1", got)
 	}
 
@@ -235,7 +235,7 @@ func TestRecoverPanicsMiddleware(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("late-panic status rewritten to %d", rr.Code)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 2 {
+	if got := s.Metrics().panics.Load(); got != 2 {
 		t.Errorf("panics total = %d, want 2", got)
 	}
 }

@@ -178,8 +178,8 @@ func TestWarmFromPeerAndPeerFill(t *testing.T) {
 	if computes.Load() != 0 {
 		t.Fatalf("peer fill fell through to %d local simulations", computes.Load())
 	}
-	if fresh.Metrics().PeerFillHits() != 1 {
-		t.Errorf("peer-fill hits = %d, want 1", fresh.Metrics().PeerFillHits())
+	if fresh.Metrics().peerFillHits.Load() != 1 {
+		t.Errorf("peer-fill hits = %d, want 1", fresh.Metrics().peerFillHits.Load())
 	}
 
 	// A bag nobody holds falls through to the local simulator.

@@ -397,14 +397,6 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Budget returns the configured byte budget (0 for a nil cache).
-func (c *Cache) Budget() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.budget
-}
-
 // Len returns the resident entry count.
 func (c *Cache) Len() int {
 	if c == nil {

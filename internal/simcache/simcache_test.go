@@ -65,8 +65,8 @@ func TestNilCacheRunsComputeEveryTime(t *testing.T) {
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v; want zeros", st)
 	}
-	if c.Budget() != 0 || c.Len() != 0 {
-		t.Fatal("nil cache budget/len non-zero")
+	if c.Len() != 0 {
+		t.Fatal("nil cache len non-zero")
 	}
 }
 

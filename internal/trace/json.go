@@ -124,12 +124,3 @@ func (w *Workload) WriteJSON(out io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(w)
 }
-
-// ReadJSON decodes a workload previously written with WriteJSON.
-func ReadJSON(r io.Reader) (*Workload, error) {
-	var w Workload
-	if err := json.NewDecoder(r).Decode(&w); err != nil {
-		return nil, err
-	}
-	return &w, nil
-}

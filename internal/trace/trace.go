@@ -164,18 +164,6 @@ func (w *Workload) TotalCounts() isa.Counts {
 // Instructions returns the total dynamic instruction count.
 func (w *Workload) Instructions() uint64 { return w.TotalCounts().Total() }
 
-// MaxFootprint returns the largest single-phase footprint in bytes; a proxy
-// for the working-set pressure the workload puts on shared caches.
-func (w *Workload) MaxFootprint() int64 {
-	var max int64
-	for i := range w.Phases {
-		if w.Phases[i].Footprint > max {
-			max = w.Phases[i].Footprint
-		}
-	}
-	return max
-}
-
 // Clone returns a deep copy of the workload.
 func (w *Workload) Clone() *Workload {
 	out := *w

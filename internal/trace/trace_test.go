@@ -179,17 +179,6 @@ func TestWorkloadCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestMaxFootprint(t *testing.T) {
-	w := &Workload{Benchmark: "b", BatchSize: 1, Phases: []Phase{
-		{Name: "a", Footprint: 10, Parallelism: 1, VectorWidth: 1},
-		{Name: "b", Footprint: 99, Parallelism: 1, VectorWidth: 1},
-		{Name: "c", Footprint: 5, Parallelism: 1, VectorWidth: 1},
-	}}
-	if got := w.MaxFootprint(); got != 99 {
-		t.Errorf("MaxFootprint = %d", got)
-	}
-}
-
 func TestLaunchCount(t *testing.T) {
 	p := Phase{}
 	if p.LaunchCount() != 1 {
