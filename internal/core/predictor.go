@@ -57,7 +57,7 @@ func trainOn(d *ml.Dataset, c *dataset.Corpus, scheme Scheme, params TreeParams)
 	}
 	sel, err := (&ml.Dataset{
 		FeatureNames: c.FeatureNames,
-		X:            d.X, Y: d.Y, Groups: d.Groups,
+		X:            d.X, Y: d.Y,
 	}).SelectFeatures(colNames)
 	if err != nil {
 		return nil, err

@@ -144,8 +144,6 @@ type Result struct {
 	Instructions uint64
 	// IPC is aggregate instructions per wall-clock cycle (all threads).
 	IPC float64
-	// DRAMBytes is the total traffic this app drove to memory.
-	DRAMBytes float64
 }
 
 // Performance returns 1/time, the paper's definition of performance.
@@ -267,13 +265,12 @@ func runSteady(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 	share := memsim.BandwidthShares(cfg.DRAMBandwidth, cfg.FreqGHz, prelim, traffic)
 	results := make([]Result, len(apps))
 	for i := range apps {
-		cycles, bytes := appCycles(cfg, apps[i], mem[i], coreScale, share[i])
+		cycles, _ := appCycles(cfg, apps[i], mem[i], coreScale, share[i])
 		w := apps[i].Workload
 		results[i] = Result{
 			TimeSec:      cycles / (cfg.FreqGHz * 1e9),
 			Cycles:       cycles,
 			Instructions: w.Instructions(),
-			DRAMBytes:    bytes,
 		}
 		if cycles > 0 {
 			results[i].IPC = float64(w.Instructions()) / cycles
@@ -450,7 +447,7 @@ func privateReplay(cfg Config, w *trace.Workload, ai int, missed func(addr uint6
 			// Train the stride prefetcher on the L2 demand-miss
 			// stream; fills land in L2 ahead of the access.
 			for _, pa := range pf.OnMiss(a) {
-				l2.Install(0, pa)
+				l2.Install(pa)
 			}
 		}
 		mem[pi].l1Miss = float64(l1m) / float64(n)

@@ -958,32 +958,28 @@ func (g *Generator) generate(ctx context.Context, j *Journal) (*Corpus, error) {
 
 // normalize applies the Section V-C time normalization in place.
 func (c *Corpus) normalize() error {
-	d := c.rawDataset()
+	d := c.Dataset()
 	div, err := features.NormalizeTimes(d)
 	if err != nil {
 		return err
 	}
 	c.CPUTimeDivisor = div
-	// rawDataset shares row slices with Points, so Points now hold the
+	// Dataset shares row slices with Points, so Points now hold the
 	// normalized features.
 	return nil
 }
 
-// rawDataset wraps the corpus rows in an ml.Dataset sharing storage.
-func (c *Corpus) rawDataset() *ml.Dataset {
+// Dataset returns the corpus rows as an ml.Dataset sharing their storage.
+// The paper's LOOCV split is by ContainsBenchmark.
+func (c *Corpus) Dataset() *ml.Dataset {
 	d := &ml.Dataset{FeatureNames: c.FeatureNames}
 	for i := range c.Points {
 		p := &c.Points[i]
 		d.X = append(d.X, p.X)
 		d.Y = append(d.Y, p.Y)
-		d.Groups = append(d.Groups, p.Members[0].Benchmark)
 	}
 	return d
 }
-
-// Dataset returns the corpus as an ml.Dataset. Group labels hold the first
-// member's benchmark; use ContainsBenchmark for the paper's LOOCV split.
-func (c *Corpus) Dataset() *ml.Dataset { return c.rawDataset() }
 
 // ContainsBenchmark reports whether point i includes the named benchmark.
 func (c *Corpus) ContainsBenchmark(i int, benchmark string) bool {

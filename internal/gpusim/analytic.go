@@ -129,7 +129,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 	// phasesum/shares.go.
 	demands := make([]phasesum.BandwidthDemand, n)
 	for ai, w := range workloads {
-		cycles, bytes := appCycles(cfg, w, mem[ai], smShares[ai], n, 0)
+		cycles, bytes := appCycles(cfg, w, mem[ai], smShares[ai], n, 0, nil)
 		demands[ai] = phasesum.BandwidthDemand{Bytes: bytes, Sec: cycles / (cfg.FreqGHz * 1e9)}
 	}
 	if phasesum.TotalBandwidthDemand(demands) > phasesum.BandwidthGateRatio*cfg.DRAMBandwidth {

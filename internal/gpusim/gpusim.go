@@ -166,8 +166,6 @@ type Result struct {
 	L2MissRate float64
 	// TLBMissRate is the app's TLB miss ratio.
 	TLBMissRate float64
-	// DRAMBytes is total memory traffic.
-	DRAMBytes float64
 	// SMShare is the number of SMs the app's MPS partition received.
 	SMShare float64
 }
@@ -330,7 +328,7 @@ func steadyFromMem(cfg Config, workloads []*trace.Workload, shares []float64, me
 	prelim := make([]float64, n)
 	traffic := make([]float64, n)
 	for i, w := range workloads {
-		prelim[i], traffic[i] = appCycles(cfg, w, mem[i], smShares[i], n, 0)
+		prelim[i], traffic[i] = appCycles(cfg, w, mem[i], smShares[i], n, 0, nil)
 	}
 	// PCIe: each client first ships its input batch; concurrent clients
 	// split the link evenly while their transfers overlap.
@@ -348,7 +346,7 @@ func steadyFromMem(cfg Config, workloads []*trace.Workload, shares []float64, me
 	share := memsim.BandwidthShares(cfg.DRAMBandwidth, cfg.FreqGHz, prelim, traffic)
 	results := make([]Result, n)
 	for i, w := range workloads {
-		cycles, bytes := appCycles(cfg, w, mem[i], smShares[i], n, share[i])
+		cycles, _ := appCycles(cfg, w, mem[i], smShares[i], n, share[i], nil)
 		if w.TransferBytes > 0 {
 			xfer := cfg.PCIeLatencySec + float64(w.TransferBytes)/pcieShare
 			cycles += xfer * cfg.FreqGHz * 1e9
@@ -357,7 +355,6 @@ func steadyFromMem(cfg Config, workloads []*trace.Workload, shares []float64, me
 			TimeSec:      cycles / (cfg.FreqGHz * 1e9),
 			Cycles:       cycles,
 			Instructions: w.Instructions(),
-			DRAMBytes:    bytes,
 			L2MissRate:   l2Rates[i],
 			TLBMissRate:  tlbRates[i],
 			SMShare:      smShares[i],
@@ -430,16 +427,15 @@ func PhaseBreakdown(cfg Config, workloads []*trace.Workload, client int) ([]Phas
 	}
 	smShare := float64(cfg.SMs) / float64(len(workloads))
 	var out []PhaseTiming
-	appCyclesTraced(cfg, workloads[client], mem[client], smShare, len(workloads), 0, &out)
+	appCycles(cfg, workloads[client], mem[client], smShare, len(workloads), 0, &out)
 	return out, nil
 }
 
-// appCycles times one app's kernels on its SM partition.
-func appCycles(cfg Config, w *trace.Workload, mem []phaseMem, smShare float64, clients int, bwShare float64) (float64, float64) {
-	return appCyclesTraced(cfg, w, mem, smShare, clients, bwShare, nil)
-}
-
-func appCyclesTraced(cfg Config, w *trace.Workload, mem []phaseMem, smShare float64, clients int, bwShare float64, timings *[]PhaseTiming) (float64, float64) {
+// appCycles times one app's kernels on its SM partition and returns its
+// cycles and DRAM traffic in bytes. bwShare, when positive, bounds each
+// kernel by the app's bandwidth allocation; timings, when non-nil, receives
+// each kernel's decomposition.
+func appCycles(cfg Config, w *trace.Workload, mem []phaseMem, smShare float64, clients int, bwShare float64, timings *[]PhaseTiming) (float64, float64) {
 	var cycles, bytes float64
 	schedTax := 1 + cfg.SchedulerOverhead*float64(clients-1)
 	for pi := range w.Phases {

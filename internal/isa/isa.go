@@ -43,17 +43,6 @@ func (c Category) String() string {
 	return categoryNames[c]
 }
 
-// ParseCategory converts a mnemonic (case-insensitive) back to a Category.
-func ParseCategory(s string) (Category, error) {
-	ls := strings.ToLower(strings.TrimSpace(s))
-	for i, n := range categoryNames {
-		if n == ls {
-			return Category(i), nil
-		}
-	}
-	return 0, fmt.Errorf("isa: unknown category %q", s)
-}
-
 // Counts holds per-category dynamic instruction counts. The zero value is an
 // empty count, ready to use.
 type Counts [NumCategories]uint64

@@ -22,25 +22,6 @@ func TestCategoryString(t *testing.T) {
 	}
 }
 
-func TestParseCategoryRoundTrip(t *testing.T) {
-	for c := Category(0); c < NumCategories; c++ {
-		got, err := ParseCategory(c.String())
-		if err != nil {
-			t.Fatalf("ParseCategory(%q): %v", c.String(), err)
-		}
-		if got != c {
-			t.Errorf("round trip %v -> %v", c, got)
-		}
-	}
-	if _, err := ParseCategory("bogus"); err == nil {
-		t.Error("ParseCategory(bogus) succeeded")
-	}
-	// Case-insensitive.
-	if got, err := ParseCategory(" ALU "); err != nil || got != ALU {
-		t.Errorf("ParseCategory(\" ALU \") = %v, %v", got, err)
-	}
-}
-
 func TestCountsAddTotal(t *testing.T) {
 	var k Counts
 	k.Add(ALU, 10)

@@ -61,7 +61,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	// Two-way set: A, B fill it; touching A again then adding C must
 	// evict B, not A.
 	c := mustCache(t, 2*LineSize, 2, 1)
-	sets := uint64(c.sets) // 1 set expected
+	sets := len(c.lines) / c.ways // 1 set expected
 	if sets != 1 {
 		t.Fatalf("expected 1 set, got %d", sets)
 	}
@@ -82,14 +82,17 @@ func TestCacheCrossEvictions(t *testing.T) {
 	c := mustCache(t, 2*LineSize, 2, 2)
 	c.Access(0, 0)
 	c.Access(0, LineSize)
-	// Source 1 floods the set.
+	// Source 1 floods the set: its lines stay, source 0's are gone.
 	c.Access(1, 2*LineSize)
 	c.Access(1, 3*LineSize)
-	if got := c.crossEvictions[0]; got != 2 {
-		t.Fatalf("crossEvictions[0] = %d, want 2", got)
+	if !c.Access(1, 2*LineSize) || !c.Access(1, 3*LineSize) {
+		t.Fatal("source 1 lost its own lines")
 	}
-	if got := c.crossEvictions[1]; got != 0 {
-		t.Fatalf("crossEvictions[1] = %d, want 0", got)
+	if c.Access(0, 0) {
+		t.Fatal("source 0's line survived source 1's flood")
+	}
+	if st := c.Stats(0); st.Accesses != 3 || st.Misses != 3 {
+		t.Fatalf("source 0 stats %+v, want 3 accesses, 3 misses", st)
 	}
 }
 
@@ -97,10 +100,7 @@ func TestCacheCrossEvictions(t *testing.T) {
 // simulators build a fresh cache per run; only tests reuse one.
 func (c *Cache) Reset() {
 	clear(c.lines)
-	for i := range c.stats {
-		c.stats[i] = CacheStats{}
-		c.crossEvictions[i] = 0
-	}
+	clear(c.stats)
 }
 
 func TestCacheReset(t *testing.T) {
@@ -135,10 +135,11 @@ func TestCacheCapacityRounding(t *testing.T) {
 	// 3000 bytes with 64B lines and 4 ways: sets rounded down to a
 	// power of two.
 	c := mustCache(t, 3000, 4, 1)
-	if c.sets&(c.sets-1) != 0 {
-		t.Fatalf("sets %d not a power of two", c.sets)
+	sets := len(c.lines) / c.ways
+	if sets&(sets-1) != 0 {
+		t.Fatalf("sets %d not a power of two", sets)
 	}
-	if capacity := int64(c.sets) * int64(c.ways) * LineSize; capacity > 3000 {
+	if capacity := int64(len(c.lines)) * LineSize; capacity > 3000 {
 		t.Fatalf("capacity %d exceeds request", capacity)
 	}
 }

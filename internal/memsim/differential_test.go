@@ -107,9 +107,6 @@ func TestTLBDifferential(t *testing.T) {
 					t.Errorf("source %d stats: fast %+v, reference %+v", s, fast.Stats(s), ref.Stats(s))
 				}
 			}
-			if fast.flushes != ref.flushes {
-				t.Errorf("flushes: fast %d, reference %d", fast.flushes, ref.flushes)
-			}
 		})
 		totalAccesses += cc.accesses
 	}
@@ -120,8 +117,8 @@ func TestTLBDifferential(t *testing.T) {
 
 // cacheStateEqual asserts every set matches the reference exactly. The fast
 // cache keeps each set in recency order, so front to back its ways must hold
-// the reference set's valid ways sorted by descending LRU clock, as
-// (tag, source) pairs, with every remaining way empty. installs counts the
+// the keys of the reference set's valid ways sorted by descending LRU
+// clock, with every remaining way empty. installs counts the
 // Install calls since the last Reset: with the per-source demand accesses it
 // must account for every tick of the reference's clock.
 func cacheStateEqual(t *testing.T, step int, fast *Cache, ref *refCache, installs uint64) {
@@ -144,15 +141,13 @@ func cacheStateEqual(t *testing.T, step int, fast *Cache, ref *refCache, install
 		}
 		sort.Slice(valid, func(a, b int) bool { return ref.lru[valid[a]] > ref.lru[valid[b]] })
 		for w := 0; w < ref.ways; w++ {
-			got := fast.lines[base+w]
-			want := way{}
+			got, want := fast.lines[base+w], uint64(0)
 			if w < len(valid) {
-				i := valid[w]
-				want = way{key: ref.tags[i] | validBit, src: int32(ref.src[i])}
+				want = ref.tags[valid[w]] | validBit
 			}
 			if got != want {
-				t.Fatalf("step %d: set %d way %d fast={key:%#x src:%d} reference={key:%#x src:%d} (%d valid ways)",
-					step, set, w, got.key, got.src, want.key, want.src, len(valid))
+				t.Fatalf("step %d: set %d way %d fast key %#x, reference %#x (%d valid ways)",
+					step, set, w, got, want, len(valid))
 			}
 		}
 	}
@@ -174,24 +169,25 @@ func newCacheLockstep(t *testing.T, bytes int64, ways, sources int) *cacheLockst
 		t.Fatal(err)
 	}
 	ref := newRefCache(bytes, ways, sources)
-	if fast.sets != ref.sets {
-		t.Fatalf("geometry mismatch: fast %d sets, reference %d", fast.sets, ref.sets)
+	if sets := len(fast.lines) / fast.ways; sets != ref.sets {
+		t.Fatalf("geometry mismatch: fast %d sets, reference %d", sets, ref.sets)
 	}
 	return &cacheLockstep{t: t, fast: fast, ref: ref}
 }
 
-func (l *cacheLockstep) access(step, src int, addr uint64) {
+func (l *cacheLockstep) access(step, src int, addr uint64) bool {
 	l.t.Helper()
 	fh := l.fast.Access(src, addr)
 	rh := l.ref.Access(src, addr)
 	if fh != rh {
 		l.t.Fatalf("access %d (src=%d addr=%#x): fast=%v reference=%v", step, src, addr, fh, rh)
 	}
+	return fh
 }
 
 // install takes the prefetch-fill path: it mutates state and returns nothing.
 func (l *cacheLockstep) install(src int, addr uint64) {
-	l.fast.Install(src, addr)
+	l.fast.Install(addr)
 	l.ref.Install(src, addr)
 	l.installs++
 }
@@ -202,18 +198,13 @@ func (l *cacheLockstep) reset() {
 	l.installs = 0
 }
 
-// check compares full set contents, per-source statistics and
-// cross-evictions.
+// check compares full set contents and per-source statistics.
 func (l *cacheLockstep) check(step int) {
 	l.t.Helper()
 	cacheStateEqual(l.t, step, l.fast, l.ref, l.installs)
 	for s := range l.fast.stats {
 		if l.fast.Stats(s) != l.ref.Stats(s) {
 			l.t.Errorf("source %d stats: fast %+v, reference %+v", s, l.fast.Stats(s), l.ref.Stats(s))
-		}
-		if l.fast.crossEvictions[s] != l.ref.crossEvictions[s] {
-			l.t.Errorf("source %d cross-evictions: fast %d, reference %d",
-				s, l.fast.crossEvictions[s], l.ref.crossEvictions[s])
 		}
 	}
 }
@@ -296,7 +287,7 @@ func TestCacheStreamLockstep(t *testing.T) {
 					}
 					run++
 					l := newCacheLockstep(t, g.bytes, g.ways, sources)
-					capacityLines = uint64(l.fast.sets * l.fast.ways)
+					capacityLines = uint64(len(l.fast.lines))
 					phase := &trace.Phase{
 						Name:        "lockstep",
 						Footprint:   2 * int64(capacityLines) * LineSize,
@@ -325,7 +316,7 @@ func TestCacheStreamLockstep(t *testing.T) {
 					l.check(refs)
 					for s := 0; s < sources; s++ {
 						misses += l.fast.Stats(s).Misses
-						crossEvictions += l.fast.crossEvictions[s]
+						crossEvictions += l.ref.crossEvictions[s]
 					}
 				}
 			}
@@ -359,7 +350,7 @@ func TestCacheEdgeAddresses(t *testing.T) {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
 			l := newCacheLockstep(t, g.bytes, g.ways, 2)
-			setStride := uint64(l.fast.sets) * LineSize
+			setStride := uint64(l.ref.sets) * LineSize
 			var pool []uint64
 			for k := uint64(0); k < uint64(g.ways)+2; k++ {
 				// Lines sharing set 0 and the last set, from both ends.
@@ -384,18 +375,23 @@ func TestCacheEdgeAddresses(t *testing.T) {
 
 	// A tag-0 line in a direct-mapped cache is a real resident line: a
 	// conflicting access from another source evicts it as a cross-eviction.
-	c := mustCache(t, 4<<10, 1, 2)
+	l := newCacheLockstep(t, 4<<10, 1, 2)
+	setStride := uint64(l.ref.sets) * LineSize
 	for _, addr := range []uint64{0, math.MaxUint64} {
-		c.Reset()
-		if c.Access(0, addr) || !c.Access(0, addr) {
+		l.reset()
+		if l.access(0, 0, addr) || !l.access(1, 0, addr) {
 			t.Fatalf("addr %#x: want cold miss then hit", addr)
 		}
-		if c.Access(1, addr^uint64(c.sets)*LineSize) {
+		if l.access(2, 1, addr^setStride) {
 			t.Fatalf("addr %#x: conflicting line hit", addr)
 		}
-		if got := c.crossEvictions[0]; got != 1 {
+		if got := l.ref.crossEvictions[0]; got != 1 {
 			t.Fatalf("addr %#x: cross-evictions of source 0 = %d, want 1", addr, got)
 		}
+		if l.access(3, 0, addr) {
+			t.Fatalf("addr %#x: evicted line still hit", addr)
+		}
+		l.check(4)
 	}
 }
 

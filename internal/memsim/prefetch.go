@@ -9,9 +9,7 @@ type StridePrefetcher struct {
 	degree     int
 	lastLine   uint64
 	lastStride int64
-	confident  bool
 	seen       bool
-	issued     uint64
 }
 
 // NewStridePrefetcher returns a prefetcher issuing up to degree lines per
@@ -38,13 +36,8 @@ func (p *StridePrefetcher) OnMiss(addr uint64) []uint64 {
 	if stride == 0 {
 		return nil
 	}
-	if stride == p.lastStride {
-		if !p.confident {
-			p.confident = true
-		}
-	} else {
+	if stride != p.lastStride {
 		p.lastStride = stride
-		p.confident = false
 		return nil
 	}
 	out := make([]uint64, 0, p.degree)
@@ -56,6 +49,5 @@ func (p *StridePrefetcher) OnMiss(addr uint64) []uint64 {
 		}
 		out = append(out, uint64(next)*LineSize)
 	}
-	p.issued += uint64(len(out))
 	return out
 }

@@ -23,8 +23,8 @@ const PageSize = 4096
 // design is bit-identical to the original linear-scan design
 // (retained as refTLB in reference_test.go and enforced by the differential
 // tests): the original picked the entry with the smallest logical clock,
-// breaking ties by lowest index. Because only Flush/Reset invalidate — and
-// they invalidate everything — the tied (never-touched) entries are always
+// breaking ties by lowest index. Because only Flush invalidates — and it
+// invalidates everything — the tied (never-touched) entries are always
 // exactly the slots above nextFree, claimed in ascending order, and among
 // valid entries clock values are unique, so the list head *is* the
 // original's victim.
@@ -35,9 +35,8 @@ type TLB struct {
 	index    tlbIndex // packed (page, source) -> slot
 	head     int32    // LRU end of the recency list (-1 when empty)
 	tail     int32    // MRU end (-1 when empty)
-	nextFree int      // slots[nextFree:] never used since last Flush/Reset
+	nextFree int      // slots[nextFree:] never used since the last Flush
 	stats    []CacheStats
-	flushes  uint64
 }
 
 // tlbIndex is a linear-probed open-addressed hash table mapping a packed
@@ -249,12 +248,11 @@ func (t *TLB) pushMRU(i int32) {
 }
 
 // Flush invalidates every entry, modelling a full TLB shootdown at an MPS
-// context boundary, and counts the event.
+// context boundary.
 func (t *TLB) Flush() {
 	t.index.clear()
 	t.head, t.tail = -1, -1
 	t.nextFree = 0
-	t.flushes++
 }
 
 // Stats returns per-source access statistics.

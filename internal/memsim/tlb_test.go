@@ -60,12 +60,16 @@ func TestTLBLRUReplacement(t *testing.T) {
 func TestTLBFlush(t *testing.T) {
 	tlb := mustTLB(t, 4, 1)
 	tlb.Access(0, 0)
+	tlb.Access(0, PageSize)
 	tlb.Flush()
-	if tlb.Access(0, 0) {
+	if tlb.Access(0, 0) || tlb.Access(0, PageSize) {
 		t.Fatal("translation survived Flush")
 	}
-	if tlb.flushes != 1 {
-		t.Fatalf("flushes = %d", tlb.flushes)
+	if st := tlb.Stats(0); st.Accesses != 4 || st.Misses != 4 {
+		t.Fatalf("stats %+v, want 4 accesses, 4 misses", st)
+	}
+	if !tlb.Access(0, 0) {
+		t.Fatal("post-flush refill missed")
 	}
 }
 
@@ -75,10 +79,7 @@ func (t *TLB) Reset() {
 	t.index.clear()
 	t.head, t.tail = -1, -1
 	t.nextFree = 0
-	for i := range t.stats {
-		t.stats[i] = CacheStats{}
-	}
-	t.flushes = 0
+	clear(t.stats)
 }
 
 func TestTLBReset(t *testing.T) {
@@ -89,8 +90,8 @@ func TestTLBReset(t *testing.T) {
 	if st := tlb.Stats(0); st.Accesses != 0 {
 		t.Fatalf("stats after reset %+v", st)
 	}
-	if tlb.flushes != 0 {
-		t.Fatal("flush count survived Reset")
+	if tlb.Access(0, 0) {
+		t.Fatal("translation survived Reset")
 	}
 	if tlb.Entries() != 4 {
 		t.Fatal("geometry changed by Reset")

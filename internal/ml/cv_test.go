@@ -6,17 +6,15 @@ import (
 	"mapc/internal/xrand"
 )
 
-// cvDataset builds a grouped dataset where y is a clean function of x so
+// cvDataset builds a dataset where y is a clean function of x so
 // cross-validated models generalize.
 func cvDataset() *Dataset {
 	d := &Dataset{FeatureNames: []string{"x"}}
 	rng := xrand.New(23)
-	groups := []string{"g1", "g2", "g3", "g4"}
 	for i := 0; i < 80; i++ {
 		x := rng.Float64() * 10
 		d.X = append(d.X, []float64{x})
 		d.Y = append(d.Y, 5+2*x)
-		d.Groups = append(d.Groups, groups[i%len(groups)])
 	}
 	return d
 }

@@ -13,9 +13,8 @@ import (
 	"mapc/internal/xrand"
 )
 
-// Dataset is a supervised regression dataset: one row of X per data point,
-// a target in Y, and an optional group label per point (the benchmark a
-// point derives from).
+// Dataset is a supervised regression dataset: one row of X per data point
+// and a target in Y.
 type Dataset struct {
 	// FeatureNames labels the columns of X.
 	FeatureNames []string
@@ -23,9 +22,6 @@ type Dataset struct {
 	X [][]float64
 	// Y holds the regression targets.
 	Y []float64
-	// Groups holds one label per point; may be nil when grouping is
-	// not needed.
-	Groups []string
 }
 
 // Len returns the number of data points.
@@ -38,9 +34,6 @@ func (d *Dataset) Validate() error {
 	}
 	if len(d.X) != len(d.Y) {
 		return fmt.Errorf("ml: %d feature rows but %d targets", len(d.X), len(d.Y))
-	}
-	if d.Groups != nil && len(d.Groups) != len(d.X) {
-		return fmt.Errorf("ml: %d feature rows but %d group labels", len(d.X), len(d.Groups))
 	}
 	width := len(d.X[0])
 	if width == 0 {
@@ -63,15 +56,9 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	out := &Dataset{FeatureNames: d.FeatureNames}
 	out.X = make([][]float64, len(idx))
 	out.Y = make([]float64, len(idx))
-	if d.Groups != nil {
-		out.Groups = make([]string, len(idx))
-	}
 	for k, i := range idx {
 		out.X[k] = d.X[i]
 		out.Y[k] = d.Y[i]
-		if d.Groups != nil {
-			out.Groups[k] = d.Groups[i]
-		}
 	}
 	return out
 }
@@ -96,7 +83,6 @@ func (d *Dataset) SelectFeatures(names []string) (*Dataset, error) {
 	out := &Dataset{
 		FeatureNames: append([]string(nil), names...),
 		Y:            d.Y,
-		Groups:       d.Groups,
 		X:            make([][]float64, len(d.X)),
 	}
 	for i, row := range d.X {

@@ -5,20 +5,19 @@ import (
 	"testing"
 )
 
-func groupedDataset() *Dataset {
+func sampleDataset() *Dataset {
 	return &Dataset{
 		FeatureNames: []string{"f0", "f1", "f2"},
 		X: [][]float64{
 			{1, 10, 100}, {2, 20, 200}, {3, 30, 300},
 			{4, 40, 400}, {5, 50, 500}, {6, 60, 600},
 		},
-		Y:      []float64{1, 2, 3, 4, 5, 6},
-		Groups: []string{"a", "a", "b", "b", "c", "c"},
+		Y: []float64{1, 2, 3, 4, 5, 6},
 	}
 }
 
 func TestDatasetValidate(t *testing.T) {
-	if err := groupedDataset().Validate(); err != nil {
+	if err := sampleDataset().Validate(); err != nil {
 		t.Fatalf("valid dataset rejected: %v", err)
 	}
 	bad := []*Dataset{
@@ -26,7 +25,6 @@ func TestDatasetValidate(t *testing.T) {
 		{X: [][]float64{{1}}, Y: []float64{1, 2}},
 		{X: [][]float64{{1}, {1, 2}}, Y: []float64{1, 2}},
 		{X: [][]float64{{}}, Y: []float64{1}},
-		{X: [][]float64{{1}}, Y: []float64{1}, Groups: []string{"a", "b"}},
 		{X: [][]float64{{1}}, Y: []float64{1}, FeatureNames: []string{"a", "b"}},
 	}
 	for i, d := range bad {
@@ -37,13 +35,13 @@ func TestDatasetValidate(t *testing.T) {
 }
 
 func TestSubset(t *testing.T) {
-	d := groupedDataset()
+	d := sampleDataset()
 	s := d.Subset([]int{0, 3, 5})
 	if s.Len() != 3 {
 		t.Fatalf("subset len %d", s.Len())
 	}
-	if s.Y[1] != 4 || s.Groups[2] != "c" {
-		t.Errorf("subset rows wrong: %v %v", s.Y, s.Groups)
+	if s.Y[1] != 4 || s.X[2][0] != 6 {
+		t.Errorf("subset rows wrong: %v %v", s.Y, s.X)
 	}
 	// Rows are shared, not copied.
 	s.X[0][0] = 99
@@ -53,7 +51,7 @@ func TestSubset(t *testing.T) {
 }
 
 func TestSelectFeatures(t *testing.T) {
-	d := groupedDataset()
+	d := sampleDataset()
 	s, err := d.SelectFeatures([]string{"f2", "f0"})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +68,7 @@ func TestSelectFeatures(t *testing.T) {
 }
 
 func TestSplit(t *testing.T) {
-	d := groupedDataset()
+	d := sampleDataset()
 	train, test, err := d.Split(0.34, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,6 @@ type GridResult struct {
 	Label string
 	// MeanRelErr is the mean over folds of the fold mean relative error.
 	MeanRelErr float64
-	// PerFold holds the per-fold errors.
-	PerFold []float64
 }
 
 // GridSearchKFold evaluates every candidate with k-fold cross-validation on
@@ -39,7 +37,7 @@ func GridSearchKFold(d *Dataset, k int, seed uint64, grid []GridPoint) ([]GridRe
 		if err != nil {
 			return nil, -1, fmt.Errorf("ml: grid point %q: %w", g.Label, err)
 		}
-		out[i] = GridResult{Label: g.Label, MeanRelErr: Mean(perFold), PerFold: perFold}
+		out[i] = GridResult{Label: g.Label, MeanRelErr: Mean(perFold)}
 		if best < 0 || out[i].MeanRelErr < out[best].MeanRelErr {
 			best = i
 		}

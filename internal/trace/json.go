@@ -2,15 +2,14 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"mapc/internal/isa"
 )
 
-// JSON serialization lets workloads be archived and replayed without
-// re-running the instrumented benchmarks — useful for regression corpora
-// and for feeding externally captured traces into the simulators.
+// JSON serialization writes a workload as a human-readable archive, with
+// named instruction categories and access patterns (mapc-workload -json).
+// The archive is an output only: no program code reads it back.
 
 type workloadJSON struct {
 	Format        string      `json:"format"`
@@ -65,57 +64,6 @@ func (w *Workload) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler, validating the result.
-func (w *Workload) UnmarshalJSON(data []byte) error {
-	var in workloadJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("trace: decoding workload: %w", err)
-	}
-	if in.Format != workloadFormat {
-		return fmt.Errorf("trace: unsupported workload format %q", in.Format)
-	}
-	out := Workload{
-		Benchmark:     in.Benchmark,
-		BatchSize:     in.BatchSize,
-		TransferBytes: in.TransferBytes,
-		Phases:        make([]Phase, len(in.Phases)),
-	}
-	for i, pj := range in.Phases {
-		pat, err := parsePattern(pj.Pattern)
-		if err != nil {
-			return fmt.Errorf("trace: phase %d: %w", i, err)
-		}
-		p := Phase{
-			Name: pj.Name, Footprint: pj.Footprint, Pattern: pat,
-			StrideBytes: pj.StrideBytes, Reuse: pj.Reuse,
-			Parallelism: pj.Parallelism, VectorWidth: pj.VectorWidth,
-			BatchInvariant: pj.BatchInvariant, Launches: pj.Launches,
-		}
-		for name, n := range pj.Counts {
-			c, err := isa.ParseCategory(name)
-			if err != nil {
-				return fmt.Errorf("trace: phase %d: %w", i, err)
-			}
-			p.Counts[c] = n
-		}
-		out.Phases[i] = p
-	}
-	if err := out.Validate(); err != nil {
-		return err
-	}
-	*w = out
-	return nil
-}
-
-func parsePattern(s string) (Pattern, error) {
-	for p := Pattern(0); p < numPatterns; p++ {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown pattern %q", s)
 }
 
 // WriteJSON streams the workload to w as indented JSON.

@@ -35,18 +35,52 @@ func sampleWorkload() *Workload {
 	}
 }
 
+// TestWorkloadJSONRoundTrip decodes WriteJSON's archive into its wire form
+// and checks every field against the source workload, so the archive stays
+// complete: each phase parameter and every non-zero category count, by name.
 func TestWorkloadJSONRoundTrip(t *testing.T) {
 	w := sampleWorkload()
 	var buf bytes.Buffer
 	if err := w.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got := new(Workload)
-	if err := json.NewDecoder(&buf).Decode(got); err != nil {
+	dec := json.NewDecoder(&buf)
+	dec.DisallowUnknownFields()
+	var got workloadJSON
+	if err := dec.Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(w, got) {
-		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", w, got)
+	want := workloadJSON{
+		Format:        workloadFormat,
+		Benchmark:     w.Benchmark,
+		BatchSize:     w.BatchSize,
+		TransferBytes: w.TransferBytes,
+	}
+	for _, p := range w.Phases {
+		counts := map[string]uint64{}
+		for c := isa.Category(0); c < isa.NumCategories; c++ {
+			if p.Counts[c] != 0 {
+				counts[c.String()] = p.Counts[c]
+			}
+		}
+		want.Phases = append(want.Phases, phaseJSON{
+			Name: p.Name, Counts: counts, Footprint: p.Footprint,
+			Pattern: p.Pattern.String(), StrideBytes: p.StrideBytes,
+			Reuse: p.Reuse, Parallelism: p.Parallelism,
+			VectorWidth: p.VectorWidth, BatchInvariant: p.BatchInvariant,
+			Launches: p.Launches,
+		})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("archive mismatch:\nwant %+v\ngot  %+v", want, got)
+	}
+	// A field added to Workload or Phase needs a slot in the wire form
+	// (workloadJSON adds only Format).
+	if n, m := reflect.TypeOf(Workload{}).NumField(), reflect.TypeOf(workloadJSON{}).NumField(); m != n+1 {
+		t.Errorf("Workload has %d fields, workloadJSON %d (want one more, for Format)", n, m)
+	}
+	if n, m := reflect.TypeOf(Phase{}).NumField(), reflect.TypeOf(phaseJSON{}).NumField(); m != n {
+		t.Errorf("Phase has %d fields, phaseJSON %d", n, m)
 	}
 }
 
@@ -59,25 +93,6 @@ func TestWorkloadJSONHumanReadable(t *testing.T) {
 	for _, want := range []string{`"alu":100`, `"pattern":"strided"`, `"benchmark":"demo"`} {
 		if !strings.Contains(s, want) {
 			t.Errorf("JSON missing %s:\n%s", want, s)
-		}
-	}
-}
-
-func TestWorkloadJSONRejectsInvalid(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`{"format":"wrong","benchmark":"b","batch_size":1,"phases":[]}`,
-		`{"format":"mapc-workload-v1","benchmark":"","batch_size":1,"phases":[]}`,
-		`{"format":"mapc-workload-v1","benchmark":"b","batch_size":1,"phases":[
-		  {"name":"p","counts":{},"pattern":"bogus","parallelism":1,"vector_width":1}]}`,
-		`{"format":"mapc-workload-v1","benchmark":"b","batch_size":1,"phases":[
-		  {"name":"p","counts":{"nope":1},"pattern":"sequential","parallelism":1,"vector_width":1}]}`,
-		`{"format":"mapc-workload-v1","benchmark":"b","batch_size":1,"phases":[
-		  {"name":"p","counts":{},"pattern":"sequential","parallelism":0,"vector_width":1}]}`,
-	}
-	for i, c := range cases {
-		if err := json.NewDecoder(strings.NewReader(c)).Decode(new(Workload)); err == nil {
-			t.Errorf("case %d accepted", i)
 		}
 	}
 }
