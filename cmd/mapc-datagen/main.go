@@ -58,7 +58,7 @@ func main() {
 	shares := flag.String("shares", "", "MPS share profile for every shared GPU co-run: k slash- or comma-separated relative weights, e.g. 0.7/0.2/0.1 (empty = equal split)")
 	scenarios := flag.String("scenarios", "", "run a k × share-skew scenario matrix instead of one corpus: semicolon-separated cells ('2;2:0.7/0.3;4:0.85/0.05/0.05/0.05'), or 'default' for the benchmarked skew suite")
 	scenariosJSON := flag.String("scenarios-json", "", "with -scenarios, also write the matrix report as JSON to this file")
-	oracleFrac := flag.Float64("oracle", 0, "differential oracle: re-measure this fraction of bags through the exact simulators and report relative-error bounds (0 = off)")
+	oracleFrac := flag.Float64("oracle", 0, "differential oracle: re-measure this fraction of bags through the exact GPU simulator and report bag-time relative-error bounds (0 = off)")
 	oracleSeed := flag.Uint64("oracle-seed", 1, "seed selecting the oracle's bag sample (reproducible per (config, fraction, seed))")
 	maxOracleErr := flag.Float64("max-oracle-err", 0, "exit 1 when the oracle's max relative error exceeds this bound (0 = report only)")
 	flag.Parse()
@@ -163,7 +163,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, msg+")")
 	}
 	if fs := gen.FidelityStats(); fs.AnalyticRuns > 0 {
-		fmt.Fprintf(os.Stderr, "mapc-datagen: fidelity %s: %d analytic co-run(s), %d under confidence %g\n",
+		fmt.Fprintf(os.Stderr, "mapc-datagen: fidelity %s: %d analytic GPU co-run(s), %d under confidence %g\n",
 			fs.Fidelity, fs.AnalyticRuns, fs.LowConfidenceRuns, phasesum.DefaultMinConfidence)
 	}
 	if st := gen.SimCacheStats(); st.Hits+st.Misses > 0 {
@@ -186,9 +186,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr,
-			"mapc-datagen: oracle (%s, %d/%d bags, seed %d): cpu max %.4g mean %.4g, gpu max %.4g mean %.4g rel. err\n",
-			rep.Fidelity, rep.Sampled, rep.Total, *oracleSeed,
-			rep.MaxRelErrCPU, rep.MeanRelErrCPU, rep.MaxRelErrGPU, rep.MeanRelErrGPU)
+			"mapc-datagen: oracle (%s, %d/%d bags, seed %d): gpu max %.4g mean %.4g rel. err\n",
+			rep.Fidelity, rep.Sampled, rep.Total, *oracleSeed, rep.MaxRelErrGPU, rep.MeanRelErrGPU)
 		if *maxOracleErr > 0 && !rep.Within(*maxOracleErr) {
 			fatal(fmt.Errorf("oracle max relative error exceeds bound %g", *maxOracleErr))
 		}

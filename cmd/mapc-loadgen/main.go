@@ -58,9 +58,9 @@ func main() {
 	hotFrac := flag.Float64("hot-frac", 0.8, "fraction of requests drawn from the recurring hot set")
 	hotSet := flag.Int("hot-set", 8, "number of distinct recurring bags in the hot set")
 	seed := flag.Int64("seed", 1, "mix RNG seed; same seed = same request stream")
-	degradedOK := flag.Bool("degraded-ok", false, "send X-Mapc-Degraded-OK so the target may answer from the fast fidelity tier")
+	degradedOK := flag.Bool("degraded-ok", false, "send X-Mapc-Degraded-OK so the target admits the request through its degraded pool (the answer is the same as an exact one)")
 	expectNoDegraded := flag.Bool("expect-no-degraded", false, "fail when any response was served degraded (no-fault consistency runs)")
-	checkConsistent := flag.Bool("check-consistent", false, "fail when repeated exact-tier answers for the same bag disagree")
+	checkConsistent := flag.Bool("check-consistent", false, "fail when repeated answers for the same bag disagree, degraded ones included")
 	flag.Parse()
 
 	if *target == "" {
@@ -148,7 +148,7 @@ func main() {
 		fatal(fmt.Errorf("%d responses were served degraded with -expect-no-degraded set", res.degraded))
 	}
 	if *checkConsistent && res.inconsistent > 0 {
-		fatal(fmt.Errorf("%d exact-tier answers disagreed with an earlier answer for the same bag", res.inconsistent))
+		fatal(fmt.Errorf("%d answers disagreed with an earlier answer for the same bag", res.inconsistent))
 	}
 	if *checkConsistent {
 		fmt.Fprintf(os.Stderr, "mapc-loadgen: consistency: %d distinct bags, every repeat answer identical\n", len(res.answers))
@@ -224,9 +224,9 @@ type result struct {
 	dropped   int64
 	byStatus  map[int]int64
 	latencies []float64 // ms, 200s only
-	degraded  int64     // 200s answered from the fast fidelity tier
-	// answers maps canonical bag key → the first exact-tier answer's
-	// prediction fingerprint; inconsistent counts later disagreements.
+	degraded  int64     // 200s admitted through the degraded pool
+	// answers maps canonical bag key → the first answer's prediction
+	// fingerprint; inconsistent counts later disagreements.
 	answers      map[string]string
 	inconsistent int64
 }
@@ -256,8 +256,8 @@ func (r *result) errorCount() int64 {
 
 // runOpts carries the request-shaping knobs into the load loop.
 type runOpts struct {
-	degradedOK      bool // ask for fast-tier answers via X-Mapc-Degraded-OK
-	checkConsistent bool // fingerprint exact-tier answers per bag
+	degradedOK      bool // ask for degraded admission via X-Mapc-Degraded-OK
+	checkConsistent bool // fingerprint every answer per bag
 }
 
 func run(target string, m *mix, qps float64, concurrency int, warmup, duration time.Duration, opts runOpts) *result {
@@ -307,10 +307,11 @@ func run(target string, m *mix, qps float64, concurrency int, warmup, duration t
 				res.latencies = append(res.latencies, float64(o.elapsed)/float64(time.Millisecond))
 				if o.degraded {
 					res.degraded++
-				} else if opts.checkConsistent && o.fingerprint != "" {
-					// Exact-tier answers for one bag must never disagree —
-					// degraded answers are a different fidelity tier and are
-					// excluded (the no-fault gate forbids them separately).
+				}
+				if opts.checkConsistent && o.fingerprint != "" {
+					// Answers for one bag must never disagree: a degraded
+					// answer reads the same feature-cache entry as an
+					// exact one.
 					key := serve.CanonicalKey(bag)
 					if prev, ok := res.answers[key]; !ok {
 						res.answers[key] = o.fingerprint

@@ -41,11 +41,13 @@ var writeOnlyFieldAllowed = map[string]string{
 	"gpusim.Result.SMShare":     "the MPS split that the shares tests pin exactly",
 }
 
-// internalDecl is one exported declaration or struct field under internal/.
+// internalDecl is one exported declaration or struct field under internal/,
+// or one unexported top-level declaration in any package.
 type internalDecl struct {
 	where string // file: qualified name, for the failure message
 	name  string // the bare identifier
 	key   string // package.Type.Field, the field allowlist key
+	dir   string // the package's directory, for unexported declarations
 }
 
 // moduleIndex is what the guards need from the module's non-test Go files.
@@ -56,6 +58,10 @@ type moduleIndex struct {
 	funcs    []internalDecl // exported top-level functions and methods
 	others   []internalDecl // exported top-level types, constants and variables
 	fields   []internalDecl // exported untagged struct fields
+
+	local         map[string]map[string]int // package directory -> identifier -> occurrences
+	localDeclared map[string]map[string]int // package directory -> unexported name -> declarations
+	private       []internalDecl            // unexported top-level declarations
 }
 
 // indexModule parses the non-test files of the root package, cmd/,
@@ -63,7 +69,8 @@ type moduleIndex struct {
 func indexModule(t *testing.T) *moduleIndex {
 	t.Helper()
 	fset := token.NewFileSet()
-	ix := &moduleIndex{refs: map[string]int{}, reads: map[string]int{}, declared: map[string]int{}}
+	ix := &moduleIndex{refs: map[string]int{}, reads: map[string]int{}, declared: map[string]int{},
+		local: map[string]map[string]int{}, localDeclared: map[string]map[string]int{}}
 
 	parse := func(root string, recurse bool) {
 		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -83,11 +90,17 @@ func indexModule(t *testing.T) *moduleIndex {
 			if err != nil {
 				return err
 			}
+			file := filepath.ToSlash(p)
+			dir := path.Dir(file)
+			if ix.local[dir] == nil {
+				ix.local[dir] = map[string]int{}
+			}
 			written := map[*ast.SelectorExpr]bool{}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch x := n.(type) {
 				case *ast.Ident:
 					ix.refs[x.Name]++
+					ix.local[dir][x.Name]++
 				case *ast.AssignStmt:
 					if x.Tok == token.ASSIGN || x.Tok == token.DEFINE {
 						for _, lhs := range x.Lhs {
@@ -103,10 +116,10 @@ func indexModule(t *testing.T) *moduleIndex {
 				}
 				return true
 			})
-			file := filepath.ToSlash(p)
 			if strings.HasPrefix(file, "internal/") {
 				ix.declare(file, f)
 			}
+			ix.declarePrivate(file, f)
 			return nil
 		})
 		if err != nil {
@@ -178,6 +191,43 @@ func (ix *moduleIndex) declare(file string, f *ast.File) {
 	}
 }
 
+// declarePrivate records file's unexported top-level functions, methods,
+// types, constants and variables; main, init and blank names are skipped.
+func (ix *moduleIndex) declarePrivate(file string, f *ast.File) {
+	dir := path.Dir(file)
+	if ix.localDeclared[dir] == nil {
+		ix.localDeclared[dir] = map[string]int{}
+	}
+	add := func(qualified string, id *ast.Ident) {
+		if id.IsExported() || id.Name == "_" || id.Name == "init" || id.Name == "main" {
+			return
+		}
+		ix.private = append(ix.private, internalDecl{where: file + ": " + qualified, name: id.Name, dir: dir})
+		ix.localDeclared[dir][id.Name]++
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			qualified := d.Name.Name
+			if d.Recv != nil && len(d.Recv.List) == 1 {
+				qualified = recvName(d.Recv.List[0].Type) + "." + d.Name.Name
+			}
+			add(qualified, d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					add(s.Name.Name, s.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						add(id.Name, id)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestNoTestOnlyInternalAPI fails on any exported top-level function,
 // method, type, constant or variable under internal/ whose name no non-test
 // Go file references other than at its own declaration. Code outside this
@@ -199,6 +249,28 @@ func TestNoTestOnlyInternalAPI(t *testing.T) {
 	sort.Strings(dead)
 	if len(dead) > 0 {
 		t.Errorf("%d exported internal declarations are referenced only by tests; "+
+			"delete them or move them into a _test.go file:\n\t%s",
+			len(dead), strings.Join(dead, "\n\t"))
+	}
+}
+
+// TestNoTestOnlyUnexported fails on any unexported top-level function,
+// method, type, constant or variable in a non-test file whose name no
+// non-test file of its package references other than at its declaration.
+// Such a declaration is kept alive only by tests, so it belongs in a
+// _test.go file. Names are matched within the package alone, so a use of
+// any same-named identifier there counts.
+func TestNoTestOnlyUnexported(t *testing.T) {
+	ix := indexModule(t)
+	var dead []string
+	for _, d := range ix.private {
+		if ix.local[d.dir][d.name] <= ix.localDeclared[d.dir][d.name] {
+			dead = append(dead, d.where)
+		}
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("%d unexported declarations are referenced only by tests; "+
 			"delete them or move them into a _test.go file:\n\t%s",
 			len(dead), strings.Join(dead, "\n\t"))
 	}

@@ -45,8 +45,8 @@ type ServeEntry struct {
 	ThroughputPerCore float64 `json:"throughput_rps_per_core"` // ThroughputRPS / cores
 	ShedRate          float64 `json:"shed_rate"`               // 503s / Requests
 
-	// Degraded counts 200 responses answered from the brownout fast
-	// fidelity tier (the X-Mapc-Degraded response header); DegradedRate is
+	// Degraded counts 200 responses admitted through the brownout pool
+	// (the X-Mapc-Degraded response header); DegradedRate is
 	// Degraded / Requests. Absent for pre-brownout entries.
 	Degraded     int64   `json:"degraded,omitempty"`
 	DegradedRate float64 `json:"degraded_rate,omitempty"`

@@ -139,13 +139,14 @@ type Config struct {
 	// are bit-for-bit identical at every budget, so it is excluded from
 	// the journal's config fingerprint.
 	SimCacheMB int
-	// Fidelity selects how contended co-runs (the shared CPU run behind
-	// fairness and the shared GPU run behind the target) are computed:
-	// exact reference-by-reference simulation (the zero value — the legacy
-	// bit-identical path) or the closed-form phase-summary tier ("fast").
-	// Isolated runs are always exact. Unlike Workers/SimCacheMB this
-	// changes measured values, so the fast tier is folded into the journal
-	// fingerprint; the differential oracle (RunOracle) bounds the error.
+	// Fidelity selects how the shared GPU run behind the target is
+	// computed: exact reference-by-reference simulation (the zero value —
+	// the legacy bit-identical path) or the closed-form phase-summary tier
+	// ("fast"). Isolated runs are always exact, and the shared CPU run
+	// behind fairness is one closed form at every tier, so features never
+	// depend on the tier. Unlike Workers/SimCacheMB this changes measured
+	// targets, so the fast tier is folded into the journal fingerprint;
+	// the differential oracle (RunOracle) bounds the error.
 	Fidelity phasesum.Fidelity
 	// Shares is the bag's MPS SM partitioning: relative weights, indexed
 	// by canonical bag position (after the CanonicalOrder sort), applied
@@ -301,15 +302,13 @@ type Generator struct {
 	fault        faultinject.Injector
 	measureCalls atomic.Int64
 
-	// Fidelity-tier counters (atomic): how many contended co-runs the
+	// Fidelity-tier counters (atomic) over shared GPU runs: how many the
 	// analytic model answered (and how many of those under
-	// phasesum.DefaultMinConfidence), how many the exact simulator
-	// answered at the fast tier, and how many were asked for at the exact
-	// tier.
+	// phasesum.DefaultMinConfidence), and how many the exact simulator
+	// answered at the fast tier.
 	analyticRuns      atomic.Uint64
 	lowConfidenceRuns atomic.Uint64
 	exactFallbacks    atomic.Uint64
-	exactRuns         atomic.Uint64
 
 	// samples holds each (benchmark, sample count)'s sampled vision run,
 	// shared by every batch that extrapolates from it; it is bounded by the
@@ -321,25 +320,22 @@ type Generator struct {
 }
 
 // FidelityStats is a snapshot of the generator's fidelity-tier counters,
-// exposed on mapc-serve /metrics and in the mapc-datagen summary.
+// printed in the mapc-datagen summary. They count shared GPU runs only:
+// that is the one co-run whose answer depends on the tier.
 type FidelityStats struct {
 	// Fidelity is the configured tier ("exact" or "fast").
 	Fidelity string
-	// AnalyticRuns counts contended co-runs answered by the closed-form
+	// AnalyticRuns counts shared GPU runs answered by the closed-form
 	// phase-summary model.
 	AnalyticRuns uint64
 	// LowConfidenceRuns counts the analytic runs whose model confidence
 	// sat under phasesum.DefaultMinConfidence: answers outside the model's
 	// calibrated scope (a rising count says the traffic strains it).
 	LowConfidenceRuns uint64
-	// ExactFallbacks counts co-runs asked for at the fast tier that the
-	// exact simulator answered; the engine does that only for a single
-	// client, so bag co-runs never add to it.
+	// ExactFallbacks counts shared GPU runs asked for at the fast tier
+	// that the exact simulator answered; the engine does that only for a
+	// single client, so bag co-runs never add to it.
 	ExactFallbacks uint64
-	// ExactRuns counts contended co-runs asked for at the exact tier: the
-	// configured tier's, and the reference runs of RunOracle (so zero
-	// under pure fast fidelity until the oracle runs).
-	ExactRuns uint64
 }
 
 // FidelityStats returns a snapshot of the fidelity-tier counters.
@@ -349,13 +345,12 @@ func (g *Generator) FidelityStats() FidelityStats {
 		AnalyticRuns:      g.analyticRuns.Load(),
 		LowConfidenceRuns: g.lowConfidenceRuns.Load(),
 		ExactFallbacks:    g.exactFallbacks.Load(),
-		ExactRuns:         g.exactRuns.Load(),
 	}
 }
 
-// countFidelity tallies one contended co-run's outcome at requested tier
-// fid (serve's brownout path asks for fast on a generator configured
-// exact, so the tier is per call, not the configured one).
+// countFidelity tallies one shared GPU run's outcome at requested tier
+// fid (RunOracle asks for exact on a generator configured fast, so the
+// tier is per call, not the configured one).
 func (g *Generator) countFidelity(fid phasesum.Fidelity, kind phasesum.RunKind) {
 	switch {
 	case !kind.UsedExact:
@@ -365,8 +360,6 @@ func (g *Generator) countFidelity(fid phasesum.Fidelity, kind phasesum.RunKind) 
 		}
 	case fid.Analytic():
 		g.exactFallbacks.Add(1)
-	default:
-		g.exactRuns.Add(1)
 	}
 }
 
@@ -592,21 +585,20 @@ func bagLabel(ms []bagMember) string {
 	return strings.Join(parts, "+")
 }
 
-// cpuCorun runs the canonical bag's shared CPU co-run at tier fid and
-// tallies the outcome. The cached workloads are passed directly: the
-// simulators are read-only on their inputs (contract documented on
-// cpusim.App, enforced by the mutation-guard tests), so per-point clones
-// are unnecessary.
-func (g *Generator) cpuCorun(ms []bagMember, fid phasesum.Fidelity) ([]cpusim.Result, error) {
+// cpuCorun runs the canonical bag's shared CPU co-run, one closed form at
+// every tier. The cached workloads are passed directly: the simulators
+// are read-only on their inputs (contract documented on cpusim.App,
+// enforced by the mutation-guard tests), so per-point clones are
+// unnecessary.
+func (g *Generator) cpuCorun(ms []bagMember) ([]cpusim.Result, error) {
 	apps := make([]cpusim.App, len(ms))
 	for i := range ms {
 		apps[i] = cpusim.App{Workload: ms[i].mm.workload, Threads: g.cfg.Threads}
 	}
-	res, kind, err := cpusim.RunMemoFidelity(g.cfg.CPU, g.memo, apps, fid)
+	res, err := cpusim.RunMemo(g.cfg.CPU, g.memo, apps)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: shared CPU run %s: %w", bagLabel(ms), err)
 	}
-	g.countFidelity(fid, kind)
 	return res, nil
 }
 
@@ -625,12 +617,10 @@ func (g *Generator) gpuCorun(ms []bagMember, fid phasesum.Fidelity) ([]gpusim.Re
 	return res, nil
 }
 
-// bagFairness runs the canonical bag's shared CPU co-run at tier fid and
-// reduces it to the fairness metric (Equation 2), capped at 1. Only the
-// co-run switches tier: the isolated measurements (memoized per member)
-// are exact at every tier, which is what anchors the analytic model.
-func (g *Generator) bagFairness(ms []bagMember, fid phasesum.Fidelity) (float64, error) {
-	cpuShared, err := g.cpuCorun(ms, fid)
+// bagFairness runs the canonical bag's shared CPU co-run and reduces it to
+// the fairness metric (Equation 2), capped at 1.
+func (g *Generator) bagFairness(ms []bagMember) (float64, error) {
+	cpuShared, err := g.cpuCorun(ms)
 	if err != nil {
 		return 0, err
 	}
@@ -665,29 +655,17 @@ func bagApps(ms []bagMember) []features.App {
 
 // BagFeatures measures everything a prediction needs for a k-member bag —
 // isolated CPU/GPU runs and the co-scheduled CPU run for fairness — without
-// executing the bag on the GPU, at the generator's configured tier. This is
-// the inference-time entry point: the returned vector is raw
+// executing the bag on the GPU. None of it depends on the fidelity tier, so
+// the vector is the same bit for bit on an exact and a fast generator.
+// This is the inference-time entry point: the returned vector is raw
 // (un-normalized); apply features.ScaleTimes with the training corpus's
 // divisor before passing it to a trained model.
 func (g *Generator) BagFeatures(bag []Member) (x []float64, fairness float64, err error) {
-	return g.BagFeaturesFidelity(bag, g.cfg.Fidelity)
-}
-
-// BagFeaturesFidelity is BagFeatures at an explicit co-run tier: serve's
-// brownout path answers from the fast analytic tier on a generator
-// configured for exact simulation, without touching the generator's
-// configured fidelity (or any other caller's view of it). Isolated
-// per-member measurements are shared across tiers — only the contended
-// co-run switches.
-func (g *Generator) BagFeaturesFidelity(bag []Member, fid phasesum.Fidelity) (x []float64, fairness float64, err error) {
-	if _, err := phasesum.ParseFidelity(string(fid)); err != nil {
-		return nil, 0, fmt.Errorf("dataset: %w", err)
-	}
 	ms, err := g.measureBag(bag)
 	if err != nil {
 		return nil, 0, err
 	}
-	fairness, err = g.bagFairness(ms, fid)
+	fairness, err = g.bagFairness(ms)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -710,7 +688,7 @@ func (g *Generator) MeasureBag(bag []Member) (Point, error) {
 	}
 
 	// Shared CPU run → fairness (Equation 2).
-	fairness, err := g.bagFairness(ms, g.cfg.Fidelity)
+	fairness, err := g.bagFairness(ms)
 	if err != nil {
 		return Point{}, err
 	}

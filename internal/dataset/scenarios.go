@@ -155,8 +155,8 @@ type ScenarioResult struct {
 	// throughput (wall clock, including its share of warm memo reuse).
 	Points       int     `json:"points"`
 	PointsPerSec float64 `json:"points_per_sec"`
-	// LowConfidenceRuns counts the cell's analytic co-runs (CPU fairness
-	// and GPU bag time) under phasesum.DefaultMinConfidence.
+	// LowConfidenceRuns counts the cell's analytic shared GPU runs under
+	// phasesum.DefaultMinConfidence.
 	LowConfidenceRuns uint64 `json:"low_confidence_runs"`
 	// Oracle is the cell's sampled differential-oracle report (nil when
 	// the matrix ran without oracle sampling).

@@ -122,7 +122,7 @@ func TestSkewedSharesStayAnalytic(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := gen.FidelityStats()
-		if st.AnalyticRuns == 0 || st.ExactFallbacks+st.ExactRuns != 0 {
+		if st.AnalyticRuns == 0 || st.ExactFallbacks != 0 {
 			t.Errorf("k=%d shares %v: want every contended co-run analytic: %+v", c.k, c.shares, st)
 		}
 		if st.LowConfidenceRuns != 0 {
@@ -152,7 +152,8 @@ func TestLowConfidenceRunsCounted(t *testing.T) {
 	} {
 		g.countFidelity(phasesum.Fast, kind)
 	}
-	if st := g.FidelityStats(); st.AnalyticRuns != 5 || st.LowConfidenceRuns != 2 || st.ExactFallbacks != 1 || st.ExactRuns != 0 {
+	g.countFidelity(phasesum.Exact, phasesum.RunKind{UsedExact: true, Conf: 1})
+	if st := g.FidelityStats(); st.AnalyticRuns != 5 || st.LowConfidenceRuns != 2 || st.ExactFallbacks != 1 {
 		t.Errorf("counters %+v, want 5 analytic of which 2 under the floor, 1 exact fallback", st)
 	}
 
@@ -162,16 +163,22 @@ func TestLowConfidenceRunsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gen.Generate(); err != nil {
+	c, err := gen.Generate()
+	if err != nil {
 		t.Fatal(err)
 	}
 	st := gen.FidelityStats()
-	if st.ExactFallbacks+st.ExactRuns != 0 {
+	if st.ExactFallbacks != 0 {
 		t.Errorf("skewed fast generation ran exact co-runs: %+v", st)
 	}
-	// One CPU and one GPU co-run per bag; only the GPU side is partitioned.
-	if st.LowConfidenceRuns == 0 || st.LowConfidenceRuns > st.AnalyticRuns/2 {
-		t.Errorf("want the sub-SM GPU co-runs (at most half the runs) under the floor: %+v", st)
+	// Exactly one counted run per bag: its shared GPU run. The CPU co-run
+	// behind fairness is the same closed form at every tier and is not
+	// counted.
+	if st.AnalyticRuns != uint64(len(c.Points)) {
+		t.Errorf("%d analytic runs for %d bags, want one per bag: %+v", st.AnalyticRuns, len(c.Points), st)
+	}
+	if st.LowConfidenceRuns == 0 || st.LowConfidenceRuns > st.AnalyticRuns {
+		t.Errorf("want some of the sub-SM GPU co-runs under the floor: %+v", st)
 	}
 }
 

@@ -2,15 +2,19 @@ package phasesum
 
 import "fmt"
 
-// Fidelity selects how contended co-runs are computed throughout the
-// pipeline (dataset generation, serving, every command's -fidelity flag):
+// Fidelity selects how a contended GPU co-run is computed (every
+// command's -fidelity flag):
 //
 //   - Exact: every shared structure is simulated reference-by-reference —
 //     the bit-identical legacy path, pinned by the golden corpus hashes.
-//   - Fast: contended runs are estimated in closed form from phase
-//     summaries everywhere; isolated runs stay exact (they are the
-//     summaries' source and the delta-correction anchors). Each answer
-//     reports the model's confidence (RunKind.Conf) as its scope signal.
+//   - Fast: the co-run is estimated in closed form from phase summaries;
+//     isolated runs stay exact (they are the summaries' source and the
+//     delta-correction anchors). Each answer reports the model's
+//     confidence (RunKind.Conf) as its scope signal.
+//
+// The GPU co-run gives a corpus its target, so the tier changes targets
+// only. The CPU co-run behind the fairness feature is one closed form at
+// both tiers, so a bag's features are the same at either.
 //
 // The zero value "" means Exact, so zero-valued configs keep the legacy
 // behaviour.

@@ -3,22 +3,23 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mapc/internal/dataset"
-	"mapc/internal/phasesum"
 )
 
-// brownoutServer builds a server with brownout enabled and both fidelity
-// tiers stubbed: exact computes block on `block` (so tests control
-// in-flight pressure), fast (degraded) computes answer immediately.
-// Counters record how many times each tier ran.
-func brownoutServer(t *testing.T, mut func(*Config)) (s *Server, block chan struct{}, exactN, fastN *atomic.Int64) {
+// brownoutServer builds a server with brownout enabled and stubbed
+// features: a sift-led bag (brownoutBody) blocks on `block`, so tests
+// control in-flight pressure, and any other bag (quickBody) answers
+// immediately. Counters record how many times each kind ran.
+func brownoutServer(t *testing.T, mut func(*Config)) (s *Server, block chan struct{}, slowN, quickN *atomic.Int64) {
 	t.Helper()
 	s = newTestServer(t, func(c *Config) {
 		c.BrownoutWatermark = 0.5
@@ -29,25 +30,31 @@ func brownoutServer(t *testing.T, mut func(*Config)) (s *Server, block chan stru
 	})
 	width := s.cfg.Model.NumFeatures()
 	block = make(chan struct{})
-	exactN, fastN = new(atomic.Int64), new(atomic.Int64)
-	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
-		if fid != phasesum.Fast {
-			exactN.Add(1)
+	slowN, quickN = new(atomic.Int64), new(atomic.Int64)
+	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+		if bag[0].Benchmark == "sift" {
+			slowN.Add(1)
 			<-block
 			return make([]float64, width), 0.5, false, nil
 		}
-		fastN.Add(1)
+		quickN.Add(1)
 		x := make([]float64, width)
 		for i := range x {
 			x[i] = 1
 		}
 		return x, 0.75, false, nil
 	}
-	return s, block, exactN, fastN
+	return s, block, slowN, quickN
 }
 
+// brownoutBody is a bag whose features block in brownoutServer.
 func brownoutBody(i int) string {
 	return fmt.Sprintf(`{"a":{"benchmark":"sift","batch":%d},"b":{"benchmark":"surf","batch":%d}}`, i+1, i+1)
+}
+
+// quickBody is a bag whose features answer at once in brownoutServer.
+func quickBody(i int) string {
+	return fmt.Sprintf(`{"a":{"benchmark":"knn","batch":%d},"b":{"benchmark":"hog","batch":%d}}`, i+1, i+1)
 }
 
 func decodePredict(t *testing.T, rr *httptest.ResponseRecorder) PredictResponse {
@@ -61,10 +68,10 @@ func decodePredict(t *testing.T, rr *httptest.ResponseRecorder) PredictResponse 
 
 // TestBrownoutDegradesPastWatermark drives the exact pool past the
 // watermark with blocked simulations and asserts fresh admissions answer
-// from the fast tier with degraded=true (body and header) instead of
-// queueing behind the stuck exact work — the tentpole brownout behavior.
+// through the degraded pool with degraded=true (body and header) instead
+// of queueing behind the stuck exact work — the brownout behavior.
 func TestBrownoutDegradesPastWatermark(t *testing.T) {
-	s, block, exactN, fastN := brownoutServer(t, func(c *Config) {
+	s, block, slowN, quickN := brownoutServer(t, func(c *Config) {
 		c.MaxInFlight = 4 // watermark 0.5 -> degrade at 2 in flight
 	})
 	blocked := true
@@ -81,11 +88,11 @@ func TestBrownoutDegradesPastWatermark(t *testing.T) {
 		i := i
 		go func() { got <- doJSON(t, h, http.MethodPost, "/v1/predict", brownoutBody(i)) }()
 	}
-	waitFor(t, func() bool { return exactN.Load() == 2 })
+	waitFor(t, func() bool { return slowN.Load() == 2 })
 
 	// The next request must brown out, not block: a degraded 200, fast.
 	start := time.Now()
-	rr := doJSON(t, h, http.MethodPost, "/v1/predict", brownoutBody(7))
+	rr := doJSON(t, h, http.MethodPost, "/v1/predict", quickBody(7))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("browned-out request answered %d: %s", rr.Code, rr.Body)
 	}
@@ -99,8 +106,8 @@ func TestBrownoutDegradesPastWatermark(t *testing.T) {
 	if rr.Header().Get(HeaderDegraded) != "1" {
 		t.Errorf("%s header = %q, want \"1\"", HeaderDegraded, rr.Header().Get(HeaderDegraded))
 	}
-	if fastN.Load() == 0 {
-		t.Error("degraded request never reached the fast fidelity path")
+	if quickN.Load() != 1 {
+		t.Errorf("degraded request computed features %d times, want 1", quickN.Load())
 	}
 	if n := s.Metrics().degraded.Load(); n != 1 {
 		t.Errorf("degraded = %d, want 1", n)
@@ -127,15 +134,14 @@ func TestBrownoutDegradesPastWatermark(t *testing.T) {
 }
 
 // TestForcedDegradedHeader pins the client opt-in: X-Mapc-Degraded-OK on
-// an idle server answers degraded immediately — the router forwards the
-// header so a latency-sensitive caller can trade fidelity for speed even
-// without pressure.
+// an idle server is admitted through the degraded pool and answers
+// degraded — the router forwards the header.
 func TestForcedDegradedHeader(t *testing.T) {
-	s, block, exactN, fastN := brownoutServer(t, nil)
+	s, block, slowN, quickN := brownoutServer(t, nil)
 	defer close(block)
 	h := s.Handler()
 
-	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(brownoutBody(0)))
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(quickBody(0)))
 	req.Header.Set(HeaderDegradedOK, "1")
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, req)
@@ -145,8 +151,11 @@ func TestForcedDegradedHeader(t *testing.T) {
 	if resp := decodePredict(t, rr); !resp.Degraded {
 		t.Error("forced-degraded response has degraded=false")
 	}
-	if exactN.Load() != 0 || fastN.Load() != 1 {
-		t.Errorf("exact=%d fast=%d computes, want 0/1", exactN.Load(), fastN.Load())
+	if slowN.Load() != 0 || quickN.Load() != 1 {
+		t.Errorf("slow=%d quick=%d computes, want 0/1", slowN.Load(), quickN.Load())
+	}
+	if n := s.Metrics().degraded.Load(); n != 1 {
+		t.Errorf("degraded = %d, want 1", n)
 	}
 }
 
@@ -155,7 +164,7 @@ func TestForcedDegradedHeader(t *testing.T) {
 // asserts the next request sheds 503 naming both pools — and that below
 // that point degraded admissions kept succeeding.
 func TestBrownoutShedsOnlyWhenBothPoolsFull(t *testing.T) {
-	s, block, exactN, _ := brownoutServer(t, func(c *Config) {
+	s, block, slowN, _ := brownoutServer(t, func(c *Config) {
 		c.MaxInFlight = 2
 		c.MaxDegradedInFlight = 2
 		c.RequestTimeout = 30 * time.Second
@@ -164,18 +173,6 @@ func TestBrownoutShedsOnlyWhenBothPoolsFull(t *testing.T) {
 		c.BrownoutWatermark = 1.0
 	})
 	defer close(block)
-	// Degraded path blocks too, so degraded slots stay held.
-	width := s.cfg.Model.NumFeatures()
-	var fastEntered atomic.Int64
-	exact := s.featuresFn
-	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
-		if fid != phasesum.Fast {
-			return exact(bag, fid)
-		}
-		fastEntered.Add(1)
-		<-block
-		return make([]float64, width), 0.75, false, nil
-	}
 	h := s.Handler()
 
 	// 2 exact + 2 degraded-pool + 2 degraded-overflow-into-exact? No:
@@ -187,7 +184,8 @@ func TestBrownoutShedsOnlyWhenBothPoolsFull(t *testing.T) {
 		i := i
 		go func() { doJSON(t, h, http.MethodPost, "/v1/predict", brownoutBody(i)) }()
 	}
-	waitFor(t, func() bool { return exactN.Load() == 2 })
+	waitFor(t, func() bool { return slowN.Load() == 2 })
+	// The degraded requests block too, so degraded slots stay held.
 	for i := 2; i < 4; i++ {
 		i := i
 		go func() {
@@ -196,7 +194,7 @@ func TestBrownoutShedsOnlyWhenBothPoolsFull(t *testing.T) {
 			h.ServeHTTP(httptest.NewRecorder(), req)
 		}()
 	}
-	waitFor(t, func() bool { return fastEntered.Load() == 2 })
+	waitFor(t, func() bool { return slowN.Load() == 4 })
 
 	rr := doJSON(t, h, http.MethodPost, "/v1/predict", brownoutBody(9))
 	if rr.Code != http.StatusServiceUnavailable {
@@ -238,12 +236,11 @@ func TestDeadlineHeaderHonored(t *testing.T) {
 	}
 
 	// A malformed header must not crash or zero the deadline: the request
-	// proceeds under RequestTimeout (it blocks, so cancel via deadline is
-	// not observable here — instead verify a valid fast request works).
+	// proceeds under RequestTimeout (a blocking bag would hide whether the
+	// deadline was zeroed, so a quick bag is sent instead).
 	for _, hdr := range []string{"garbage", "-5", "0"} {
-		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(brownoutBody(1)))
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(quickBody(1)))
 		req.Header.Set(HeaderDeadline, hdr)
-		req.Header.Set(HeaderDegradedOK, "1") // degraded path answers instantly
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, req)
 		if rr.Code != http.StatusOK {
@@ -284,58 +281,71 @@ func TestBrownoutConfigValidation(t *testing.T) {
 	}
 }
 
-// TestDegradedCacheNamespaceIsolation pins the cache split: the same bag
-// served exact then degraded computes once per tier (no cross-tier
-// answers), peek reads only the exact tier, and snapshot entries carry
-// only the exact tier.
-func TestDegradedCacheNamespaceIsolation(t *testing.T) {
-	var exactN, fastN atomic.Int64
-	c := newStubFeatureCache(func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
-		if fid == phasesum.Fast {
-			fastN.Add(1)
-			return []float64{9, 9, 9}, 0.9, nil
-		}
-		exactN.Add(1)
-		return []float64{1, 2, 3}, 0.5, nil
-	}, true, 1<<20)
-	bag := []dataset.Member{{Benchmark: "sift", Batch: 20}, {Benchmark: "surf", Batch: 20}}
-	key, _ := c.key(bag)
+// TestDegradedAnswerSharesExactEntry: a bag's features are the same at
+// every fidelity tier, so a forced-degraded request for a bag the exact
+// path already cached answers from that entry, in either member order. It
+// computes nothing, reports cached, predicts the same bits, and leaves one
+// entry that snapshots and peer fill both carry.
+func TestDegradedAnswerSharesExactEntry(t *testing.T) {
+	for _, order := range [][2]string{{"sift", "surf"}, {"surf", "sift"}} {
+		t.Run(order[0]+"-first", func(t *testing.T) {
+			s := newTestServer(t, func(c *Config) { c.BrownoutWatermark = 0.5 })
+			h := s.Handler()
+			batch := map[string]int{"sift": 20, "surf": 40}
+			body := func(a, b string) string {
+				return fmt.Sprintf(`{"a":{"benchmark":%q,"batch":%d},"b":{"benchmark":%q,"batch":%d}}`, a, batch[a], b, batch[b])
+			}
 
-	x, _, hit, err := c.get(bag, phasesum.Fast)
-	if err != nil || hit || x[0] != 9 {
-		t.Fatalf("degraded get: x=%v hit=%v err=%v", x, hit, err)
-	}
-	// Only the fast entry is resident: the exact key must not find it.
-	if fv, ok := c.peek(key); ok {
-		t.Fatalf("peek on the exact key returned the fast entry %v", fv.x)
-	}
-	x, _, hit, err = c.get(bag, phasesum.Exact)
-	if err != nil || hit || x[0] != 1 {
-		t.Fatalf("exact get answered x=%v hit=%v err=%v; it must not reuse the fast entry", x, hit, err)
-	}
-	if exactN.Load() != 1 || fastN.Load() != 1 {
-		t.Fatalf("computes exact=%d fast=%d, want 1/1", exactN.Load(), fastN.Load())
-	}
-	// Second round hits each tier's own entry.
-	if _, _, hit, _ := c.get(bag, phasesum.Exact); !hit {
-		t.Error("exact entry not cached")
-	}
-	if _, _, hit, _ := c.get(bag, phasesum.Fast); !hit {
-		t.Error("degraded entry not cached")
-	}
-	if exactN.Load() != 1 || fastN.Load() != 1 {
-		t.Errorf("cache hit recomputed: exact=%d fast=%d", exactN.Load(), fastN.Load())
-	}
-	// With both tiers resident, peek still answers from the exact tier.
-	if fv, ok := c.peek(key); !ok || fv.x[0] != 1 {
-		t.Errorf("peek on the exact key: ok=%v entry=%v, want the exact entry", ok, fv)
-	}
-	// Snapshots must exclude the degraded namespace.
-	entries := c.entries()
-	if len(entries) != 1 {
-		t.Fatalf("%d snapshot entries, want 1 (exact only)", len(entries))
-	}
-	if entries[0].X[0] != 1 {
-		t.Errorf("snapshot entry carries degraded features %v", entries[0].X)
+			rr := doJSON(t, h, http.MethodPost, "/v1/predict", body(order[0], order[1]))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("exact request answered %d: %s", rr.Code, rr.Body)
+			}
+			exact := decodePredict(t, rr)
+
+			req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body(order[1], order[0])))
+			req.Header.Set(HeaderDegradedOK, "1")
+			rr = httptest.NewRecorder()
+			h.ServeHTTP(rr, req)
+			if rr.Code != http.StatusOK {
+				t.Fatalf("degraded request answered %d: %s", rr.Code, rr.Body)
+			}
+			degraded := decodePredict(t, rr)
+			if exact.Degraded || !degraded.Degraded {
+				t.Fatalf("degraded flags %v/%v, want false/true", exact.Degraded, degraded.Degraded)
+			}
+
+			if m := s.Metrics(); m.cacheMisses.Load() != 1 || m.cacheHits.Load() != 1 {
+				t.Errorf("feature cache misses=%d hits=%d, want one compute and one hit",
+					m.cacheMisses.Load(), m.cacheHits.Load())
+			}
+			e, d := exact.Results[0], degraded.Results[0]
+			if e.Cached || !d.Cached {
+				t.Errorf("cached flags exact=%v degraded=%v, want false/true", e.Cached, d.Cached)
+			}
+			if math.Float64bits(e.PredictedSec) != math.Float64bits(d.PredictedSec) ||
+				math.Float64bits(e.Fairness) != math.Float64bits(d.Fairness) {
+				t.Errorf("degraded answer (%v, %v) differs from exact (%v, %v)",
+					d.PredictedSec, d.Fairness, e.PredictedSec, e.Fairness)
+			}
+
+			key := CanonicalKey(e.Members)
+			if snap := s.Snapshot(); len(snap.Entries) != 1 || snap.Entries[0].Key != key {
+				t.Errorf("snapshot entries %+v, want the one entry %s", snap.Entries, key)
+			}
+			if n := s.CacheLen(); n != 1 {
+				t.Errorf("cached_bags = %d, want 1", n)
+			}
+			rr = doJSON(t, h, http.MethodGet, "/v1/cache/entry?key="+url.QueryEscape(key), "")
+			if rr.Code != http.StatusOK {
+				t.Fatalf("/v1/cache/entry answered %d: %s", rr.Code, rr.Body)
+			}
+			var entry CacheEntryResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &entry); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(entry.Fairness) != math.Float64bits(e.Fairness) {
+				t.Errorf("peer-fill entry fairness %v, want %v", entry.Fairness, e.Fairness)
+			}
+		})
 	}
 }

@@ -17,10 +17,10 @@ import (
 // benchmark registry) can no longer grow the map without bound.
 const DefaultFeatureCacheMB = 64
 
-// featureDomain namespaces exact-tier feature-cache keys inside the shared
-// simcache.Key space. Every other tier gets its own namespace below it
-// ("serve/features/fast" for the brownout tier), so an analytic answer can
-// never be returned to (or snapshotted for) an exact-tier request.
+// featureDomain namespaces feature-cache keys inside the shared
+// simcache.Key space. A bag's features are the same at every fidelity
+// tier (only the GPU co-run behind the target differs, and serve never
+// runs it), so exact and brownout answers share one entry.
 const featureDomain = "serve/features"
 
 // recoveredPanic is a panic caught inside the feature cache's compute
@@ -69,12 +69,10 @@ func (v *featureValue) sizeBytes(key string) int64 {
 // underneath additionally memoizes each member's isolated runs, so even a
 // miss on a new combination of known members only pays for the shared run.
 type featureCache struct {
-	// compute is the miss path: the bag's features with its co-run at the
-	// given tier.
-	compute func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error)
-	// tier is the generator's configured fidelity: the tier of every
-	// answer outside brownout, and the only tier whose entries snapshots,
-	// peek and peer fill carry.
+	// compute is the miss path: the bag's features.
+	compute func(bag []dataset.Member) ([]float64, float64, error)
+	// tier is the generator's configured fidelity, which snapshots record
+	// and check and /metrics labels.
 	tier phasesum.Fidelity
 	// canonical collapses every permutation of a bag's members into one
 	// entry. Only safe when the generator's CanonicalOrder sorts members
@@ -90,11 +88,11 @@ type featureCache struct {
 	// (dataset Config.SharesLabel; "" for the equal split). Features are
 	// share-independent today, but the share vector is generator state
 	// that changes measured co-runs, so two profiles must never share a
-	// cache namespace — the same reasoning that keeps the tiers apart.
+	// cache namespace.
 	shares string
-	// domains maps each tier to its share-qualified key domain, derived
-	// once at construction so lookups build no strings.
-	domains map[phasesum.Fidelity]string
+	// domain is the share-qualified key domain (shareDomain), derived once
+	// at construction so lookups build no strings.
+	domain string
 
 	lru *simcache.Cache
 }
@@ -107,25 +105,12 @@ func newFeatureCache(gen *dataset.Generator, budgetMB int) *featureCache {
 	}
 	cfg := gen.Config()
 	return &featureCache{
-		compute:   gen.BagFeaturesFidelity,
+		compute:   gen.BagFeatures,
 		tier:      cfg.Fidelity.Effective(),
 		canonical: cfg.CanonicalOrder,
 		shares:    cfg.SharesLabel(),
-		domains:   tierDomains(cfg.SharesLabel()),
+		domain:    shareDomain(cfg.SharesLabel()),
 		lru:       simcache.MustNew(int64(budgetMB) << 20),
-	}
-}
-
-// newStubFeatureCache is the test constructor: an arbitrary compute
-// function and an explicit byte budget at the exact tier, no generator
-// required.
-func newStubFeatureCache(compute func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error), canonical bool, budgetBytes int64) *featureCache {
-	return &featureCache{
-		compute:   compute,
-		tier:      phasesum.Exact,
-		canonical: canonical,
-		domains:   tierDomains(""),
-		lru:       simcache.MustNew(budgetBytes),
 	}
 }
 
@@ -139,40 +124,28 @@ func (c *featureCache) key(bag []dataset.Member) (string, []dataset.Member) {
 	return dataset.BagKeyOf(bag), bag
 }
 
-// tierDomains derives every tier's key domain: featureDomain for exact,
-// featureDomain/<tier> otherwise, each qualified with the share profile.
-// The equal split keeps the bare domain, identical to the pre-shares key
-// shape; any explicit profile gets its own namespace by exact string
-// append — no hashing, so distinct profiles can never collide.
-func tierDomains(shares string) map[phasesum.Fidelity]string {
-	out := make(map[phasesum.Fidelity]string, 2)
-	for _, fid := range []phasesum.Fidelity{phasesum.Exact, phasesum.Fast} {
-		d := featureDomain
-		if fid != phasesum.Exact {
-			d += "/" + string(fid)
-		}
-		if shares != "" {
-			d += "?shares=" + shares
-		}
-		out[fid] = d
+// shareDomain qualifies featureDomain with the share profile. The equal
+// split keeps the bare domain, identical to the pre-shares key shape; any
+// explicit profile gets its own namespace by exact string append — no
+// hashing, so distinct profiles can never collide.
+func shareDomain(shares string) string {
+	if shares == "" {
+		return featureDomain
 	}
-	return out
+	return featureDomain + "?shares=" + shares
 }
 
-// cacheKey maps the canonical bag key into the simcache key space of tier
-// fid: the tier's share-qualified domain plus the bag key in the Config
-// field.
-func (c *featureCache) cacheKey(bagKey string, fid phasesum.Fidelity) simcache.Key {
-	return simcache.Key{Domain: c.domains[fid.Effective()], Config: bagKey}
+// cacheKey maps the canonical bag key into the simcache key space: the
+// share-qualified domain plus the bag key in the Config field.
+func (c *featureCache) cacheKey(bagKey string) simcache.Key {
+	return simcache.Key{Domain: c.domain, Config: bagKey}
 }
 
-// get returns the bag's raw feature vector and fairness with its co-run at
-// tier fid, computing them at most once per resident generation. Each
-// tier has its own key namespace, so an answer never crosses tiers. hit
-// reports whether a *published* entry answered immediately: a request
-// that joined an in-progress first computation waited out a full
-// simulation and must not claim "cached" (the pre-fix cache reported
-// hit=true for those waiters). The returned slice is shared across
+// get returns the bag's raw feature vector and fairness, computing them at
+// most once per resident generation. hit reports whether a *published*
+// entry answered immediately: a request that joined an in-progress first
+// computation waited out a full simulation and must not claim "cached"
+// (the pre-fix cache reported hit=true for those waiters). The returned slice is shared across
 // requests — callers must not mutate it (core.Predictor.PredictRaw copies
 // before scaling).
 //
@@ -181,10 +154,10 @@ func (c *featureCache) cacheKey(bagKey string, fid phasesum.Fidelity) simcache.K
 // errored entries, and the next request for the same bag computes fresh —
 // the panicking bag costs exactly one 500 (plus the same error for any
 // waiter that shared the slot).
-func (c *featureCache) get(bag []dataset.Member, fid phasesum.Fidelity) (x []float64, fairness float64, hit bool, err error) {
+func (c *featureCache) get(bag []dataset.Member) (x []float64, fairness float64, hit bool, err error) {
 	k, canon := c.key(bag)
-	v, outcome, err := c.lru.Lookup(c.cacheKey(k, fid), func() (any, int64, error) {
-		fv, err := c.computeValue(k, canon, fid)
+	v, outcome, err := c.lru.Lookup(c.cacheKey(k), func() (any, int64, error) {
+		fv, err := c.computeValue(k, canon)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -197,32 +170,30 @@ func (c *featureCache) get(bag []dataset.Member, fid phasesum.Fidelity) (x []flo
 	return fv.x, fv.fairness, outcome == simcache.OutcomeHit, nil
 }
 
-// computeValue runs the miss path — peer fill first (configured tier only:
-// peers publish only that tier's entries), local simulation as the
-// fallback — with panics recovered into *recoveredPanic.
-func (c *featureCache) computeValue(key string, canon []dataset.Member, fid phasesum.Fidelity) (fv *featureValue, err error) {
+// computeValue runs the miss path — peer fill first, local simulation as
+// the fallback — with panics recovered into *recoveredPanic.
+func (c *featureCache) computeValue(key string, canon []dataset.Member) (fv *featureValue, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			fv, err = nil, &recoveredPanic{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if c.fill != nil && fid.Effective() == c.tier {
+	if c.fill != nil {
 		if x, fairness, ok := c.fill(key); ok {
 			return &featureValue{x: x, fairness: fairness}, nil
 		}
 	}
-	x, fairness, err := c.compute(canon, fid)
+	x, fairness, err := c.compute(canon)
 	if err != nil {
 		return nil, err
 	}
 	return &featureValue{x: x, fairness: fairness}, nil
 }
 
-// peek returns the configured tier's published entry for a canonical bag
-// key without waiting, computing, or touching recency — the peer-fill
-// serving side.
+// peek returns the published entry for a canonical bag key without
+// waiting, computing, or touching recency — the peer-fill serving side.
 func (c *featureCache) peek(bagKey string) (*featureValue, bool) {
-	v, ok := c.lru.Peek(c.cacheKey(bagKey, c.tier))
+	v, ok := c.lru.Peek(c.cacheKey(bagKey))
 	if !ok {
 		return nil, false
 	}
@@ -233,18 +204,14 @@ func (c *featureCache) peek(bagKey string) (*featureValue, bool) {
 // wins. Reports whether this call inserted a still-resident entry.
 func (c *featureCache) seed(bagKey string, x []float64, fairness float64) bool {
 	fv := &featureValue{x: x, fairness: fairness}
-	return c.lru.Seed(c.cacheKey(bagKey, c.tier), fv, fv.sizeBytes(bagKey))
+	return c.lru.Seed(c.cacheKey(bagKey), fv, fv.sizeBytes(bagKey))
 }
 
-// entries lists the configured tier's published entries MRU-first (the
-// snapshot body). Brownout entries of another tier are deliberately
-// excluded: snapshots and peer fills carry only the tier the snapshot
-// records.
+// entries lists the published entries MRU-first (the snapshot body).
 func (c *featureCache) entries() []SnapshotEntry {
-	domain := c.domains[c.tier]
 	var out []SnapshotEntry
 	c.lru.Items(func(key simcache.Key, val any, _ int64) bool {
-		if key.Domain != domain {
+		if key.Domain != c.domain {
 			return true
 		}
 		if fv, ok := val.(*featureValue); ok {

@@ -9,14 +9,27 @@ import (
 
 	"mapc/internal/dataset"
 	"mapc/internal/phasesum"
+	"mapc/internal/simcache"
 )
+
+// newStubFeatureCache builds a cache over an arbitrary compute function
+// and an explicit byte budget at the exact tier, no generator required.
+func newStubFeatureCache(compute func(bag []dataset.Member) ([]float64, float64, error), canonical bool, budgetBytes int64) *featureCache {
+	return &featureCache{
+		compute:   compute,
+		tier:      phasesum.Exact,
+		canonical: canonical,
+		domain:    featureDomain,
+		lru:       simcache.MustNew(budgetBytes),
+	}
+}
 
 // TestFeatureCacheSingleflightHammer hammers the shared feature cache from
 // many goroutines (run under -race in CI) and proves each distinct bag's
 // computation runs exactly once.
 func TestFeatureCacheSingleflightHammer(t *testing.T) {
 	var computes atomic.Int64
-	c := newStubFeatureCache(func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, error) {
+	c := newStubFeatureCache(func(bag []dataset.Member) ([]float64, float64, error) {
 		computes.Add(1)
 		return []float64{float64(bag[0].Batch), float64(bag[1].Batch)}, 0.5, nil
 	}, true, 64<<20)
@@ -43,7 +56,7 @@ func TestFeatureCacheSingleflightHammer(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				a := members[(g+i)%len(members)]
 				b := members[(g*7+i*3)%len(members)]
-				x, fairness, hit, err := c.get([]dataset.Member{a, b}, phasesum.Exact)
+				x, fairness, hit, err := c.get([]dataset.Member{a, b})
 				if err != nil {
 					t.Error(err)
 					return
@@ -80,7 +93,7 @@ func TestServerConcurrentPredictHammer(t *testing.T) {
 	// Stub features: constant-width vectors, no simulation, so the hammer
 	// is fast; width must match the model (21 features for 2-app bags).
 	width := s.cfg.Model.NumFeatures()
-	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
 		x := make([]float64, width)
 		for i := range x {
 			x[i] = 0.25

@@ -12,7 +12,6 @@ import (
 
 	"mapc/internal/core"
 	"mapc/internal/dataset"
-	"mapc/internal/phasesum"
 )
 
 var (
@@ -248,7 +247,7 @@ func TestServerConcurrentK3Hammer(t *testing.T) {
 	// Stub the featurizer so the hammer exercises concurrency, not the
 	// simulator; width must match the 3-app model (31 features).
 	width := s.cfg.Model.NumFeatures()
-	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
 		x := make([]float64, width)
 		for i := range x {
 			x[i] = 0.25

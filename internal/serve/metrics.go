@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 	"mapc/internal/simcache"
 )
 
@@ -34,8 +34,8 @@ type Metrics struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 
-	// degraded counts brownout answers (served from the fast fidelity
-	// tier); degradedInFlight gauges currently-admitted degraded requests.
+	// degraded counts brownout answers (admitted through the degraded
+	// pool); degradedInFlight gauges currently-admitted degraded requests.
 	degraded         atomic.Int64
 	degradedInFlight atomic.Int64
 
@@ -61,11 +61,9 @@ type Metrics struct {
 	// (evictions, resident bytes/entries); nil renders zeros.
 	featStats func() simcache.Stats
 
-	// fidelityStats snapshots the generator's fidelity-tier counters
-	// (analytic and low-confidence co-runs, fast-tier exact fallbacks,
-	// exact co-runs); nil
-	// renders zeros with an "exact" tier label.
-	fidelityStats func() dataset.FidelityStats
+	// tier is the replica's configured fidelity tier, rendered as
+	// mapc_fidelity_info; the zero value renders "exact".
+	tier phasesum.Fidelity
 }
 
 // NewMetrics returns a zeroed metrics set with the clock started.
@@ -179,11 +177,6 @@ func (m *Metrics) SetSimCacheDomainSource(src func() map[string]int64) { m.simDo
 // feature-cache eviction/residency metrics (featureCache.Stats). Call
 // before serving begins.
 func (m *Metrics) SetFeatureCacheSource(src func() simcache.Stats) { m.featStats = src }
-
-// SetFidelitySource installs the snapshot function behind the
-// mapc_fidelity_* metrics (typically dataset.Generator.FidelityStats).
-// Call before serving begins; the source itself must be concurrency-safe.
-func (m *Metrics) SetFidelitySource(src func() dataset.FidelityStats) { m.fidelityStats = src }
 
 // PeerFillHit / PeerFillMiss record peer-fill outcomes on the miss path.
 func (m *Metrics) PeerFillHit()  { m.peerFillHits.Add(1) }
@@ -304,24 +297,12 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 			lines = append(lines, metricLine{fmt.Sprintf("mapc_simcache_domain_bytes{domain=%q}", d), domains[d]})
 		}
 	}
-	// Fidelity-tier counters: which simulator answered the contended
-	// co-runs behind served features. A rising low-confidence count is the
-	// live signal that the traffic mix strains the analytic model: answers
-	// under phasesum.DefaultMinConfidence (sketch boundary mass, sub-SM
-	// shares, or DRAM demand past the model's regime).
-	fid := dataset.FidelityStats{Fidelity: "exact"}
-	if m.fidelityStats != nil {
-		fid = m.fidelityStats()
-	}
-	if err := p("mapc_fidelity_info{tier=%q} 1\n", fid.Fidelity); err != nil {
+	// The replica's configured tier. Served features are the same at
+	// every tier; the tier changes only the GPU co-run targets a model
+	// is trained on.
+	if err := p("mapc_fidelity_info{tier=%q} 1\n", m.tier.String()); err != nil {
 		return total, err
 	}
-	lines = append(lines,
-		metricLine{`mapc_fidelity_runs_total{kind="analytic"}`, int64(fid.AnalyticRuns)},
-		metricLine{`mapc_fidelity_runs_total{kind="exact_fallback"}`, int64(fid.ExactFallbacks)},
-		metricLine{`mapc_fidelity_runs_total{kind="exact"}`, int64(fid.ExactRuns)},
-		metricLine{`mapc_fidelity_low_confidence_total`, int64(fid.LowConfidenceRuns)},
-	)
 	for _, l := range lines {
 		var err error
 		switch v := l.val.(type) {

@@ -17,10 +17,12 @@
 //
 // Robustness: a bounded in-flight limiter sheds load with 503 before work
 // is admitted, every request carries a deadline (504 on expiry), and
-// Shutdown drains in-flight requests for graceful SIGTERM handling.
-// Feature vectors are memoized across requests in a singleflight cache
-// layered on dataset.Generator's per-member memo, so repeated bags skip
-// re-simulation entirely.
+// Shutdown drains in-flight requests for graceful SIGTERM handling. With
+// brownout on, admissions past a watermark draw on a second, larger pool
+// and are marked degraded instead of shed; they compute the same features
+// from the same cache entry. Feature vectors are memoized across requests
+// in a singleflight cache layered on dataset.Generator's per-member memo,
+// so repeated bags skip re-simulation entirely.
 package serve
 
 import (
@@ -42,7 +44,6 @@ import (
 	"mapc/internal/dataset"
 	"mapc/internal/features"
 	"mapc/internal/parallel"
-	"mapc/internal/phasesum"
 	"mapc/internal/vision"
 )
 
@@ -52,12 +53,13 @@ const (
 	DefaultMaxBatch       = 64
 	DefaultRequestTimeout = 30 * time.Second
 	// DefaultBrownoutWatermark is the in-flight fraction of MaxInFlight at
-	// which fresh admissions start answering from the fast fidelity tier.
+	// which fresh admissions start drawing on the degraded pool.
 	DefaultBrownoutWatermark = 0.75
 	// DefaultDegradedMultiplier sizes the degraded admission pool relative
-	// to MaxInFlight: fast-tier answers are ~250x cheaper than exact
-	// simulation, so the brownout tier can admit well past the exact cap
-	// before shedding.
+	// to MaxInFlight. A degraded answer does the same work as an exact one
+	// (features do not depend on the fidelity tier), so the pool only
+	// raises the admission cap to 1+DefaultDegradedMultiplier times
+	// MaxInFlight before shedding.
 	DefaultDegradedMultiplier = 4
 	// maxBodyBytes bounds request bodies; a MaxBatch bag list is well
 	// under 1 MiB.
@@ -96,17 +98,21 @@ type Config struct {
 	// also the singleflight layer, so it cannot be disabled.
 	FeatureCacheMB int
 	// BrownoutWatermark is the in-flight fraction of MaxInFlight at which
-	// new admissions answer from the fast fidelity tier instead of
-	// shedding ("degraded": true in the response). 0 disables brownout
+	// new admissions draw on the degraded pool instead of the exact one
+	// and are marked "degraded": true in the response; the answer itself
+	// is the same as an exact one. 0 disables brownout
 	// (the legacy shed-only admission, and the backward-compatible
 	// default); values in (0, 1] enable it — mapc-serve defaults its flag
 	// to DefaultBrownoutWatermark. Negative values and values above 1 are
 	// rejected.
 	BrownoutWatermark float64
 	// MaxDegradedInFlight bounds the extra degraded-admission pool used
-	// once the exact pool saturates; only past both pools does the server
-	// shed 503. 0 means DefaultDegradedMultiplier*MaxInFlight; negative is
-	// rejected. Ignored when brownout is disabled.
+	// past the watermark or once the exact pool saturates; only past both
+	// pools does the server shed 503. Its requests do the same work as
+	// exact ones, so it raises the concurrent-compute bound to
+	// MaxInFlight+MaxDegradedInFlight. 0 means
+	// DefaultDegradedMultiplier*MaxInFlight; negative is rejected. Ignored
+	// when brownout is disabled.
 	MaxDegradedInFlight int
 }
 
@@ -119,16 +125,14 @@ type Server struct {
 	// trainedK is the bag size the model was trained for, inferred from
 	// its feature width at startup.
 	trainedK int
-	// featuresFn resolves a bag to its raw feature vector with the co-run
-	// at tier fid (the configured tier, or fast under brownout); defaults
-	// to the shared cache and is swappable in tests (e.g. to inject
-	// slowness).
-	featuresFn func(bag []dataset.Member, fid phasesum.Fidelity) (x []float64, fairness float64, hit bool, err error)
+	// featuresFn resolves a bag to its raw feature vector, the same for
+	// exact and degraded answers; defaults to the shared cache and is
+	// swappable in tests (e.g. to inject slowness).
+	featuresFn func(bag []dataset.Member) (x []float64, fairness float64, hit bool, err error)
 	inflight   chan struct{}
-	// degradedSlots is the brownout admission pool, sized past MaxInFlight
-	// because fast-tier answers are orders of magnitude cheaper; nil when
-	// brownout is disabled. watermark is the in-flight count at which
-	// fresh admissions degrade.
+	// degradedSlots is the brownout admission pool (MaxDegradedInFlight
+	// slots); nil when brownout is disabled. watermark is the in-flight
+	// count at which fresh admissions degrade.
 	degradedSlots chan struct{}
 	watermark     int
 
@@ -196,7 +200,7 @@ func New(cfg Config) (*Server, error) {
 	s.metrics.SetSimCacheSource(cfg.Generator.SimCacheStats)
 	s.metrics.SetSimCacheDomainSource(cfg.Generator.SimCacheDomainBytes)
 	s.metrics.SetFeatureCacheSource(s.cache.Stats)
-	s.metrics.SetFidelitySource(cfg.Generator.FidelityStats)
+	s.metrics.tier = s.cache.tier
 	s.featuresFn = s.cachedFeatures
 	// A replica's live heap is a few MiB while each request allocates
 	// ~25 KB, so at the runtime's default GOGC of 100 the collector runs
@@ -215,8 +219,8 @@ const servingGCPercent = 200
 
 // cachedFeatures is the default featuresFn: the cross-request singleflight
 // cache with hit/miss accounting.
-func (s *Server) cachedFeatures(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
-	x, fairness, hit, err := s.cache.get(bag, fid)
+func (s *Server) cachedFeatures(bag []dataset.Member) ([]float64, float64, bool, error) {
+	x, fairness, hit, err := s.cache.get(bag)
 	if err == nil {
 		if hit {
 			s.metrics.CacheHit()
@@ -387,10 +391,9 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 
 	// Bounded admission with brownout, shedding only as the last resort:
 	// an exact pool of MaxInFlight slots; past the watermark (or on an
-	// explicit degraded-allowed header) fresh admissions answer from the
-	// fast fidelity tier, drawing on a larger degraded pool — fast-tier
-	// answers are orders of magnitude cheaper, so the brownout tier keeps
-	// answering while the exact pool drains. Only when both pools are full
+	// explicit degraded-allowed header) fresh admissions draw on a larger
+	// degraded pool and are marked degraded. Both kinds compute the same
+	// features from the same cache entry. Only when both pools are full
 	// does the server shed 503.
 	degraded := s.degradedSlots != nil && r.Header.Get(HeaderDegradedOK) != ""
 	if !degraded && s.degradedSlots != nil && len(s.inflight) >= s.watermark {
@@ -485,10 +488,6 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 	results := make([]BagResult, len(bags))
 	done := make(chan error, 1)
 	handedOff = true
-	fid := s.cache.tier
-	if degraded {
-		fid = phasesum.Fast
-	}
 	go func() {
 		err := parallel.ForEach(s.cfg.Workers, len(bags), func(i int) error {
 			if ctx.Err() != nil {
@@ -498,7 +497,7 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 			for j, m := range bags[i] {
 				bag[j] = m.member()
 			}
-			x, fairness, hit, err := s.featuresFn(bag, fid)
+			x, fairness, hit, err := s.featuresFn(bag)
 			if err != nil {
 				return fmt.Errorf("bag %d (%s): %w", i, dataset.BagKeyOf(bag), err)
 			}

@@ -14,7 +14,6 @@ import (
 
 	"mapc/internal/core"
 	"mapc/internal/dataset"
-	"mapc/internal/phasesum"
 )
 
 var (
@@ -209,7 +208,7 @@ func TestPredictParityAndCache(t *testing.T) {
 
 func TestPredictTimeout(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.RequestTimeout = 30 * time.Millisecond })
-	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
 		time.Sleep(500 * time.Millisecond)
 		return nil, 0, false, context.DeadlineExceeded
 	}
@@ -226,7 +225,7 @@ func TestPredictTimeout(t *testing.T) {
 func TestPredictSaturation(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.MaxInFlight = 1 })
 	release := make(chan struct{})
-	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
 		<-release
 		return nil, 0, false, fmt.Errorf("released")
 	}
@@ -264,7 +263,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	s := newTestServer(t, nil)
 	inHandler := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s.featuresFn = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
 		inHandler <- struct{}{}
 		<-release
 		// Real features so the response is a genuine 200.

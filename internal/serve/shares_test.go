@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mapc/internal/dataset"
-	"mapc/internal/phasesum"
 )
 
 // Share-qualified cache namespaces: two caches measuring different MPS
@@ -12,27 +11,14 @@ import (
 // must keep the legacy key shape, and snapshots carry the profile.
 
 func TestShareDomainQualifiesKeys(t *testing.T) {
-	equal, skew := tierDomains(""), tierDomains("0.7/0.3")
-	if got := equal[phasesum.Exact]; got != "serve/features" {
-		t.Errorf("equal split rewrote the exact domain to %q", got)
+	if got := shareDomain(""); got != "serve/features" {
+		t.Errorf("equal split rewrote the domain to %q", got)
 	}
-	if got := equal[phasesum.Fast]; got != "serve/features/fast" {
-		t.Errorf("equal split rewrote the fast domain to %q", got)
+	if got := shareDomain("0.7/0.3"); got != "serve/features?shares=0.7/0.3" {
+		t.Errorf("share-qualified domain %q", got)
 	}
-	if got := skew[phasesum.Exact]; got != "serve/features?shares=0.7/0.3" {
-		t.Errorf("share-qualified exact domain %q", got)
-	}
-	if got := skew[phasesum.Fast]; got != "serve/features/fast?shares=0.7/0.3" {
-		t.Errorf("share-qualified fast domain %q", got)
-	}
-	seen := map[string]phasesum.Fidelity{}
-	for _, d := range []map[phasesum.Fidelity]string{equal, skew} {
-		for fid, dom := range d {
-			if other, dup := seen[dom]; dup {
-				t.Errorf("tiers %s and %s collided on domain %q", fid, other, dom)
-			}
-			seen[dom] = fid
-		}
+	if shareDomain("0.7/0.3") == shareDomain("0.3/0.7") {
+		t.Error("two share profiles collided on one domain")
 	}
 }
 
@@ -41,22 +27,23 @@ func TestShareDomainQualifiesKeys(t *testing.T) {
 // entries per profile, and entries() only lists the cache's own profile.
 func TestSharedLRUSeparatesShareProfiles(t *testing.T) {
 	mk := func(shares string, val float64) *featureCache {
-		c := newStubFeatureCache(func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, error) {
+		c := newStubFeatureCache(func(bag []dataset.Member) ([]float64, float64, error) {
 			return []float64{val}, val, nil
 		}, false, 1<<20)
 		c.shares = shares
-		c.domains = tierDomains(shares)
+		c.domain = shareDomain(shares)
 		return c
 	}
 	equal := mk("", 1)
 	skew := mk("0.7/0.3", 2)
+	skew.lru = equal.lru
 
 	bag := []dataset.Member{{Benchmark: "sift", Batch: 20}, {Benchmark: "surf", Batch: 20}}
-	xe, _, _, err := equal.get(bag, phasesum.Exact)
+	xe, _, _, err := equal.get(bag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, _, _, err := skew.get(bag, phasesum.Exact)
+	xs, _, _, err := skew.get(bag)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestSnapshotWarmStartBitIdentical(t *testing.T) {
 	s2 := newTestServer(t, nil)
 	// A warmed replica must not need its simulator for the snapshotted
 	// working set: any compute is the test failing.
-	s2.cache.compute = func(bag []dataset.Member, _ phasesum.Fidelity) ([]float64, float64, error) {
+	s2.cache.compute = func(bag []dataset.Member) ([]float64, float64, error) {
 		t.Errorf("warmed replica simulated bag %v", bag)
 		return nil, 0, nil
 	}
@@ -138,9 +138,9 @@ func TestWarmFromPeerAndPeerFill(t *testing.T) {
 	fresh := newTestServer(t, nil)
 	var computes atomic.Int64
 	realCompute := fresh.cache.compute
-	fresh.cache.compute = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
+	fresh.cache.compute = func(bag []dataset.Member) ([]float64, float64, error) {
 		computes.Add(1)
-		return realCompute(bag, fid)
+		return realCompute(bag)
 	}
 
 	// Join-time warm start: pull the peer's whole snapshot.

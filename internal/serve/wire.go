@@ -25,13 +25,13 @@ const (
 	// RequestTimeout) instead of the static default. A duration rather
 	// than an absolute timestamp so clock skew between tiers is harmless.
 	HeaderDeadline = "X-Mapc-Deadline"
-	// HeaderDegradedOK on a request tells serve the client prefers a fast
-	// possibly-degraded answer over waiting for the exact tier: admission
-	// routes it straight to the analytic fast path.
+	// HeaderDegradedOK on a request sends it straight to the degraded
+	// admission pool (overflowing into the exact pool when that is full).
+	// Its answer is the same as an exact one; only the admission differs.
 	HeaderDegradedOK = "X-Mapc-Degraded-OK"
-	// HeaderDegraded is set ("1") on responses answered from the degraded
-	// fast tier, mirroring the body's "degraded" field so load generators
-	// can count brownouts without parsing JSON.
+	// HeaderDegraded is set ("1") on responses admitted through the
+	// degraded pool, mirroring the body's "degraded" field so load
+	// generators can count brownouts without parsing JSON.
 	HeaderDegraded = "X-Mapc-Degraded"
 )
 
@@ -172,9 +172,9 @@ type BagResult struct {
 }
 
 // PredictResponse is the /v1/predict success body. Degraded is true when
-// the answer came from the brownout fast tier rather than the exact
-// simulation path (omitted when false, so pre-brownout clients and
-// byte-identity tests see an unchanged encoding).
+// the request was admitted through the brownout pool; its results are the
+// same as an exact request's (omitted when false, so pre-brownout clients
+// and byte-identity tests see an unchanged encoding).
 type PredictResponse struct {
 	ModelScheme string      `json:"model_scheme"`
 	Results     []BagResult `json:"results"`
@@ -227,9 +227,10 @@ type Snapshot struct {
 	// namespace is share-qualified (see featureCache), so snapshots only
 	// seed replicas measuring the same profile.
 	Shares string `json:"shares,omitempty"`
-	// Fidelity is the co-run tier the entries were measured at, empty for
-	// exact (so exact snapshots keep their earlier encoding). Analytic
-	// vectors must never seed a replica answering at another tier.
+	// Fidelity is the configured tier of the replica that wrote the
+	// snapshot, empty for exact (so exact snapshots keep their earlier
+	// encoding). Feature vectors are tier-independent today, but a
+	// snapshot only seeds a replica configured at the same tier.
 	Fidelity string          `json:"fidelity,omitempty"`
 	Entries  []SnapshotEntry `json:"entries"`
 }
