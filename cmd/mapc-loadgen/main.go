@@ -58,8 +58,7 @@ func main() {
 	hotFrac := flag.Float64("hot-frac", 0.8, "fraction of requests drawn from the recurring hot set")
 	hotSet := flag.Int("hot-set", 8, "number of distinct recurring bags in the hot set")
 	seed := flag.Int64("seed", 1, "mix RNG seed; same seed = same request stream")
-	degradedOK := flag.Bool("degraded-ok", false, "send X-Mapc-Degraded-OK so the target admits the request through its degraded pool (the answer is the same as an exact one)")
-	expectNoDegraded := flag.Bool("expect-no-degraded", false, "fail when any response was served degraded (no-fault consistency runs)")
+	expectNoDegraded := flag.Bool("expect-no-degraded", false, "fail when any response was labelled degraded, i.e. admitted past a replica's brownout watermark (no-fault consistency runs)")
 	checkConsistent := flag.Bool("check-consistent", false, "fail when repeated answers for the same bag disagree, degraded ones included")
 	flag.Parse()
 
@@ -85,10 +84,7 @@ func main() {
 	}
 
 	mix := newMix(benchList, batchList, *k, *hotSet, *hotFrac, *seed)
-	res := run(*target, mix, *qps, *concurrency, *warmup, *duration, runOpts{
-		degradedOK:      *degradedOK,
-		checkConsistent: *checkConsistent,
-	})
+	res := run(*target, mix, *qps, *concurrency, *warmup, *duration, *checkConsistent)
 
 	cores := runtime.NumCPU()
 	measured := *duration
@@ -145,7 +141,7 @@ func main() {
 		fatal(fmt.Errorf("no successful responses in the measured window"))
 	}
 	if *expectNoDegraded && res.degraded > 0 {
-		fatal(fmt.Errorf("%d responses were served degraded with -expect-no-degraded set", res.degraded))
+		fatal(fmt.Errorf("%d responses were labelled degraded with -expect-no-degraded set", res.degraded))
 	}
 	if *checkConsistent && res.inconsistent > 0 {
 		fatal(fmt.Errorf("%d answers disagreed with an earlier answer for the same bag", res.inconsistent))
@@ -224,7 +220,7 @@ type result struct {
 	dropped   int64
 	byStatus  map[int]int64
 	latencies []float64 // ms, 200s only
-	degraded  int64     // 200s admitted through the degraded pool
+	degraded  int64     // 200s admitted past the brownout watermark
 	// answers maps canonical bag key → the first answer's prediction
 	// fingerprint; inconsistent counts later disagreements.
 	answers      map[string]string
@@ -254,13 +250,9 @@ func (r *result) errorCount() int64 {
 	return n
 }
 
-// runOpts carries the request-shaping knobs into the load loop.
-type runOpts struct {
-	degradedOK      bool // ask for degraded admission via X-Mapc-Degraded-OK
-	checkConsistent bool // fingerprint every answer per bag
-}
-
-func run(target string, m *mix, qps float64, concurrency int, warmup, duration time.Duration, opts runOpts) *result {
+// run drives the load loop; checkConsistent fingerprints every answer per
+// bag.
+func run(target string, m *mix, qps float64, concurrency int, warmup, duration time.Duration, checkConsistent bool) *result {
 	if qps <= 0 {
 		fatal(fmt.Errorf("-qps must be positive"))
 	}
@@ -297,7 +289,7 @@ func run(target string, m *mix, qps float64, concurrency int, warmup, duration t
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			o := post(client, url, bag, opts)
+			o := post(client, url, bag, checkConsistent)
 			if !measured {
 				return
 			}
@@ -308,7 +300,7 @@ func run(target string, m *mix, qps float64, concurrency int, warmup, duration t
 				if o.degraded {
 					res.degraded++
 				}
-				if opts.checkConsistent && o.fingerprint != "" {
+				if checkConsistent && o.fingerprint != "" {
 					// Answers for one bag must never disagree: a degraded
 					// answer reads the same feature-cache entry as an
 					// exact one.
@@ -351,7 +343,7 @@ type postOutcome struct {
 
 // post sends one bag and classifies the outcome. Transport errors report
 // status 0 — the hard-failure class the availability gate counts.
-func post(client *http.Client, url string, bag []serve.Member, opts runOpts) postOutcome {
+func post(client *http.Client, url string, bag []serve.Member, checkConsistent bool) postOutcome {
 	body, err := json.Marshal(serve.PredictRequest{Bags: []serve.Bag{{Members: bag}}})
 	if err != nil {
 		fatal(err)
@@ -361,9 +353,6 @@ func post(client *http.Client, url string, bag []serve.Member, opts runOpts) pos
 		fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if opts.degradedOK {
-		req.Header.Set(serve.HeaderDegradedOK, "1")
-	}
 	t0 := time.Now()
 	resp, err := client.Do(req)
 	elapsed := time.Since(t0)
@@ -376,7 +365,7 @@ func post(client *http.Client, url string, bag []serve.Member, opts runOpts) pos
 		elapsed:  elapsed,
 		degraded: resp.Header.Get(serve.HeaderDegraded) != "",
 	}
-	if resp.StatusCode == 200 && opts.checkConsistent {
+	if resp.StatusCode == 200 && checkConsistent {
 		var pr serve.PredictResponse
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&pr); err == nil {
 			// The degraded body flag backs up the header (a proxy could

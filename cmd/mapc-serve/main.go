@@ -63,9 +63,8 @@ func main() {
 	warmFrom := flag.String("warm-from", "", "peer replica base URL to pull a cache snapshot from at boot (e.g. http://127.0.0.1:8081)")
 	peers := flag.String("peers", "", "comma-separated peer base URLs consulted on cache misses before simulating locally")
 	fidelity := flag.String("fidelity", "exact", "fidelity tier of the GPU co-runs behind the startup training corpus (without -model): exact | fast; served features are the same at both tiers, and /metrics and snapshots record the tier")
-	shares := flag.String("shares", "", "MPS share profile for every shared GPU co-run: k slash- or comma-separated relative weights, e.g. 0.7/0.3 (empty = equal split); share-qualifies the feature cache and snapshots")
-	brownout := flag.Float64("brownout-watermark", serve.DefaultBrownoutWatermark, "in-flight fraction of -max-inflight past which new requests draw on the degraded admission pool and are marked degraded (same answer, larger pool); 0 disables brownout (shed-only admission)")
-	maxDegraded := flag.Int("max-degraded-inflight", 0, "extra admission slots for degraded answers once the exact pool is full; 0 = 4x -max-inflight")
+	shares := flag.String("shares", "", "MPS share profile for every shared GPU co-run: k slash- or comma-separated relative weights, e.g. 0.7/0.3 (empty = equal split); snapshots record it and seed only a replica with the same profile")
+	brownout := flag.Float64("brownout-watermark", serve.DefaultBrownoutWatermark, "in-flight fraction of -max-inflight past which new requests are labelled degraded (same answer, same admission pool; a full pool still sheds 503); 0 disables the label, and at 1 no request is labelled because the pool sheds first")
 	flag.Parse()
 
 	if *pprofAddr != "" {
@@ -152,15 +151,14 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Model:               model,
-		Generator:           gen,
-		MaxInFlight:         *maxInFlight,
-		MaxBatch:            *maxBatch,
-		RequestTimeout:      *timeout,
-		Workers:             *workers,
-		FeatureCacheMB:      *featureCacheMB,
-		BrownoutWatermark:   *brownout,
-		MaxDegradedInFlight: *maxDegraded,
+		Model:             model,
+		Generator:         gen,
+		MaxInFlight:       *maxInFlight,
+		MaxBatch:          *maxBatch,
+		RequestTimeout:    *timeout,
+		Workers:           *workers,
+		FeatureCacheMB:    *featureCacheMB,
+		BrownoutWatermark: *brownout,
 	})
 	if err != nil {
 		fatal(err)

@@ -45,9 +45,10 @@ type ServeEntry struct {
 	ThroughputPerCore float64 `json:"throughput_rps_per_core"` // ThroughputRPS / cores
 	ShedRate          float64 `json:"shed_rate"`               // 503s / Requests
 
-	// Degraded counts 200 responses admitted through the brownout pool
-	// (the X-Mapc-Degraded response header); DegradedRate is
-	// Degraded / Requests. Absent for pre-brownout entries.
+	// Degraded counts 200 responses a replica admitted past its brownout
+	// watermark (the X-Mapc-Degraded response header); their answers are
+	// the exact ones. DegradedRate is Degraded / Requests. Absent for
+	// pre-brownout entries.
 	Degraded     int64   `json:"degraded,omitempty"`
 	DegradedRate float64 `json:"degraded_rate,omitempty"`
 	// ErrorRate is the fraction of sent requests that failed hard:

@@ -210,7 +210,6 @@ func (rt *Router) servePredict(w http.ResponseWriter, r *http.Request) int {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.Timeout)
 	defer cancel()
 
-	degradedOK := r.Header.Get(serve.HeaderDegradedOK)
 	calls := make([]*bagCall, len(bags))
 	for i, ms := range bags {
 		calls[i] = newBagCall(i, ms, rt.pool.Route(serve.CanonicalKey(ms)))
@@ -225,7 +224,7 @@ func (rt *Router) servePredict(w http.ResponseWriter, r *http.Request) int {
 		}
 		go func() {
 			o := outcome{replica: replica, group: group}
-			o.resp, o.ferr, o.err = rt.forward(ctx, replica, group, degradedOK)
+			o.resp, o.ferr, o.err = rt.forward(ctx, replica, group)
 			// Once the loop has answered nobody receives; ctx is then
 			// cancelled, so an abandoned attempt never blocks here.
 			select {
@@ -407,7 +406,7 @@ func (rt *Router) backoff(ctx context.Context, round int) error {
 // timeout, propagating the remaining budget in X-Mapc-Deadline. Returns
 // exactly one of: the decoded response (len(Results) == len(group)
 // guaranteed), a forwardError to propagate, or a transport error to retry.
-func (rt *Router) forward(ctx context.Context, baseURL string, group []*bagCall, degradedOK string) (*serve.PredictResponse, *forwardError, error) {
+func (rt *Router) forward(ctx context.Context, baseURL string, group []*bagCall) (*serve.PredictResponse, *forwardError, error) {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 	defer cancel()
 	sub := serve.PredictRequest{Bags: make([]serve.Bag, len(group))}
@@ -429,9 +428,6 @@ func (rt *Router) forward(ctx context.Context, baseURL string, group []*bagCall,
 			ms = 1
 		}
 		req.Header.Set(serve.HeaderDeadline, strconv.FormatInt(ms, 10))
-	}
-	if degradedOK != "" {
-		req.Header.Set(serve.HeaderDegradedOK, degradedOK)
 	}
 	resp, err := rt.cfg.Client.Do(req)
 	if err != nil {

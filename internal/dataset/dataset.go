@@ -174,8 +174,8 @@ func (c Config) EffectiveK() int {
 
 // SharesLabel renders the share vector canonically ("0.7/0.2/0.1" —
 // shortest round-tripping float form, slash-separated), or "" for the nil
-// equal split. Journal fingerprints, serve cache namespaces and scenario
-// names all use this one rendering.
+// equal split. Journal fingerprints, serve snapshots and scenario names
+// all use this one rendering.
 func (c Config) SharesLabel() string { return sharesLabel(c.Shares) }
 
 func sharesLabel(shares []float64) string {

@@ -21,14 +21,31 @@ import (
 // slow bags grew actual concurrent computes far past MaxInFlight. Pre-fix
 // this test observes up to `burst` concurrent computes; post-fix the slot
 // is held until the measurement finishes and concurrency never exceeds
-// MaxInFlight, with the overflow shed as 503s.
+// MaxInFlight, with the overflow shed as 503s. Brownout must not lift the
+// bound: past the watermark a request is only labelled, never admitted
+// beyond the one pool.
 func TestAdmissionBoundsBackgroundWork(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		watermark float64
+	}{
+		{"brownout-off", 0},
+		{"brownout-default", DefaultBrownoutWatermark},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testAdmissionBound(t, tc.watermark)
+		})
+	}
+}
+
+func testAdmissionBound(t *testing.T, watermark float64) {
 	const maxInFlight = 2
 	const burst = 10
 	s := newTestServer(t, func(c *Config) {
 		c.MaxInFlight = maxInFlight
 		c.RequestTimeout = 25 * time.Millisecond
 		c.Workers = 1
+		c.BrownoutWatermark = watermark
 	})
 	width := s.cfg.Model.NumFeatures()
 

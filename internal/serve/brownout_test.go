@@ -66,10 +66,9 @@ func decodePredict(t *testing.T, rr *httptest.ResponseRecorder) PredictResponse 
 	return resp
 }
 
-// TestBrownoutDegradesPastWatermark drives the exact pool past the
-// watermark with blocked simulations and asserts fresh admissions answer
-// through the degraded pool with degraded=true (body and header) instead
-// of queueing behind the stuck exact work — the brownout behavior.
+// TestBrownoutDegradesPastWatermark drives the pool past the watermark
+// with blocked simulations and asserts a fresh admission answers at once
+// with degraded=true (body and header) — the brownout label.
 func TestBrownoutDegradesPastWatermark(t *testing.T) {
 	s, block, slowN, quickN := brownoutServer(t, func(c *Config) {
 		c.MaxInFlight = 4 // watermark 0.5 -> degrade at 2 in flight
@@ -133,78 +132,32 @@ func TestBrownoutDegradesPastWatermark(t *testing.T) {
 	}
 }
 
-// TestForcedDegradedHeader pins the client opt-in: X-Mapc-Degraded-OK on
-// an idle server is admitted through the degraded pool and answers
-// degraded — the router forwards the header.
-func TestForcedDegradedHeader(t *testing.T) {
-	s, block, slowN, quickN := brownoutServer(t, nil)
-	defer close(block)
-	h := s.Handler()
-
-	req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(quickBody(0)))
-	req.Header.Set(HeaderDegradedOK, "1")
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, req)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("forced-degraded request answered %d: %s", rr.Code, rr.Body)
-	}
-	if resp := decodePredict(t, rr); !resp.Degraded {
-		t.Error("forced-degraded response has degraded=false")
-	}
-	if slowN.Load() != 0 || quickN.Load() != 1 {
-		t.Errorf("slow=%d quick=%d computes, want 0/1", slowN.Load(), quickN.Load())
-	}
-	if n := s.Metrics().degraded.Load(); n != 1 {
-		t.Errorf("degraded = %d, want 1", n)
-	}
-}
-
-// TestBrownoutShedsOnlyWhenBothPoolsFull fills the exact pool with blocked
-// work and the degraded pool with forced-degraded blocked work, then
-// asserts the next request sheds 503 naming both pools — and that below
-// that point degraded admissions kept succeeding.
-func TestBrownoutShedsOnlyWhenBothPoolsFull(t *testing.T) {
+// TestBrownoutShedsWhenPoolFull: brownout only labels, so with it on the
+// request after MaxInFlight blocked ones is shed 503 with Retry-After, not
+// admitted to run beyond the bound.
+func TestBrownoutShedsWhenPoolFull(t *testing.T) {
 	s, block, slowN, _ := brownoutServer(t, func(c *Config) {
 		c.MaxInFlight = 2
-		c.MaxDegradedInFlight = 2
 		c.RequestTimeout = 30 * time.Second
-		// Watermark at the full exact pool, so the two plain requests below
-		// deterministically land exact and only saturation degrades.
-		c.BrownoutWatermark = 1.0
 	})
 	defer close(block)
 	h := s.Handler()
 
-	// 2 exact + 2 degraded-pool + 2 degraded-overflow-into-exact? No:
-	// exact pool (2) is taken first by the two plain requests; then forced
-	// degraded requests take the 2 degraded slots; the degraded overflow
-	// path would take exact slots but they are full. So 4 blocked total
-	// fills both pools.
 	for i := 0; i < 2; i++ {
 		i := i
 		go func() { doJSON(t, h, http.MethodPost, "/v1/predict", brownoutBody(i)) }()
 	}
 	waitFor(t, func() bool { return slowN.Load() == 2 })
-	// The degraded requests block too, so degraded slots stay held.
-	for i := 2; i < 4; i++ {
-		i := i
-		go func() {
-			req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(brownoutBody(i)))
-			req.Header.Set(HeaderDegradedOK, "1")
-			h.ServeHTTP(httptest.NewRecorder(), req)
-		}()
-	}
-	waitFor(t, func() bool { return slowN.Load() == 4 })
 
-	rr := doJSON(t, h, http.MethodPost, "/v1/predict", brownoutBody(9))
+	rr := doJSON(t, h, http.MethodPost, "/v1/predict", quickBody(9))
 	if rr.Code != http.StatusServiceUnavailable {
-		t.Fatalf("request with both pools full answered %d, want 503: %s", rr.Code, rr.Body)
-	}
-	if body := rr.Body.String(); !strings.Contains(body, "degraded") {
-		t.Errorf("503 body %q does not mention the degraded pool", body)
+		t.Fatalf("request with the pool full answered %d, want 503: %s", rr.Code, rr.Body)
 	}
 	if rr.Header().Get("Retry-After") == "" {
 		t.Error("503 response missing Retry-After")
+	}
+	if n := s.Metrics().degraded.Load(); n != 0 {
+		t.Errorf("degraded = %d, want 0: a shed request is not a brownout answer", n)
 	}
 }
 
@@ -258,9 +211,6 @@ func TestBrownoutConfigValidation(t *testing.T) {
 	if _, err := New(Config{Model: mod, Generator: gen, BrownoutWatermark: -0.1}); err == nil {
 		t.Error("negative watermark accepted")
 	}
-	if _, err := New(Config{Model: mod, Generator: gen, MaxDegradedInFlight: -1}); err == nil {
-		t.Error("negative degraded bound accepted")
-	}
 	s, err := New(Config{Model: mod, Generator: gen, BrownoutWatermark: 0.5, MaxInFlight: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -268,28 +218,43 @@ func TestBrownoutConfigValidation(t *testing.T) {
 	if s.watermark != 5 {
 		t.Errorf("watermark = %d, want 5", s.watermark)
 	}
-	if cap(s.degradedSlots) != DefaultDegradedMultiplier*10 {
-		t.Errorf("degraded pool cap = %d, want %d", cap(s.degradedSlots), DefaultDegradedMultiplier*10)
-	}
 	// Disabled by default: zero watermark leaves brownout off.
 	s, err = New(Config{Model: mod, Generator: gen})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.degradedSlots != nil {
-		t.Error("zero watermark enabled brownout; it must stay opt-in")
+	if s.watermark != 0 {
+		t.Errorf("zero watermark set a label threshold of %d; brownout must stay opt-in", s.watermark)
 	}
 }
 
 // TestDegradedAnswerSharesExactEntry: a bag's features are the same at
-// every fidelity tier, so a forced-degraded request for a bag the exact
-// path already cached answers from that entry, in either member order. It
-// computes nothing, reports cached, predicts the same bits, and leaves one
-// entry that snapshots and peer fill both carry.
+// every fidelity tier, so a request labelled degraded past the watermark
+// for a bag the exact path already cached answers from that entry, in
+// either member order. It computes nothing, reports cached, predicts the
+// same bits, and leaves one entry that snapshots and peer fill both carry.
 func TestDegradedAnswerSharesExactEntry(t *testing.T) {
 	for _, order := range [][2]string{{"sift", "surf"}, {"surf", "sift"}} {
 		t.Run(order[0]+"-first", func(t *testing.T) {
-			s := newTestServer(t, func(c *Config) { c.BrownoutWatermark = 0.5 })
+			// MaxInFlight 2 at watermark 0.5 labels a request admitted
+			// while one other is in flight.
+			s := newTestServer(t, func(c *Config) {
+				c.BrownoutWatermark = 0.5
+				c.MaxInFlight = 2
+			})
+			// A knn-led bag blocks outside the feature cache, holding one
+			// slot; every other bag goes through the cache as usual.
+			width := s.cfg.Model.NumFeatures()
+			block := make(chan struct{})
+			var blockedN atomic.Int64
+			s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+				if bag[0].Benchmark == "knn" {
+					blockedN.Add(1)
+					<-block
+					return make([]float64, width), 0.5, false, nil
+				}
+				return s.cachedFeatures(bag)
+			}
 			h := s.Handler()
 			batch := map[string]int{"sift": 20, "surf": 40}
 			body := func(a, b string) string {
@@ -302,10 +267,14 @@ func TestDegradedAnswerSharesExactEntry(t *testing.T) {
 			}
 			exact := decodePredict(t, rr)
 
-			req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body(order[1], order[0])))
-			req.Header.Set(HeaderDegradedOK, "1")
-			rr = httptest.NewRecorder()
-			h.ServeHTTP(rr, req)
+			blocker := make(chan *httptest.ResponseRecorder, 1)
+			go func() { blocker <- doJSON(t, h, http.MethodPost, "/v1/predict", quickBody(0)) }()
+			waitFor(t, func() bool { return blockedN.Load() == 1 })
+			rr = doJSON(t, h, http.MethodPost, "/v1/predict", body(order[1], order[0]))
+			close(block)
+			if b := <-blocker; b.Code != http.StatusOK {
+				t.Fatalf("blocking request answered %d: %s", b.Code, b.Body)
+			}
 			if rr.Code != http.StatusOK {
 				t.Fatalf("degraded request answered %d: %s", rr.Code, rr.Body)
 			}

@@ -17,10 +17,9 @@ import (
 // benchmark registry) can no longer grow the map without bound.
 const DefaultFeatureCacheMB = 64
 
-// featureDomain namespaces feature-cache keys inside the shared
-// simcache.Key space. A bag's features are the same at every fidelity
-// tier (only the GPU co-run behind the target differs, and serve never
-// runs it), so exact and brownout answers share one entry.
+// featureDomain is the simcache.Key domain of every feature-cache entry.
+// Each replica's cache owns its LRU and holds one share profile, so the
+// bag key alone tells entries apart.
 const featureDomain = "serve/features"
 
 // recoveredPanic is a panic caught inside the feature cache's compute
@@ -84,15 +83,10 @@ type featureCache struct {
 	// the local simulation. It runs inside the singleflight slot, so
 	// concurrent misses on one bag cost one peer probe.
 	fill func(key string) (x []float64, fairness float64, ok bool)
-	// shares qualifies every key with the generator's MPS share profile
-	// (dataset Config.SharesLabel; "" for the equal split). Features are
-	// share-independent today, but the share vector is generator state
-	// that changes measured co-runs, so two profiles must never share a
-	// cache namespace.
+	// shares is the generator's MPS share profile (dataset
+	// Config.SharesLabel; "" for the equal split), which /healthz reports
+	// and snapshots record and check.
 	shares string
-	// domain is the share-qualified key domain (shareDomain), derived once
-	// at construction so lookups build no strings.
-	domain string
 
 	lru *simcache.Cache
 }
@@ -109,7 +103,6 @@ func newFeatureCache(gen *dataset.Generator, budgetMB int) *featureCache {
 		tier:      cfg.Fidelity.Effective(),
 		canonical: cfg.CanonicalOrder,
 		shares:    cfg.SharesLabel(),
-		domain:    shareDomain(cfg.SharesLabel()),
 		lru:       simcache.MustNew(int64(budgetMB) << 20),
 	}
 }
@@ -124,21 +117,9 @@ func (c *featureCache) key(bag []dataset.Member) (string, []dataset.Member) {
 	return dataset.BagKeyOf(bag), bag
 }
 
-// shareDomain qualifies featureDomain with the share profile. The equal
-// split keeps the bare domain, identical to the pre-shares key shape; any
-// explicit profile gets its own namespace by exact string append — no
-// hashing, so distinct profiles can never collide.
-func shareDomain(shares string) string {
-	if shares == "" {
-		return featureDomain
-	}
-	return featureDomain + "?shares=" + shares
-}
-
-// cacheKey maps the canonical bag key into the simcache key space: the
-// share-qualified domain plus the bag key in the Config field.
-func (c *featureCache) cacheKey(bagKey string) simcache.Key {
-	return simcache.Key{Domain: c.domain, Config: bagKey}
+// cacheKey maps the canonical bag key into the simcache key space.
+func cacheKey(bagKey string) simcache.Key {
+	return simcache.Key{Domain: featureDomain, Config: bagKey}
 }
 
 // get returns the bag's raw feature vector and fairness, computing them at
@@ -156,7 +137,7 @@ func (c *featureCache) cacheKey(bagKey string) simcache.Key {
 // waiter that shared the slot).
 func (c *featureCache) get(bag []dataset.Member) (x []float64, fairness float64, hit bool, err error) {
 	k, canon := c.key(bag)
-	v, outcome, err := c.lru.Lookup(c.cacheKey(k), func() (any, int64, error) {
+	v, outcome, err := c.lru.Lookup(cacheKey(k), func() (any, int64, error) {
 		fv, err := c.computeValue(k, canon)
 		if err != nil {
 			return nil, 0, err
@@ -193,7 +174,7 @@ func (c *featureCache) computeValue(key string, canon []dataset.Member) (fv *fea
 // peek returns the published entry for a canonical bag key without
 // waiting, computing, or touching recency — the peer-fill serving side.
 func (c *featureCache) peek(bagKey string) (*featureValue, bool) {
-	v, ok := c.lru.Peek(c.cacheKey(bagKey))
+	v, ok := c.lru.Peek(cacheKey(bagKey))
 	if !ok {
 		return nil, false
 	}
@@ -204,19 +185,15 @@ func (c *featureCache) peek(bagKey string) (*featureValue, bool) {
 // wins. Reports whether this call inserted a still-resident entry.
 func (c *featureCache) seed(bagKey string, x []float64, fairness float64) bool {
 	fv := &featureValue{x: x, fairness: fairness}
-	return c.lru.Seed(c.cacheKey(bagKey), fv, fv.sizeBytes(bagKey))
+	return c.lru.Seed(cacheKey(bagKey), fv, fv.sizeBytes(bagKey))
 }
 
 // entries lists the published entries MRU-first (the snapshot body).
 func (c *featureCache) entries() []SnapshotEntry {
 	var out []SnapshotEntry
 	c.lru.Items(func(key simcache.Key, val any, _ int64) bool {
-		if key.Domain != c.domain {
-			return true
-		}
-		if fv, ok := val.(*featureValue); ok {
-			out = append(out, SnapshotEntry{Key: key.Config, X: fv.x, Fairness: fv.fairness})
-		}
+		fv := val.(*featureValue)
+		out = append(out, SnapshotEntry{Key: key.Config, X: fv.x, Fairness: fv.fairness})
 		return true
 	})
 	return out

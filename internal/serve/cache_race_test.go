@@ -19,7 +19,6 @@ func newStubFeatureCache(compute func(bag []dataset.Member) ([]float64, float64,
 		compute:   compute,
 		tier:      phasesum.Exact,
 		canonical: canonical,
-		domain:    featureDomain,
 		lru:       simcache.MustNew(budgetBytes),
 	}
 }

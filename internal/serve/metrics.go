@@ -34,10 +34,8 @@ type Metrics struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 
-	// degraded counts brownout answers (admitted through the degraded
-	// pool); degradedInFlight gauges currently-admitted degraded requests.
-	degraded         atomic.Int64
-	degradedInFlight atomic.Int64
+	// degraded counts brownout answers (admitted past the watermark).
+	degraded atomic.Int64
 
 	// peerFill counts miss-path consultations of sibling replicas: hits
 	// skipped a local simulation entirely, misses fell through to it.
@@ -157,11 +155,8 @@ func (m *Metrics) RejectSaturated()  { m.rejected.saturated.Add(1) }
 func (m *Metrics) RejectTimeout()    { m.rejected.timeout.Add(1) }
 func (m *Metrics) RejectValidation() { m.rejected.validation.Add(1) }
 
-// Degraded records one brownout answer; the gauge pair tracks admitted
-// degraded requests in flight.
-func (m *Metrics) Degraded()            { m.degraded.Add(1) }
-func (m *Metrics) IncDegradedInFlight() { m.degradedInFlight.Add(1) }
-func (m *Metrics) DecDegradedInFlight() { m.degradedInFlight.Add(-1) }
+// Degraded records one brownout answer.
+func (m *Metrics) Degraded() { m.degraded.Add(1) }
 
 // SetSimCacheSource installs the snapshot function behind the
 // mapc_simcache_* metrics (typically dataset.Generator.SimCacheStats).
@@ -251,7 +246,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{`mapc_rejected_total{reason="validation"}`, m.rejected.validation.Load()},
 		{"mapc_serve_panics_total", m.panics.Load()},
 		{"mapc_degraded_total", m.degraded.Load()},
-		{"mapc_degraded_inflight", m.degradedInFlight.Load()},
 		{"mapc_feature_cache_hits_total", hits},
 		{"mapc_feature_cache_misses_total", misses},
 		{"mapc_feature_cache_hit_ratio", m.CacheHitRate()},

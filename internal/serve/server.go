@@ -15,14 +15,16 @@
 //	GET  /healthz     — liveness + model identity
 //	GET  /metrics     — Prometheus-style text metrics (stdlib only)
 //
-// Robustness: a bounded in-flight limiter sheds load with 503 before work
+// Robustness: one bounded in-flight limiter sheds load with 503 before work
 // is admitted, every request carries a deadline (504 on expiry), and
 // Shutdown drains in-flight requests for graceful SIGTERM handling. With
-// brownout on, admissions past a watermark draw on a second, larger pool
-// and are marked degraded instead of shed; they compute the same features
-// from the same cache entry. Feature vectors are memoized across requests
-// in a singleflight cache layered on dataset.Generator's per-member memo,
-// so repeated bags skip re-simulation entirely.
+// brownout on, a request admitted past a watermark is labelled degraded;
+// it takes a slot from the same pool and gets the exact answer, so the
+// label only tells a client the replica is near saturation. At a
+// watermark of 1 no request is labelled, because the pool sheds first.
+// Feature vectors are memoized across requests in a singleflight cache
+// layered on dataset.Generator's per-member memo, so repeated bags skip
+// re-simulation entirely.
 package serve
 
 import (
@@ -53,14 +55,8 @@ const (
 	DefaultMaxBatch       = 64
 	DefaultRequestTimeout = 30 * time.Second
 	// DefaultBrownoutWatermark is the in-flight fraction of MaxInFlight at
-	// which fresh admissions start drawing on the degraded pool.
+	// which fresh admissions start being labelled degraded.
 	DefaultBrownoutWatermark = 0.75
-	// DefaultDegradedMultiplier sizes the degraded admission pool relative
-	// to MaxInFlight. A degraded answer does the same work as an exact one
-	// (features do not depend on the fidelity tier), so the pool only
-	// raises the admission cap to 1+DefaultDegradedMultiplier times
-	// MaxInFlight before shedding.
-	DefaultDegradedMultiplier = 4
 	// maxBodyBytes bounds request bodies; a MaxBatch bag list is well
 	// under 1 MiB.
 	maxBodyBytes = 1 << 20
@@ -98,22 +94,16 @@ type Config struct {
 	// also the singleflight layer, so it cannot be disabled.
 	FeatureCacheMB int
 	// BrownoutWatermark is the in-flight fraction of MaxInFlight at which
-	// new admissions draw on the degraded pool instead of the exact one
-	// and are marked "degraded": true in the response; the answer itself
-	// is the same as an exact one. 0 disables brownout
-	// (the legacy shed-only admission, and the backward-compatible
-	// default); values in (0, 1] enable it — mapc-serve defaults its flag
-	// to DefaultBrownoutWatermark. Negative values and values above 1 are
+	// admissions start being labelled: a request admitted while at least
+	// that many others are in flight answers "degraded": true with the
+	// X-Mapc-Degraded header and counts in mapc_degraded_total. It only
+	// labels; the request takes a slot from the one MaxInFlight pool and
+	// gets the exact answer, and a full pool sheds 503 either way. At 1.0
+	// no request is labelled, because the pool sheds first. 0 disables
+	// the label (the default); mapc-serve defaults its flag to
+	// DefaultBrownoutWatermark. Negative values and values above 1 are
 	// rejected.
 	BrownoutWatermark float64
-	// MaxDegradedInFlight bounds the extra degraded-admission pool used
-	// past the watermark or once the exact pool saturates; only past both
-	// pools does the server shed 503. Its requests do the same work as
-	// exact ones, so it raises the concurrent-compute bound to
-	// MaxInFlight+MaxDegradedInFlight. 0 means
-	// DefaultDegradedMultiplier*MaxInFlight; negative is rejected. Ignored
-	// when brownout is disabled.
-	MaxDegradedInFlight int
 }
 
 // Server is the HTTP prediction service. Create with New; all methods are
@@ -130,11 +120,9 @@ type Server struct {
 	// swappable in tests (e.g. to inject slowness).
 	featuresFn func(bag []dataset.Member) (x []float64, fairness float64, hit bool, err error)
 	inflight   chan struct{}
-	// degradedSlots is the brownout admission pool (MaxDegradedInFlight
-	// slots); nil when brownout is disabled. watermark is the in-flight
-	// count at which fresh admissions degrade.
-	degradedSlots chan struct{}
-	watermark     int
+	// watermark is the in-flight count at which fresh admissions are
+	// labelled degraded; 0 when brownout is disabled.
+	watermark int
 
 	mu      sync.Mutex
 	httpSrv *http.Server
@@ -173,12 +161,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.BrownoutWatermark > 1 || cfg.BrownoutWatermark < 0 {
 		return nil, fmt.Errorf("serve: brownout watermark %g outside [0, 1] (a fraction of MaxInFlight; 0 disables brownout)", cfg.BrownoutWatermark)
 	}
-	if cfg.MaxDegradedInFlight < 0 {
-		return nil, fmt.Errorf("serve: negative degraded in-flight bound %d (0 means %d×MaxInFlight)", cfg.MaxDegradedInFlight, DefaultDegradedMultiplier)
-	}
-	if cfg.MaxDegradedInFlight == 0 {
-		cfg.MaxDegradedInFlight = DefaultDegradedMultiplier * cfg.MaxInFlight
-	}
 	s := &Server{
 		cfg:      cfg,
 		metrics:  NewMetrics(),
@@ -187,11 +169,7 @@ func New(cfg Config) (*Server, error) {
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 	}
 	if cfg.BrownoutWatermark > 0 {
-		s.degradedSlots = make(chan struct{}, cfg.MaxDegradedInFlight)
-		s.watermark = int(cfg.BrownoutWatermark * float64(cfg.MaxInFlight))
-		if s.watermark < 1 {
-			s.watermark = 1
-		}
+		s.watermark = max(1, int(cfg.BrownoutWatermark*float64(cfg.MaxInFlight)))
 	}
 	// /metrics reports the generator's simulation-memo counters alongside
 	// the request-level feature cache: the feature cache dedupes repeated
@@ -389,50 +367,18 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 		return WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{"POST only"})
 	}
 
-	// Bounded admission with brownout, shedding only as the last resort:
-	// an exact pool of MaxInFlight slots; past the watermark (or on an
-	// explicit degraded-allowed header) fresh admissions draw on a larger
-	// degraded pool and are marked degraded. Both kinds compute the same
-	// features from the same cache entry. Only when both pools are full
-	// does the server shed 503.
-	degraded := s.degradedSlots != nil && r.Header.Get(HeaderDegradedOK) != ""
-	if !degraded && s.degradedSlots != nil && len(s.inflight) >= s.watermark {
-		degraded = true
-	}
-	var slot chan struct{}
-	if !degraded {
-		select {
-		case s.inflight <- struct{}{}:
-			slot = s.inflight
-		default:
-			if s.degradedSlots == nil {
-				s.metrics.RejectSaturated()
-				w.Header().Set("Retry-After", "1")
-				return WriteJSON(w, http.StatusServiceUnavailable,
-					ErrorResponse{fmt.Sprintf("server saturated: %d requests in flight", s.cfg.MaxInFlight)})
-			}
-			degraded = true
-		}
-	}
-	if slot == nil {
-		// Degraded admission: prefer the degraded pool, overflowing into
-		// the exact pool (a forced-degraded request on an idle server must
-		// not shed just because the degraded pool is sized for overload).
-		select {
-		case s.degradedSlots <- struct{}{}:
-			slot = s.degradedSlots
-		default:
-			select {
-			case s.inflight <- struct{}{}:
-				slot = s.inflight
-			default:
-				s.metrics.RejectSaturated()
-				w.Header().Set("Retry-After", "1")
-				return WriteJSON(w, http.StatusServiceUnavailable,
-					ErrorResponse{fmt.Sprintf("server saturated: exact (%d) and degraded (%d) admission pools full",
-						cap(s.inflight), cap(s.degradedSlots))})
-			}
-		}
+	// Bounded admission: one pool of MaxInFlight slots, shedding 503 when
+	// it is full. Brownout only labels: a request admitted while at least
+	// watermark others are in flight answers degraded, with the same
+	// features from the same cache entry as any other.
+	degraded := s.watermark > 0 && len(s.inflight) >= s.watermark
+	select {
+	case s.inflight <- struct{}{}:
+	default:
+		s.metrics.RejectSaturated()
+		w.Header().Set("Retry-After", "1")
+		return WriteJSON(w, http.StatusServiceUnavailable,
+			ErrorResponse{fmt.Sprintf("server saturated: %d requests in flight", s.cfg.MaxInFlight)})
 	}
 	// The slot tracks *work*, not the handler: simulations are not
 	// cancellable mid-run, so a request that times out (504) leaves its
@@ -443,15 +389,9 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 	// Until the goroutine is handed the slot, the handler's own returns
 	// release it.
 	s.metrics.IncInFlight()
-	if degraded {
-		s.metrics.IncDegradedInFlight()
-	}
 	release := func() {
 		s.metrics.DecInFlight()
-		if degraded {
-			s.metrics.DecDegradedInFlight()
-		}
-		<-slot
+		<-s.inflight
 	}
 	handedOff := false
 	defer func() {

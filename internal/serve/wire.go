@@ -25,13 +25,9 @@ const (
 	// RequestTimeout) instead of the static default. A duration rather
 	// than an absolute timestamp so clock skew between tiers is harmless.
 	HeaderDeadline = "X-Mapc-Deadline"
-	// HeaderDegradedOK on a request sends it straight to the degraded
-	// admission pool (overflowing into the exact pool when that is full).
-	// Its answer is the same as an exact one; only the admission differs.
-	HeaderDegradedOK = "X-Mapc-Degraded-OK"
-	// HeaderDegraded is set ("1") on responses admitted through the
-	// degraded pool, mirroring the body's "degraded" field so load
-	// generators can count brownouts without parsing JSON.
+	// HeaderDegraded is set ("1") on responses admitted past the brownout
+	// watermark, mirroring the body's "degraded" field so load generators
+	// can count brownouts without parsing JSON.
 	HeaderDegraded = "X-Mapc-Degraded"
 )
 
@@ -172,9 +168,9 @@ type BagResult struct {
 }
 
 // PredictResponse is the /v1/predict success body. Degraded is true when
-// the request was admitted through the brownout pool; its results are the
-// same as an exact request's (omitted when false, so pre-brownout clients
-// and byte-identity tests see an unchanged encoding).
+// the request was admitted past the brownout watermark; its results are
+// the same as any other request's (omitted when false, so pre-brownout
+// clients and byte-identity tests see an unchanged encoding).
 type PredictResponse struct {
 	ModelScheme string      `json:"model_scheme"`
 	Results     []BagResult `json:"results"`
@@ -223,9 +219,9 @@ type Snapshot struct {
 	K           int    `json:"k"`
 	Width       int    `json:"width"`
 	// Shares is the generator's MPS share profile (empty for the equal
-	// split). Feature vectors are share-independent today, but the cache
-	// namespace is share-qualified (see featureCache), so snapshots only
-	// seed replicas measuring the same profile.
+	// split). Feature vectors are share-independent today, but the share
+	// vector is generator state that changes measured co-runs, so a
+	// snapshot only seeds a replica measuring the same profile.
 	Shares string `json:"shares,omitempty"`
 	// Fidelity is the configured tier of the replica that wrote the
 	// snapshot, empty for exact (so exact snapshots keep their earlier
